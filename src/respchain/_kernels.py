@@ -1,92 +1,76 @@
-"""Inner loops for walking and counting long state sequences.
-
-Both kernels exist twice: a numba-compiled version and a plain numpy
-version. The compiled path is used when numba imports cleanly, unless the
-environment variable RESPCHAIN_NO_NUMBA is set to a truthy value (1, true,
-yes, on). Everything downstream calls ``walk`` and ``pair_counts`` and
-never needs to know which path is active; the two paths return identical
-arrays, bit for bit, because all randomness is drawn before the kernel
-runs and the kernels themselves are deterministic.
+"""Inner loops for walking and counting state sequences, in numpy.
 
 States are 1-based integers throughout, matching how responses are written
-in data files.
+in data files. Sampling rule: from state s a draw u moves to the first
+column j with u < cum_rows[s-1, j], clamped to the last column; that is,
+to 1 + the number of the first K-1 cumulative masses u reaches. All
+randomness is drawn before ``walk`` runs, so the same draws always give
+the same states.
 """
-
-import os
 
 import numpy as np
 
-
-def _env_truthy(name):
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-NUMBA_DISABLED = _env_truthy("RESPCHAIN_NO_NUMBA")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled by RESPCHAIN_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+# Walks longer than this are cut into chunks of this many steps (see walk).
+CHUNK = 512
 
 
-def _pair_counts_numpy(states, n_states):
-    """Count adjacent (from, to) pairs into an n_states x n_states matrix."""
-    counts = np.zeros((n_states, n_states), dtype=np.int64)
-    np.add.at(counts, (states[:-1] - 1, states[1:] - 1), 1)
-    return counts
+def pair_counts(states, n_states):
+    """Count adjacent (from, to) pairs into an n_states x n_states matrix.
+
+    States must already lie in 1..n_states; callers check the range.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    codes = (states[:-1] - 1) * n_states + (states[1:] - 1)
+    return np.bincount(codes, minlength=n_states * n_states).reshape(n_states, n_states)
 
 
-def _walk_numpy(cum_rows, first_state, uniforms):
-    """Walk a chain from first_state using pre-drawn uniforms.
+def _advance(edges, states, uniforms, out=None):
+    """Step 0-based `states` through the last axis of `uniforms` in lockstep.
 
-    cum_rows holds the row-wise cumulative sums of the transition matrix.
-    Each step picks the first column whose cumulative mass exceeds the
-    uniform draw; the comparison is identical to the compiled scan below,
-    so both paths emit the same integer sequence for the same draws.
+    edges holds the first K-1 cumulative masses of each row. uniforms[..., t]
+    must broadcast against states. Each visited state is written 1-based to
+    out[..., t] when out is given; the final states are returned.
+    """
+    for t in range(uniforms.shape[-1]):
+        states = (edges[states] <= uniforms[..., t, None]).sum(axis=-1)
+        if out is not None:
+            out[..., t] = states + 1
+    return states
+
+
+def walk(cum_rows, first_states, uniforms):
+    """Walk one chain per row of `uniforms`, all rows in lockstep.
+
+    cum_rows holds the row-wise cumulative sums of the transition matrix,
+    first_states the 1-based start of each row, and uniforms an (N, T)
+    array of draws, one per step. Returns an (N, T+1) int64 array of
+    1-based states whose first column is first_states.
+
+    A walk longer than CHUNK steps is cut into chunks of CHUNK steps. Every
+    full chunk is first walked from every possible start state at once,
+    which gives its end state as a function of its start. Chaining those
+    end states in order yields each chunk's real start state, and then all
+    chunks are walked together from their real starts. The draws are read
+    through reshape views, never copied.
     """
     k = cum_rows.shape[1]
-    out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
-    out[0] = first_state
-    s = first_state - 1
-    for t in range(uniforms.shape[0]):
-        j = int(np.searchsorted(cum_rows[s], uniforms[t], side="right"))
-        if j > k - 1:
-            j = k - 1
-        s = j
-        out[t + 1] = j + 1
+    edges = np.ascontiguousarray(cum_rows[:, : k - 1])
+    n, t = uniforms.shape
+    out = np.empty((n, t + 1), dtype=np.int64)
+    out[:, 0] = first_states
+    n_full = t // CHUNK if t > CHUNK else 0
+    body = n_full * CHUNK
+    starts = np.empty((n, n_full + 1), dtype=np.int64)
+    starts[:, 0] = out[:, 0] - 1
+    if n_full:
+        chunks = uniforms[:, :body].reshape(n, n_full, CHUNK)
+        every_start = np.broadcast_to(np.arange(k), (n, n_full, k))
+        ends = _advance(edges, every_start, chunks[:, :, None, :])
+        rows = np.arange(n)
+        for c in range(n_full):
+            starts[:, c + 1] = ends[rows, c, starts[:, c]]
+        _advance(edges, starts[:, :n_full], chunks,
+                 out[:, 1 : body + 1].reshape(n, n_full, CHUNK))
+    # the rest of the walk, or all of a walk of at most CHUNK steps
+    _advance(edges, starts[:, n_full], uniforms[:, body:], out[:, body + 1 :])
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pair_counts_nb(states, n_states):
-        counts = np.zeros((n_states, n_states), dtype=np.int64)
-        for t in range(states.shape[0] - 1):
-            counts[states[t] - 1, states[t + 1] - 1] += 1
-        return counts
-
-    @njit(cache=True)
-    def _walk_nb(cum_rows, first_state, uniforms):
-        k = cum_rows.shape[1]
-        out = np.empty(uniforms.shape[0] + 1, dtype=np.int64)
-        out[0] = first_state
-        s = first_state - 1
-        for t in range(uniforms.shape[0]):
-            u = uniforms[t]
-            j = 0
-            while j < k - 1 and u >= cum_rows[s, j]:
-                j += 1
-            s = j
-            out[t + 1] = j + 1
-        return out
-
-    pair_counts = _pair_counts_nb
-    walk = _walk_nb
-else:
-    pair_counts = _pair_counts_numpy
-    walk = _walk_numpy

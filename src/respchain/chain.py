@@ -253,10 +253,11 @@ def pool_counts(items):
 
 
 def _require_fully_defined(matrix, what):
+    """Refuse a matrix with undefined rows; `what` names the use."""
     if not matrix.fully_defined:
-        missing = [str(i + 1) for i in np.flatnonzero(~matrix.defined_rows)]
+        missing = ", ".join(str(i + 1) for i in np.flatnonzero(~matrix.defined_rows))
         raise StructuralError(
-            f"{what} needs every row defined, but row(s) {', '.join(missing)} "
+            f"{what} needs every row defined, but undefined row(s) {missing} "
             f"were never observed; pool more data or use smoothing first"
         )
 

@@ -139,7 +139,7 @@ def _build_parser():
                    help="group column value for the simulated rows")
     p.add_argument("--id-prefix", default="sim", metavar="PREFIX")
     p.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="threads for cohort generation (results identical)")
+                   help="accepted for compatibility and ignored")
 
     return parser
 
@@ -215,6 +215,18 @@ def _resolve(spec_str, dataset, config):
     )
 
 
+def _source_matrix(args, config):
+    """The --group or --model matrix, its name, and the input it came from."""
+    if args.group is None:
+        name, matrix = _resolve(f"model:{args.model}", None, config)
+        return name, matrix, None
+    if not args.input:
+        raise ValidationError("--group needs --input")
+    dataset = _load_dataset(args, config)
+    name, matrix = _resolve(f"group:{args.group}", dataset, config)
+    return name, matrix, args.input
+
+
 def _sorted_sequences(dataset):
     return sorted(dataset.sequences, key=lambda s: s.participant_id)
 
@@ -264,15 +276,7 @@ def _cmd_estimate(args, config):
 
 
 def _cmd_stationary(args, config):
-    if args.group is not None:
-        if not args.input:
-            raise ValidationError("--group needs --input")
-        dataset = _load_dataset(args, config)
-        name, matrix = _resolve(f"group:{args.group}", dataset, config)
-        input_path = args.input
-    else:
-        name, matrix = _resolve(f"model:{args.model}", None, config)
-        input_path = None
+    name, matrix, input_path = _source_matrix(args, config)
     irreducible = chain.is_irreducible(matrix)
     aperiodic = chain.is_aperiodic(matrix)
     result = chain.stationary(matrix, config.tolerance, config.max_power)
@@ -488,22 +492,13 @@ def _cmd_diagnose(args, config):
 
 
 def _cmd_simulate(args, config):
-    if args.group is not None:
-        if not args.input:
-            raise ValidationError("--group needs --input")
-        dataset = _load_dataset(args, config)
-        name, matrix = _resolve(f"group:{args.group}", dataset, config)
-        input_path = args.input
-    else:
-        name, matrix = _resolve(f"model:{args.model}", None, config)
-        input_path = None
+    name, matrix, input_path = _source_matrix(args, config)
     spec = simulate.SimulationSpec(
         matrix=matrix, length=args.length, count=args.count, seed=args.seed,
     )
     init, init_source = simulate.resolve_initial(spec)
     cohort = simulate.generate_cohort(
         spec, group=args.group_label, id_prefix=args.id_prefix,
-        workers=args.workers,
     )
     dataio.write_cohort(cohort, config.state_space, args.out)
     results = {

@@ -9,8 +9,9 @@ Three families:
   makes that vector the stationary distribution by construction.
 
 ``builtin_models`` exposes the named instances used throughout: a
-drunkard's walk "DWM", a maximum-entropy "MEM", and for the 5-point scale
-three rank-one profiles ("symmetric", "skewed+", "skewed-").
+maximum-entropy "MEM" on every scale, and on the 5-point scale only a
+drunkard's walk "DWM" and three rank-one profiles ("symmetric", "skewed+",
+"skewed-"). Other scales get a drunkard's walk from a config model.
 """
 
 from dataclasses import dataclass, field
@@ -125,7 +126,7 @@ class TheoreticalModelSpec:
 def builtin_models(space):
     """Named reference models available on this state space.
 
-    DWM and MEM always; the three rank-one response profiles only on the
+    MEM always; DWM and the three rank-one response profiles only on the
     5-point scale they were defined for.
     """
     out = {"MEM": max_entropy(space)}

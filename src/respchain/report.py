@@ -26,9 +26,10 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 def _sanitize(value):
     """Make a value JSON-safe and deterministic: numpy types to Python,
-    non-finite floats to strings."""
+    non-finite floats to strings, dict keys to strings in sorted order."""
     if isinstance(value, dict):
-        return {str(k): _sanitize(v) for k, v in value.items()}
+        out = {str(k): _sanitize(v) for k, v in value.items()}
+        return dict(sorted(out.items()))
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, np.ndarray):
@@ -108,11 +109,8 @@ def payload_json(report):
 
 
 def report_json(report):
-    return json.dumps(
-        {"schema": report["schema"], "header": report["header"],
-         "payload": json.loads(payload_json(report))},
-        indent=2, allow_nan=False,
-    )
+    """The whole report as JSON; the payload's keys are already sorted."""
+    return json.dumps(report, indent=2, allow_nan=False)
 
 
 def matrix_block(matrix):

@@ -18,8 +18,8 @@ from math import fsum
 import numpy as np
 
 from . import _kernels
-from .chain import StateSpace, count_transitions
-from .errors import StructuralError, ValidationError
+from .chain import StateSpace, _readonly, _require_fully_defined, count_transitions
+from .errors import ValidationError
 
 TIE_TOLERANCE = 1e-12
 
@@ -49,9 +49,7 @@ class LogRatioMatrix:
             raise ValidationError(f"values must be square, got shape {values.shape}")
         if not np.isfinite(values).all():
             raise ValidationError("log-ratio values must be finite everywhere")
-        values = np.ascontiguousarray(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "epsilon_policy", tuple(self.epsilon_policy))
 
     @property
@@ -88,30 +86,35 @@ class MultiModelVerdict:
 
 def _floor_zeros(matrix, side, epsilon_floor):
     probs = matrix.probs.copy()
-    records = []
-    zeros = np.argwhere(probs == 0.0)
-    for i, j in zeros:
-        probs[i, j] = epsilon_floor
-        records.append(FloorRecord(side, int(i) + 1, int(j) + 1, float(epsilon_floor)))
+    zeros = probs == 0.0
+    probs[zeros] = epsilon_floor
+    records = [FloorRecord(side, int(i) + 1, int(j) + 1, float(epsilon_floor))
+               for i, j in np.argwhere(zeros)]
     return probs, records
 
 
-def _check_pair(num, den, epsilon_floor):
+def _floored_pair(num, den, epsilon_floor):
+    """Check a numerator/denominator pair and floor the zero cells of both.
+
+    Returns the two floored probability arrays and the floor records.
+    """
     if epsilon_floor < 0:
         raise ValidationError(f"epsilon_floor must be >= 0, got {epsilon_floor}")
     if num.size != den.size:
         raise ValidationError(
             f"matrices disagree on state count: {num.size} vs {den.size}"
         )
-    for side, m in (("numerator", num), ("denominator", den)):
-        if not m.fully_defined:
-            missing = ", ".join(
-                str(i + 1) for i in np.flatnonzero(~m.defined_rows)
-            )
-            raise StructuralError(
-                f"{side} matrix has undefined row(s) {missing}; pool more data "
-                f"or use smoothing before building a ratio"
-            )
+    _require_fully_defined(num, "the numerator matrix of a ratio")
+    _require_fully_defined(den, "the denominator matrix of a ratio")
+    p_num, rec_num = _floor_zeros(num, "numerator", epsilon_floor)
+    p_den, rec_den = _floor_zeros(den, "denominator", epsilon_floor)
+    if (p_den == 0.0).any():
+        i, j = np.argwhere(p_den == 0.0)[0]
+        raise ValidationError(
+            f"denominator cell ({i + 1},{j + 1}) is zero and epsilon_floor is 0; "
+            f"cannot divide"
+        )
+    return p_num, p_den, tuple(rec_num + rec_den)
 
 
 def ratio_matrix(num, den, epsilon_floor=0.01):
@@ -122,15 +125,7 @@ def ratio_matrix(num, den, epsilon_floor=0.01):
     With epsilon_floor == 0 a zero denominator cell cannot be divided and
     is an error.
     """
-    _check_pair(num, den, epsilon_floor)
-    p_num, _ = _floor_zeros(num, "numerator", epsilon_floor)
-    p_den, _ = _floor_zeros(den, "denominator", epsilon_floor)
-    if (p_den == 0.0).any():
-        i, j = np.argwhere(p_den == 0.0)[0]
-        raise ValidationError(
-            f"denominator cell ({i + 1},{j + 1}) is zero and epsilon_floor is 0; "
-            f"cannot divide"
-        )
+    p_num, p_den, _ = _floored_pair(num, den, epsilon_floor)
     return p_num / p_den
 
 
@@ -152,17 +147,8 @@ def log_likelihood_matrix(num, den, epsilon_floor=0.01,
                           numerator_name="numerator",
                           denominator_name="denominator"):
     """ratio_matrix and log2_matrix in one step, with floor records kept."""
-    _check_pair(num, den, epsilon_floor)
-    p_num, rec_num = _floor_zeros(num, "numerator", epsilon_floor)
-    p_den, rec_den = _floor_zeros(den, "denominator", epsilon_floor)
-    if (p_den == 0.0).any():
-        i, j = np.argwhere(p_den == 0.0)[0]
-        raise ValidationError(
-            f"denominator cell ({i + 1},{j + 1}) is zero and epsilon_floor is 0; "
-            f"cannot divide"
-        )
-    return log2_matrix(p_num / p_den, numerator_name, denominator_name,
-                       tuple(rec_num + rec_den))
+    p_num, p_den, records = _floored_pair(num, den, epsilon_floor)
+    return log2_matrix(p_num / p_den, numerator_name, denominator_name, records)
 
 
 def score_sequence(sequence, lr):
@@ -187,9 +173,11 @@ def score_value(states, lr_values):
 
     The fast path for bulk scoring: no dataclass wrapping, no breakdown.
     """
-    counts = _kernels.pair_counts(np.asarray(states, dtype=np.int64),
-                                  lr_values.shape[0])
-    return float(np.sum(counts * lr_values))
+    states = np.asarray(states, dtype=np.int64)
+    k = lr_values.shape[0]
+    if states.size and (states.min() < 1 or states.max() > k):
+        raise ValidationError(f"states must lie in 1..{k}")
+    return float(np.sum(_kernels.pair_counts(states, k) * lr_values))
 
 
 def classify_binary(score, cutoff=0.0):

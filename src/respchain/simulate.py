@@ -3,9 +3,9 @@
 Reproducibility contract: the generator is numpy's PCG64. Sequence i of a
 cohort uses the stream SeedSequence(master_seed, spawn_key=(i,)), so each
 participant's draws depend only on the master seed and their index, never
-on execution order or worker count. All uniforms for a sequence are drawn
-in one call and fed to the walk kernel, which is deterministic; the numba
-and numpy kernel paths emit identical sequences for identical draws.
+on execution order. All uniforms for a sequence are drawn in one call,
+and the whole cohort is then walked by one call to the deterministic walk
+kernel.
 
 When no initial distribution is given, the matrix's stationary
 distribution is used if it exists, falling back to uniform for chains
@@ -13,13 +13,14 @@ that have none; ``resolve_initial`` reports which was chosen so output
 metadata can say so.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .chain import ResponseSequence, TransitionMatrix, stationary
+from .chain import (
+    ResponseSequence, TransitionMatrix, _readonly, _require_fully_defined, stationary,
+)
 from .errors import StructuralError, ValidationError
 
 
@@ -38,13 +39,7 @@ class SimulationSpec:
             raise ValidationError(f"length must be >= 2, got {self.length}")
         if self.count < 1:
             raise ValidationError(f"count must be >= 1, got {self.count}")
-        if not self.matrix.fully_defined:
-            missing = ", ".join(
-                str(i + 1) for i in np.flatnonzero(~self.matrix.defined_rows)
-            )
-            raise StructuralError(
-                f"cannot simulate from a matrix with undefined row(s) {missing}"
-            )
+        _require_fully_defined(self.matrix, "simulation")
         if self.initial_distribution is not None:
             init = np.asarray(self.initial_distribution, dtype=np.float64)
             if init.shape != (self.matrix.size,):
@@ -53,9 +48,7 @@ class SimulationSpec:
                 )
             if init.min() < 0 or abs(init.sum() - 1.0) > 1e-9:
                 raise ValidationError("initial distribution must sum to 1")
-            init = np.ascontiguousarray(init)
-            init.flags.writeable = False
-            object.__setattr__(self, "initial_distribution", init)
+            object.__setattr__(self, "initial_distribution", _readonly(init))
 
 
 def resolve_initial(spec):
@@ -76,44 +69,31 @@ def resolve_initial(spec):
     return np.full(k, 1.0 / k), "uniform"
 
 
-def _draw_one(index, spec, cum_rows, cum_init, id_prefix, group):
-    ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,))
-    rng = np.random.Generator(np.random.PCG64(ss))
-    u = rng.random(spec.length)
-    k = spec.matrix.size
-    first = int(np.searchsorted(cum_init, u[0], side="right")) + 1
-    if first > k:
-        first = k
-    states = _kernels.walk(cum_rows, first, u[1:])
-    return ResponseSequence(f"{id_prefix}{index:04d}", states, group)
+def _draw(spec, count, id_prefix, group):
+    """The first `count` sequences of the cohort the spec describes."""
+    init, _ = resolve_initial(spec)
+    u = np.empty((count, spec.length))
+    for i in range(count):
+        ss = np.random.SeedSequence(entropy=spec.seed, spawn_key=(i,))
+        np.random.Generator(np.random.PCG64(ss)).random(out=u[i])
+    first = np.searchsorted(np.cumsum(init), u[:, 0], side="right")
+    first = np.minimum(first, spec.matrix.size - 1) + 1
+    states = _kernels.walk(np.cumsum(spec.matrix.probs, axis=1), first, u[:, 1:])
+    return [
+        ResponseSequence(f"{id_prefix}{i:04d}", row, group)
+        for i, row in enumerate(states)
+    ]
 
 
 def generate_cohort(spec, group=None, id_prefix="sim", workers=1):
     """Draw `count` independent sequences from per-index derived seeds.
 
-    The same spec yields the same cohort whatever `workers` is; threads
-    only change who computes which participant, not what is computed.
+    `workers` is accepted for compatibility and ignored: the whole cohort
+    is walked in one vectorized pass.
     """
-    init, _ = resolve_initial(spec)
-    cum_rows = np.cumsum(spec.matrix.probs, axis=1)
-    cum_init = np.cumsum(init)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    lambda i: _draw_one(i, spec, cum_rows, cum_init, id_prefix, group),
-                    range(spec.count),
-                )
-            )
-    return [
-        _draw_one(i, spec, cum_rows, cum_init, id_prefix, group)
-        for i in range(spec.count)
-    ]
+    return _draw(spec, spec.count, id_prefix, group)
 
 
 def generate_sequence(spec, group=None, id_prefix="sim"):
     """Draw the first sequence of the cohort the spec describes."""
-    init, _ = resolve_initial(spec)
-    cum_rows = np.cumsum(spec.matrix.probs, axis=1)
-    cum_init = np.cumsum(init)
-    return _draw_one(0, spec, cum_rows, cum_init, id_prefix, group)
+    return _draw(spec, 1, id_prefix, group)[0]

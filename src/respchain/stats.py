@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _readonly
 from .errors import ValidationError
 
 RESIDUAL_CRITERION = 2.0
@@ -44,8 +45,7 @@ class ChiSquareOutcome:
 
     def __post_init__(self):
         if self.std_residuals is not None:
-            r = np.asarray(self.std_residuals, dtype=np.float64)
-            r.flags.writeable = False
+            r = _readonly(np.asarray(self.std_residuals, dtype=np.float64))
             object.__setattr__(self, "std_residuals", r)
 
 

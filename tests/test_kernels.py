@@ -1,13 +1,13 @@
-"""The two kernel paths must agree bit for bit and survive numba's absence."""
-
-import importlib
-import sys
-from unittest import mock
+"""The walk and pair-count kernels against brute-force oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain._kernels as kernels
+
+CHUNK = kernels.CHUNK
 
 
 def brute_force_counts(states, k):
@@ -31,6 +31,23 @@ def reference_walk(cum_rows, first_state, uniforms):
     return np.array(out, dtype=np.int64)
 
 
+def assert_rows_match_reference(cum_rows, first_states, uniforms):
+    got = kernels.walk(cum_rows, first_states, uniforms)
+    assert got.shape == (uniforms.shape[0], uniforms.shape[1] + 1)
+    assert got.dtype == np.int64
+    for row, first, u in zip(got, first_states, uniforms):
+        assert np.array_equal(row, reference_walk(cum_rows, int(first), u))
+
+
+def cycle_rows(k, noise):
+    """Step from s to s+1 (mod k), except that with probability `noise`
+    the next state is uniform. Walks on the same draws from different
+    starts rarely meet, so a chunk's end state depends on its start."""
+    rows = np.full((k, k), noise / k)
+    rows[np.arange(k), (np.arange(k) + 1) % k] += 1.0 - noise
+    return rows
+
+
 @pytest.fixture
 def cum_rows():
     rng = np.random.default_rng(19)
@@ -49,7 +66,8 @@ class TestPairCounts:
     def test_numpy_path_matches_brute_force(self):
         rng = np.random.default_rng(2)
         states = rng.integers(1, 4, size=500).astype(np.int64)
-        got = kernels._pair_counts_numpy(states, 3)
+        got = kernels.pair_counts(states, 3)
+        assert got.dtype == np.int64
         assert np.array_equal(got, brute_force_counts(states, 3))
 
     def test_single_transition(self):
@@ -57,86 +75,89 @@ class TestPairCounts:
         assert got[1, 4] == 1
         assert got.sum() == 1
 
+    def test_no_transition(self):
+        got = kernels.pair_counts(np.array([3], dtype=np.int64), 4)
+        assert got.shape == (4, 4)
+        assert got.sum() == 0
+
 
 class TestWalk:
     def test_numpy_path_matches_reference(self, cum_rows):
         rng = np.random.default_rng(3)
-        u = rng.random(200)
-        got = kernels._walk_numpy(cum_rows, 3, u)
-        assert np.array_equal(got, reference_walk(cum_rows, 3, u))
+        u = rng.random((1, 200))
+        assert_rows_match_reference(cum_rows, np.array([3]), u)
 
-    def test_active_path_matches_reference(self, cum_rows):
+    def test_lockstep_rows_match_reference(self, cum_rows):
         rng = np.random.default_rng(4)
-        u = rng.random(200)
-        got = kernels.walk(cum_rows, 2, u)
-        assert np.array_equal(got, reference_walk(cum_rows, 2, u))
+        u = rng.random((30, 200))
+        first = rng.integers(1, 6, size=30)
+        assert_rows_match_reference(cum_rows, first, u)
+
+    @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunk_edges(self, cum_rows, steps):
+        rng = np.random.default_rng(steps)
+        u = rng.random((3, steps))
+        assert_rows_match_reference(cum_rows, np.array([1, 3, 5]), u)
+
+    @pytest.mark.parametrize("k", [3, 7, 12])
+    def test_chunk_start_states_are_chained(self, k):
+        rng = np.random.default_rng(k)
+        cum = np.cumsum(cycle_rows(k, 0.0), axis=1)
+        u = rng.random((2, 3 * CHUNK + 7))
+        assert_rows_match_reference(cum, np.array([1, k]), u)
+
+    def test_zero_steps_keeps_first_states(self, cum_rows):
+        got = kernels.walk(cum_rows, np.array([2, 4]), np.empty((2, 0)))
+        assert got.tolist() == [[2], [4]]
+
+    def test_uniforms_read_from_a_strided_view(self, cum_rows):
+        # the simulator passes u[:, 1:], which is not contiguous
+        rng = np.random.default_rng(6)
+        u = rng.random((2, 3 * CHUNK + 8))
+        before = u.copy()
+        assert_rows_match_reference(cum_rows, np.array([2, 5]), u[:, 1:])
+        assert np.array_equal(u, before)
 
     def test_draw_exactly_on_boundary_moves_on(self):
         # u equal to a cumulative edge belongs to the next column
         cum = np.cumsum([[0.5, 0.5]], axis=1)
         cum = np.vstack([cum, cum])
-        out = kernels._walk_numpy(cum, 1, np.array([0.5]))
-        assert out[1] == 2
+        out = kernels.walk(cum, np.array([1]), np.array([[0.5]]))
+        assert out[0, 1] == 2
 
     def test_top_cell_absorbs_rounding(self):
         # cumulative sums can fall a hair short of 1; a draw above the
         # last edge must still land in the final state, not overflow
         rows = np.array([[0.3, 0.3, 0.4 - 1e-12], [0.2, 0.3, 0.5]])
         cum = np.cumsum(rows, axis=1)
-        out = kernels._walk_numpy(cum, 1, np.array([1.0 - 1e-14]))
-        assert out[1] == 3
+        out = kernels.walk(cum, np.array([1]), np.array([[1.0 - 1e-14]]))
+        assert out[0, 1] == 3
 
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not importable here")
-class TestCompiledAgreement:
-    def test_walk_bit_identical(self, cum_rows):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            u = rng.random(1000)
-            first = int(rng.integers(1, 6))
-            a = kernels._walk_nb(cum_rows, first, u)
-            b = kernels._walk_numpy(cum_rows, first, u)
-            assert np.array_equal(a, b)
-
-    def test_pair_counts_identical(self):
-        rng = np.random.default_rng(6)
-        states = rng.integers(1, 6, size=5000).astype(np.int64)
-        assert np.array_equal(
-            kernels._pair_counts_nb(states, 5),
-            kernels._pair_counts_numpy(states, 5),
-        )
-
-
-class TestFallbackSelection:
-    def test_env_flag_parsing(self):
-        assert kernels._env_truthy.__name__  # present
-        for value, expected in (
-            ("1", True), ("true", True), ("YES", True), (" on ", True),
-            ("0", False), ("", False), ("no", False), ("off", False),
-        ):
-            with mock.patch.dict("os.environ", {"PROBE": value}):
-                assert kernels._env_truthy("PROBE") is expected
-
-    def test_env_flag_forces_numpy_path(self, monkeypatch):
-        monkeypatch.setenv("RESPCHAIN_NO_NUMBA", "1")
-        try:
-            mod = importlib.reload(kernels)
-            assert mod.NUMBA_DISABLED
-            assert not mod.HAS_NUMBA
-            assert mod.walk is mod._walk_numpy
-            assert mod.pair_counts is mod._pair_counts_numpy
-        finally:
-            monkeypatch.delenv("RESPCHAIN_NO_NUMBA")
-            importlib.reload(kernels)
-
-    def test_import_survives_missing_numba(self):
-        with mock.patch.dict(sys.modules, {"numba": None}):
-            try:
-                mod = importlib.reload(kernels)
-                assert not mod.HAS_NUMBA
-                states = np.array([1, 2, 2, 1], dtype=np.int64)
-                got = mod.pair_counts(states, 2)
-                assert got[0, 1] == 1 and got[1, 1] == 1 and got[1, 0] == 1
-            finally:
-                pass
-        importlib.reload(kernels)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(2, 12),
+        n_rows=st.integers(1, 4),
+        steps=st.integers(0, 3 * CHUNK + 1),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dense", "sparse", "cycle"]),
+    )
+    def test_property_matches_reference(self, k, n_rows, steps, seed, kind):
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(k), size=k)
+        if kind == "cycle":
+            rows = cycle_rows(k, 1e-3)
+        elif kind == "sparse":
+            # zero cells make repeated cumulative edges
+            rows[rng.random((k, k)) < 0.4] = 0.0
+            rows[np.arange(k), rng.integers(0, k, size=k)] += 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+        cum = np.cumsum(rows, axis=1)
+        u = rng.random((n_rows, steps))
+        if kind != "dense" and steps:
+            # draws placed exactly on edges exercise the u >= cum comparison
+            hits = rng.random(u.shape) < 0.2
+            u[hits] = cum[rng.integers(0, k, size=hits.sum()),
+                          rng.integers(0, k, size=hits.sum())]
+            u = np.minimum(u, np.nextafter(1.0, 0.0))
+        first = rng.integers(1, k + 1, size=n_rows)
+        assert_rows_match_reference(cum, first, u)

@@ -7,6 +7,7 @@ import pytest
 
 import respchain as rc
 from respchain import report as reporting
+from respchain.cli import _build_parser, _effective_config, run_subcommand
 
 
 @pytest.fixture
@@ -112,3 +113,47 @@ class TestBlocks:
         probs = np.array(parsed["payload"]["results"]["m"]["probs"])
         assert np.allclose(probs, adhd_matrix.probs)
         assert parsed["payload"]["results"]["m"]["defined_rows"] == [True] * 5
+
+
+def two_pass_report_json(report):
+    """The earlier encoder: payload sorted and indented, parsed back, and
+    the whole report encoded again."""
+    payload = json.loads(reporting.payload_json(report))
+    return json.dumps(
+        {"schema": report["schema"], "header": report["header"],
+         "payload": payload},
+        indent=2, allow_nan=False,
+    )
+
+
+class TestReportJson:
+    def test_matches_two_pass_encoder(self):
+        results = {
+            "zeta": {3: "int key", "b": [np.float64(0.1), np.int64(-2)]},
+            "alpha": [{"y": float("nan"), "x": np.inf}, (1, 2.5e-300)],
+            "mid": {"nested": {"z": np.array([[1.0, -0.0], [2.0, 1e16]]),
+                               "a": np.bool_(False)}},
+            "text": "é\"\\\n",
+            "none": None,
+        }
+        doc = reporting.build_report("x", results, rc.Config())
+        assert reporting.report_json(doc) == two_pass_report_json(doc)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--per-participant"],
+        ["score", "--numerator", "group:ocd", "--denominator", "group:adhd",
+         "--breakdown"],
+        ["diagnose", "--numerator", "group:ocd", "--denominator", "group:adhd",
+         "--with-sum-score"],
+    ])
+    def test_cli_reports_match_two_pass_encoder(self, tmp_path, adhd_matrix,
+                                                ocd_matrix, argv):
+        rows = []
+        for group, matrix, seed in (("adhd", adhd_matrix, 1), ("ocd", ocd_matrix, 2)):
+            spec = rc.SimulationSpec(matrix, length=16, count=30, seed=seed)
+            rows.extend(rc.generate_cohort(spec, group=group, id_prefix=group))
+        path = tmp_path / "cohort.csv"
+        rc.write_cohort(rows, rc.StateSpace(5), path)
+        args = _build_parser().parse_args([*argv, "--input", str(path)])
+        doc = run_subcommand(args.command, args, _effective_config(args))
+        assert reporting.report_json(doc) == two_pass_report_json(doc)

@@ -157,6 +157,13 @@ class TestScoreValue:
             fast = rc.score_value(states, published_lr.values)
             assert fast == pytest.approx(full, abs=1e-12)
 
+    @pytest.mark.parametrize("states", [[1, 0, 2], [1, 6], [4, 2, 7, 1]])
+    def test_out_of_range_state(self, published_lr, states):
+        # pair counts are packed as from*K + to, so an unchecked 0 or K+1
+        # would land silently in a neighbouring cell
+        with pytest.raises(rc.ValidationError, match="1..5"):
+            rc.score_value(states, published_lr.values)
+
 
 def scored(value):
     return rc.SequenceScore("p", value, (), "OCD", "ADHD")

@@ -1,9 +1,13 @@
 """Synthetic cohort generation and its reproducibility contract."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 import respchain as rc
+from respchain.cli import main
 
 
 def states_of(cohort):
@@ -146,3 +150,58 @@ class TestStatisticalBehavior:
             initial_distribution=[0, 0, 0, 0, 1],
         )
         assert all(s.states[0] == 5 for s in rc.generate_cohort(spec))
+
+
+def _sha256_file(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+K11_WALK = {"kind": "drunkards_walk", "stay": 0.5, "step": 0.21, "epsilon_floor": 0.01}
+
+
+class TestDigestGuard:
+    """Simulated output pinned byte for byte.
+
+    The digests are the output of the earlier per-row walk (one
+    searchsorted call per step), the oracle for the lockstep and chunked
+    kernel; any change to the sampling rule, the seed streams or the CSV
+    layout shows up here.
+    """
+
+    def test_dwm_cohort_csv(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--model", "DWM", "--length", "16",
+                     "--count", "500", "--seed", "11", "--group-label", "sim",
+                     "--out", str(out), "--output", str(tmp_path / "r.json")])
+        assert code == 0, capsys.readouterr().err
+        assert _sha256_file(out) == DIGESTS["dwm_cohort_csv"]
+
+    def test_k11_config_walk_csv(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"states": 11, "models": {"walk": K11_WALK}}))
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--config", str(cfg), "--model", "walk",
+                     "--length", "1700", "--count", "3", "--seed", "5",
+                     "--out", str(out), "--output", str(tmp_path / "r.json")])
+        assert code == 0, capsys.readouterr().err
+        assert _sha256_file(out) == DIGESTS["k11_config_walk_csv"]
+
+    def test_million_step_walk(self):
+        params = {k: v for k, v in K11_WALK.items() if k != "kind"}
+        matrix = rc.drunkards_walk(rc.StateSpace(11), **params)
+        seq = rc.generate_sequence(
+            rc.SimulationSpec(matrix, length=1_000_000, count=1, seed=2)
+        )
+        states = np.asarray(seq.states, dtype="<i8")
+        digest = hashlib.sha256(states.tobytes()).hexdigest()
+        assert digest == DIGESTS["million_step_walk"]
+
+
+DIGESTS = {
+    "dwm_cohort_csv":
+        "5329fb0ba1eccdc787007d219579e8b654b6aee78a91d69b37be2fcb5e097f7b",
+    "k11_config_walk_csv":
+        "c881dd13a956d58cb3250d8a669a65e966bbe7f6586e7ba241fdf9b93320dd33",
+    "million_step_walk":
+        "63b80494e29423f410c9b98c703ac5fcc5fb46763bebb86d54e801310bcf195a",
+}
