@@ -17,7 +17,6 @@ from math import gcd
 
 import numpy as np
 
-from . import _kernels
 from .errors import StructuralError, ValidationError
 
 DEFAULT_TOLERANCE = 5e-4
@@ -192,25 +191,66 @@ class InertiaSummary:
         return self.on_diagonal / self.total
 
 
+def flat_states(sequences):
+    """The states of many sequences end to end, and where each one starts.
+
+    Returns (states, lengths, starts): one concatenated 1-based state
+    array, each sequence's length, and its offset into states.
+    """
+    lengths = np.fromiter((s.states.size for s in sequences), dtype=np.int64,
+                          count=len(sequences))
+    states = (np.concatenate([s.states for s in sequences]) if sequences
+              else np.zeros(0, dtype=np.int64))
+    return states, lengths, np.cumsum(lengths) - lengths
+
+
+def count_tensor(sequences, space):
+    """Count adjacent (from, to) pairs of many sequences at once.
+
+    Returns an (N, K, K) int64 array whose row n is the count table of
+    sequences[n]. One bincount runs over the concatenated states; pairs
+    that would join one sequence's last response to the next one's first
+    are left out. Every sequence needs at least two responses, and states
+    outside 1..space.size are rejected; the first offending sequence is
+    named, with the position of its bad state.
+    """
+    sequences = list(sequences)
+    k = space.size
+    if not sequences:
+        return np.zeros((0, k, k), dtype=np.int64)
+    states, lengths, starts = flat_states(sequences)
+    short = lengths < 2
+    high = np.maximum.reduceat(states, starts) > k
+    if short.any() or high.any():
+        row = int(np.argmax(short | high))
+        seq = sequences[row]
+        if short[row]:
+            raise ValidationError(
+                f"participant {seq.participant_id!r}: need at least 2 responses "
+                f"to count transitions, got {seq.states.size}"
+            )
+        bad = int(np.argmax(seq.states > k))
+        raise ValidationError(
+            f"participant {seq.participant_id!r}: state {seq.states[bad]} at "
+            f"position {bad} is outside 1..{k}"
+        )
+    # code of each pair = row * K*K + (from-1) * K + (to-1); the code at a
+    # sequence's last response is the spare bin past the end, dropped below
+    size = len(sequences) * k * k
+    codes = np.repeat(np.arange(len(sequences)) * (k * k) - (k + 1), lengths)
+    codes[:-1] += states[:-1] * k + states[1:]
+    codes[starts[1:] - 1] = size
+    codes[-1] = size
+    del states
+    return np.bincount(codes, minlength=size + 1)[:size].reshape(len(sequences), k, k)
+
+
 def count_transitions(sequence, space):
     """Count adjacent (from, to) pairs of a sequence on a state space.
 
-    Needs at least two responses; rejects states outside 1..space.size with
-    a message naming the participant and the offending position.
+    The one-sequence view of count_tensor, with the same checks.
     """
-    states = sequence.states
-    if states.size < 2:
-        raise ValidationError(
-            f"participant {sequence.participant_id!r}: need at least 2 responses "
-            f"to count transitions, got {states.size}"
-        )
-    if states.max() > space.size:
-        bad = int(np.argmax(states > space.size))
-        raise ValidationError(
-            f"participant {sequence.participant_id!r}: state {states[bad]} at "
-            f"position {bad} is outside 1..{space.size}"
-        )
-    return TransitionCounts(_kernels.pair_counts(states, space.size))
+    return TransitionCounts(count_tensor([sequence], space)[0])
 
 
 def normalize_rows(counts, smoothing_alpha=0.0):

@@ -24,6 +24,7 @@ modules.
 import argparse
 import json
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -164,12 +165,32 @@ def _load_dataset(args, config):
     return dataset
 
 
-def _group_estimate(dataset, group, config):
-    counts = chain.pool_counts(
-        chain.count_transitions(s, dataset.state_space)
-        for s in dataset.by_group(group)
-    )
-    return counts, chain.normalize_rows(counts, config.smoothing_alpha)
+class _CountedCohort:
+    """A cohort in participant_id order with its (N, K, K) count tensor.
+
+    Counted at most once per command, on first use; group pools and
+    scores are read from the tensor.
+    """
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+        self.sequences = sorted(dataset.sequences, key=lambda s: s.participant_id)
+        self.groups = np.array([s.group for s in self.sequences], dtype=object)
+
+    @cached_property
+    def counts(self):
+        return chain.count_tensor(self.sequences, self.dataset.state_space)
+
+    def pool(self, group):
+        """A group's pooled TransitionCounts and its number of sequences."""
+        rows = self.groups == group
+        if not rows.any():
+            raise self.dataset.missing_group(group)
+        return chain.TransitionCounts(self.counts[rows].sum(axis=0)), int(rows.sum())
+
+    def group_matrix(self, group, config):
+        """The transition matrix estimated from a group's pooled counts."""
+        return chain.normalize_rows(self.pool(group)[0], config.smoothing_alpha)
 
 
 def _model_registry(config):
@@ -179,16 +200,14 @@ def _model_registry(config):
     return registry
 
 
-def _resolve(spec_str, dataset, config):
+def _resolve(spec_str, cohort, registry, config):
     """Turn 'group:X' / 'model:Y' / bare name into (name, matrix)."""
-    registry = _model_registry(config)
-    groups = dataset.group_labels if dataset is not None else frozenset()
+    groups = cohort.dataset.group_labels if cohort is not None else frozenset()
     if spec_str.startswith("group:"):
         name = spec_str[len("group:"):]
-        if dataset is None:
+        if cohort is None:
             raise ValidationError(f"{spec_str!r} needs --input")
-        _, matrix = _group_estimate(dataset, name, config)
-        return name, matrix
+        return name, cohort.group_matrix(name, config)
     if spec_str.startswith("model:"):
         name = spec_str[len("model:"):]
         if name not in registry:
@@ -204,8 +223,7 @@ def _resolve(spec_str, dataset, config):
             f"'group:{spec_str}' or 'model:{spec_str}'"
         )
     if in_groups:
-        _, matrix = _group_estimate(dataset, spec_str, config)
-        return spec_str, matrix
+        return spec_str, cohort.group_matrix(spec_str, config)
     if in_models:
         return spec_str, registry[spec_str]
     known = sorted(groups) + sorted(registry)
@@ -215,61 +233,58 @@ def _resolve(spec_str, dataset, config):
     )
 
 
+def _log_ratio(args, cohort, registry, config):
+    """The --numerator/--denominator log-ratio matrix."""
+    num_name, num = _resolve(args.numerator, cohort, registry, config)
+    den_name, den = _resolve(args.denominator, cohort, registry, config)
+    return scoring.log_likelihood_matrix(
+        num, den, config.epsilon_floor,
+        numerator_name=num_name, denominator_name=den_name,
+    )
+
+
 def _source_matrix(args, config):
     """The --group or --model matrix, its name, and the input it came from."""
     if args.group is None:
-        name, matrix = _resolve(f"model:{args.model}", None, config)
+        name, matrix = _resolve(f"model:{args.model}", None,
+                                _model_registry(config), config)
         return name, matrix, None
     if not args.input:
         raise ValidationError("--group needs --input")
-    dataset = _load_dataset(args, config)
-    name, matrix = _resolve(f"group:{args.group}", dataset, config)
-    return name, matrix, args.input
+    cohort = _CountedCohort(_load_dataset(args, config))
+    return args.group, cohort.group_matrix(args.group, config), args.input
 
 
-def _sorted_sequences(dataset):
-    return sorted(dataset.sequences, key=lambda s: s.participant_id)
+def _estimate_block(counts, n_sequences, config):
+    return {
+        "n_sequences": n_sequences,
+        "counts": reporting.counts_block(counts),
+        "matrix": reporting.matrix_block(
+            chain.normalize_rows(counts, config.smoothing_alpha)),
+        "inertia": reporting.inertia_block(chain.inertia(counts)),
+    }
 
 
 def _cmd_estimate(args, config):
     dataset = _load_dataset(args, config)
-    if args.group:
-        groups = args.group
-    elif dataset.group_labels:
-        groups = sorted(dataset.group_labels)
-    else:
-        groups = []
-    blocks = {}
-    for name in groups:
-        counts, matrix = _group_estimate(dataset, name, config)
-        blocks[name] = {
-            "n_sequences": len(dataset.by_group(name)),
-            "counts": reporting.counts_block(counts),
-            "matrix": reporting.matrix_block(matrix),
-            "inertia": reporting.inertia_block(chain.inertia(counts)),
-        }
+    cohort = _CountedCohort(dataset)
+    groups = args.group or sorted(dataset.group_labels)
+    blocks = {
+        name: _estimate_block(*cohort.pool(name), config) for name in groups
+    }
     if not groups:
-        counts = chain.pool_counts(
-            chain.count_transitions(s, dataset.state_space)
-            for s in dataset.sequences
-        )
-        matrix = chain.normalize_rows(counts, config.smoothing_alpha)
-        blocks["all"] = {
-            "n_sequences": len(dataset),
-            "counts": reporting.counts_block(counts),
-            "matrix": reporting.matrix_block(matrix),
-            "inertia": reporting.inertia_block(chain.inertia(counts)),
-        }
+        counts = chain.TransitionCounts(cohort.counts.sum(axis=0))
+        blocks["all"] = _estimate_block(counts, len(dataset), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
         per = {}
-        for seq in _sorted_sequences(dataset):
-            counts = chain.count_transitions(seq, dataset.state_space)
-            matrix = chain.normalize_rows(counts, config.smoothing_alpha)
+        for seq, table in zip(cohort.sequences, cohort.counts):
+            counts = chain.TransitionCounts(table)
             per[seq.participant_id] = {
                 "group": seq.group,
                 "counts": reporting.counts_block(counts),
-                "matrix": reporting.matrix_block(matrix),
+                "matrix": reporting.matrix_block(
+                    chain.normalize_rows(counts, config.smoothing_alpha)),
             }
         results["participants"] = per
     return results, args.input
@@ -292,17 +307,19 @@ def _cmd_stationary(args, config):
 
 def _cmd_compare(args, config):
     dataset = _load_dataset(args, config)
+    cohort = _CountedCohort(dataset)
     blocks = {}
     summaries = {}
     points = {}
     for role, group in (("focal", args.focal), ("reference", args.reference)):
-        counts, matrix = _group_estimate(dataset, group, config)
+        counts, n_sequences = cohort.pool(group)
+        matrix = chain.normalize_rows(counts, config.smoothing_alpha)
         summaries[role] = chain.inertia(counts)
         stat_result = chain.stationary(matrix, config.tolerance, config.max_power)
         points[role] = (counts, stat_result)
         blocks[role] = {
             "group": group,
-            "n_sequences": len(dataset.by_group(group)),
+            "n_sequences": n_sequences,
             "n_transitions": counts.total,
             "inertia": reporting.inertia_block(summaries[role]),
             "stationary": reporting.stationary_block(stat_result),
@@ -329,31 +346,17 @@ def _cmd_compare(args, config):
     return results, args.input
 
 
-def _score_all(dataset, lr):
-    return [
-        scoring.score_sequence(seq, lr) for seq in _sorted_sequences(dataset)
-    ]
-
-
 def _cmd_score(args, config):
-    dataset = _load_dataset(args, config)
-    num_name, num = _resolve(args.numerator, dataset, config)
-    den_name, den = _resolve(args.denominator, dataset, config)
-    lr = scoring.log_likelihood_matrix(
-        num, den, config.epsilon_floor,
-        numerator_name=num_name, denominator_name=den_name,
-    )
-    rows = []
-    by_id = {s.participant_id: s for s in dataset.sequences}
-    for s in _score_all(dataset, lr):
-        row = {
-            "participant_id": s.participant_id,
-            "group": by_id[s.participant_id].group,
-            "score": s.score,
-        }
-        if args.breakdown:
-            row["terms"] = [list(t) for t in s.per_transition_terms]
-        rows.append(row)
+    cohort = _CountedCohort(_load_dataset(args, config))
+    lr = _log_ratio(args, cohort, _model_registry(config), config)
+    scores = scoring.score_counts(cohort.counts, lr.values).tolist()
+    rows = [
+        {"participant_id": seq.participant_id, "group": seq.group, "score": score}
+        for seq, score in zip(cohort.sequences, scores)
+    ]
+    if args.breakdown:
+        for row, terms in zip(rows, scoring.score_terms(cohort.counts, lr.values)):
+            row["terms"] = terms
     results = {
         "log_ratio": reporting.log_ratio_block(lr),
         "scores": rows,
@@ -362,7 +365,7 @@ def _cmd_score(args, config):
 
 
 def _cmd_classify(args, config):
-    dataset = _load_dataset(args, config)
+    cohort = _CountedCohort(_load_dataset(args, config))
     binary = args.numerator is not None or args.denominator is not None
     multi = args.models is not None or args.reference is not None
     if binary == multi:
@@ -373,20 +376,17 @@ def _cmd_classify(args, config):
     if binary:
         if not (args.numerator and args.denominator):
             raise ValidationError("binary mode needs both --numerator and --denominator")
-        num_name, num = _resolve(args.numerator, dataset, config)
-        den_name, den = _resolve(args.denominator, dataset, config)
-        lr = scoring.log_likelihood_matrix(
-            num, den, config.epsilon_floor,
-            numerator_name=num_name, denominator_name=den_name,
-        )
+        lr = _log_ratio(args, cohort, _model_registry(config), config)
         rows = []
-        class_counts = {num_name: 0, den_name: 0}
-        for s in _score_all(dataset, lr):
-            label = scoring.classify_binary(s, config.cutoff)
+        class_counts = {lr.numerator_name: 0, lr.denominator_name: 0}
+        scores = scoring.score_counts(cohort.counts, lr.values).tolist()
+        labels = scoring.binary_labels(scores, lr.numerator_name,
+                                       lr.denominator_name, config.cutoff)
+        for seq, score, label in zip(cohort.sequences, scores, labels):
             class_counts[label] += 1
             rows.append({
-                "participant_id": s.participant_id,
-                "score": s.score,
+                "participant_id": seq.participant_id,
+                "score": score,
                 "assigned": label,
             })
         results = {
@@ -401,21 +401,22 @@ def _cmd_classify(args, config):
     candidate_names = [n.strip() for n in args.models.split(",") if n.strip()]
     if not candidate_names:
         raise ValidationError("--models lists no usable names")
+    registry = _model_registry(config)
     candidates = [
-        _resolve(name, dataset, config) for name in candidate_names
+        _resolve(name, cohort, registry, config) for name in candidate_names
     ]
-    ref_name, ref = _resolve(args.reference, dataset, config)
+    ref_name, ref = _resolve(args.reference, cohort, registry, config)
+    verdicts = scoring.classify_multimodel(
+        cohort.sequences, candidates, ref, reference_name=ref_name,
+        epsilon_floor=config.epsilon_floor,
+    )
     rows = []
     class_counts = {name: 0 for name, _ in candidates}
     class_counts[ref_name] = 0
-    for seq in _sorted_sequences(dataset):
-        verdict = scoring.classify_multimodel(
-            seq, candidates, ref, reference_name=ref_name,
-            epsilon_floor=config.epsilon_floor,
-        )
+    for verdict in verdicts:
         class_counts[verdict.assigned_model] += 1
         rows.append({
-            "participant_id": seq.participant_id,
+            "participant_id": verdict.participant_id,
             "scores": verdict.scores,
             "assigned": verdict.assigned_model,
             "tie": verdict.tie,
@@ -434,10 +435,13 @@ def _cmd_classify(args, config):
 
 def _cmd_diagnose(args, config):
     dataset = _load_dataset(args, config)
-    num_name, num = _resolve(args.numerator, dataset, config)
-    den_name, den = _resolve(args.denominator, dataset, config)
+    cohort = _CountedCohort(dataset)
+    registry = _model_registry(config)
+    num_name, num = _resolve(args.numerator, cohort, registry, config)
+    den_name, den = _resolve(args.denominator, cohort, registry, config)
     groups = sorted(dataset.group_labels)
-    if len(groups) != 2 or any(s.group is None for s in dataset.sequences):
+    labels = cohort.groups.tolist()
+    if len(groups) != 2 or None in labels:
         raise ValidationError(
             "diagnose needs every participant in one of exactly two groups"
         )
@@ -455,12 +459,8 @@ def _cmd_diagnose(args, config):
         num, den, config.epsilon_floor,
         numerator_name=num_name, denominator_name=den_name,
     )
-    ordered = _sorted_sequences(dataset)
-    scores = [scoring.score_sequence(s, lr).score for s in ordered]
-    labels = [s.group for s in ordered]
-    predictions = [
-        positive if v >= config.cutoff else negative for v in scores
-    ]
+    scores = scoring.score_counts(cohort.counts, lr.values).tolist()
+    predictions = scoring.binary_labels(scores, positive, negative, config.cutoff)
     table = diagnostics.confusion(labels, predictions, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
     curve = diagnostics.roc_curve(scores, labels, positive)
@@ -473,7 +473,8 @@ def _cmd_diagnose(args, config):
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:
-        sums = [float(np.sum(s.states)) for s in ordered]
+        states, _, starts = chain.flat_states(cohort.sequences)
+        sums = np.add.reduceat(states, starts).astype(np.float64)
         sum_curve = diagnostics.roc_curve(sums, labels, positive)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)
@@ -538,12 +539,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = _effective_config(args)
         doc = run_subcommand(args.command, args, config)
-        text = reporting.report_json(doc)
         if args.output and args.output != "-":
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                reporting.write_report(doc, fh)
         else:
-            print(text)
+            reporting.write_report(doc, sys.stdout)
         return 0
     except ValidationError as exc:
         return _fail(1, "validation", exc)

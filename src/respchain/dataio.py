@@ -13,6 +13,8 @@ given.
 
 import csv
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -44,14 +46,21 @@ class Config:
     models: tuple = ()
 
     def __post_init__(self):
+        for name in ("tolerance", "epsilon_floor", "smoothing_alpha", "cutoff"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if self.states < 2:
             raise ValidationError(f"states must be >= 2, got {self.states}")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         if self.max_power < 1:
             raise ValidationError("max_power must be >= 1")
-        if self.epsilon_floor < 0:
-            raise ValidationError("epsilon_floor must be >= 0")
+        if not 0 <= self.epsilon_floor <= 1:
+            raise ValidationError(
+                f"epsilon_floor must lie in [0, 1], got {self.epsilon_floor}"
+            )
         if self.smoothing_alpha < 0:
             raise ValidationError("smoothing_alpha must be >= 0")
         if self.mode not in ("strict", "lenient"):
@@ -131,29 +140,43 @@ class CohortDataset:
     def by_group(self, group):
         out = [s for s in self.sequences if s.group == group]
         if not out:
-            raise ValidationError(
-                f"no sequences in group {group!r}; groups present: "
-                f"{sorted(self.group_labels) or 'none'}"
-            )
+            raise self.missing_group(group)
         return out
+
+    def missing_group(self, group):
+        """The error for a group that no sequence belongs to."""
+        return ValidationError(
+            f"no sequences in group {group!r}; groups present: "
+            f"{sorted(self.group_labels) or 'none'}"
+        )
+
+
+def _is_ascii_digits(text):
+    return text.isascii() and text.isdigit()
 
 
 def _parse_responses(cell, k, where):
+    """The 1-based states of a responses cell; at least two, all in 1..k."""
     if k <= 9:
-        if not cell or not cell.isdigit():
+        if not _is_ascii_digits(cell):
             raise ValidationError(
                 f"{where}: responses must be a digit string for a {k}-point "
                 f"scale, got {cell!r}"
             )
         values = [int(ch) for ch in cell]
     else:
-        try:
-            values = [int(part) for part in cell.split(";")]
-        except ValueError:
+        parts = [part.strip() for part in cell.split(";")]
+        if not all(_is_ascii_digits(part) for part in parts):
             raise ValidationError(
                 f"{where}: responses must be semicolon-separated integers, "
                 f"got {cell!r}"
-            ) from None
+            )
+        values = [int(part) for part in parts]
+    if len(values) < 2:
+        raise ValidationError(
+            f"{where}: need at least 2 responses to count transitions, "
+            f"got {len(values)}"
+        )
     for pos, v in enumerate(values):
         if not 1 <= v <= k:
             raise ValidationError(

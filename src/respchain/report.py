@@ -16,10 +16,14 @@ import hashlib
 import json
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import islice
 
 import numpy as np
 
 SCHEMA = "respchain-report/1"
+
+# Encoder chunks write_report joins into one write.
+WRITE_BATCH_CHUNKS = 8192
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
@@ -111,6 +115,18 @@ def payload_json(report):
 def report_json(report):
     """The whole report as JSON; the payload's keys are already sorted."""
     return json.dumps(report, indent=2, allow_nan=False)
+
+
+def write_report(report, fh):
+    """Write report_json(report) and a newline to a text file.
+
+    The encoder's chunks are joined and written WRITE_BATCH_CHUNKS at a
+    time, so the whole text is never held at once.
+    """
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(report)
+    while batch := list(islice(chunks, WRITE_BATCH_CHUNKS)):
+        fh.write("".join(batch))
+    fh.write("\n")
 
 
 def matrix_block(matrix):

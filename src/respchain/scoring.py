@@ -18,10 +18,19 @@ from math import fsum
 import numpy as np
 
 from . import _kernels
-from .chain import StateSpace, _readonly, _require_fully_defined, count_transitions
+from .chain import (
+    ResponseSequence,
+    StateSpace,
+    _readonly,
+    _require_fully_defined,
+    count_tensor,
+)
 from .errors import ValidationError
 
 TIE_TOLERANCE = 1e-12
+
+# Rows score_counts scores at a time; bounds its temporary term lists.
+SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -151,52 +160,106 @@ def log_likelihood_matrix(num, den, epsilon_floor=0.01,
     return log2_matrix(p_num / p_den, numerator_name, denominator_name, records)
 
 
+def score_counts(counts, values):
+    """Scores of many sequences from their (N, K, K) transition counts.
+
+    values is the K x K beta matrix, e.g. LogRatioMatrix.values. Row n's
+    score is math.fsum of count * beta over the cells that row visits,
+    exactly the number score_sequence gives for that sequence. Cells never
+    visited add an exact zero, however extreme (even infinite) their beta.
+    Rows are scored SCORE_BLOCK_ROWS at a time.
+    """
+    counts = np.asarray(counts)
+    values = np.asarray(values, dtype=np.float64)
+    if counts.ndim != 3 or values.ndim != 2 or counts.shape[1:] != values.shape:
+        raise ValidationError(
+            f"counts of shape {counts.shape} do not fit a beta matrix of "
+            f"shape {values.shape}"
+        )
+    n = counts.shape[0]
+    flat = counts.reshape(n, values.size)
+    betas = values.reshape(-1)
+    out = np.empty(n)
+    for start in range(0, n, SCORE_BLOCK_ROWS):
+        block = flat[start:start + SCORE_BLOCK_ROWS]
+        terms = np.multiply(block, betas, out=np.zeros(block.shape),
+                            where=block != 0)
+        out[start:start + SCORE_BLOCK_ROWS] = [fsum(row) for row in terms.tolist()]
+    return out
+
+
+def score_terms(counts, values):
+    """Per-row score breakdowns of an (N, K, K) count tensor.
+
+    Row n gets a tuple of (from_state, to_state, count, contribution), one
+    per visited cell in row-major order; the contributions are count *
+    beta and fsum to score_counts' score for that row.
+    """
+    counts = np.asarray(counts)
+    rows, i, j = np.nonzero(counts)
+    c = counts[rows, i, j]
+    terms = list(zip((i + 1).tolist(), (j + 1).tolist(), c.tolist(),
+                     (c * np.asarray(values, dtype=np.float64)[i, j]).tolist()))
+    bounds = np.searchsorted(rows, np.arange(counts.shape[0] + 1)).tolist()
+    return [tuple(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def score_sequence(sequence, lr):
     """Score a sequence: sum of log2 ratios over its adjacent transitions.
 
     Computed in the count-weighted form (count times beta per distinct
     transition), which is also the breakdown reported. Transitions the
     sequence never makes contribute nothing, however extreme their beta.
+    The one-sequence view of score_counts and score_terms.
     """
-    counts = count_transitions(sequence, StateSpace(lr.size)).counts
-    terms = []
-    for i, j in np.argwhere(counts > 0):
-        c = int(counts[i, j])
-        terms.append((int(i) + 1, int(j) + 1, c, c * float(lr.values[i, j])))
-    score = fsum(t[3] for t in terms)
-    return SequenceScore(sequence.participant_id, score, tuple(terms),
+    counts = count_tensor([sequence], StateSpace(lr.size))
+    return SequenceScore(sequence.participant_id,
+                         float(score_counts(counts, lr.values)[0]),
+                         score_terms(counts, lr.values)[0],
                          lr.numerator_name, lr.denominator_name)
 
 
 def score_value(states, lr_values):
     """Bare score of a 1-based state array against a beta matrix.
 
-    The fast path for bulk scoring: no dataclass wrapping, no breakdown.
+    No dataclass wrapping, no breakdown; the same number score_sequence
+    gives. Fewer than two states score 0.
     """
     states = np.asarray(states, dtype=np.int64)
     k = lr_values.shape[0]
     if states.size and (states.min() < 1 or states.max() > k):
         raise ValidationError(f"states must lie in 1..{k}")
-    return float(np.sum(_kernels.pair_counts(states, k) * lr_values))
+    return float(score_counts(_kernels.pair_counts(states, k)[None], lr_values)[0])
+
+
+def binary_labels(scores, numerator_name, denominator_name, cutoff=0.0):
+    """Label each score: the numerator at or above the cutoff, else the denominator."""
+    return [numerator_name if v >= cutoff else denominator_name for v in scores]
 
 
 def classify_binary(score, cutoff=0.0):
     """Assign the numerator label at or above the cutoff, else the denominator."""
-    if score.score >= cutoff:
-        return score.numerator_name
-    return score.denominator_name
+    return binary_labels([score.score], score.numerator_name,
+                         score.denominator_name, cutoff)[0]
 
 
 def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
                         epsilon_floor=0.01):
-    """Score a sequence against each candidate model over a shared reference.
+    """Score sequences against each candidate model over a shared reference.
 
     Each candidate is scored as numerator against the reference. If every
     score is negative the sequence is assigned to the reference model;
     otherwise to the candidate with the highest score, first in the given
     order on an exact tie (tie flag set when the top two scores are within
     1e-12).
+
+    sequence is one ResponseSequence, which gets one MultiModelVerdict, or
+    a list of them, which gets a list of verdicts in the same order. The
+    sequences are counted into one tensor, and each candidate's log-ratio
+    matrix is built once.
     """
+    single = isinstance(sequence, ResponseSequence)
+    sequences = [sequence] if single else list(sequence)
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("need at least one candidate model")
@@ -207,18 +270,26 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
         raise ValidationError(
             f"reference name {reference_name!r} collides with a candidate"
         )
-    scores = {}
-    for name, matrix in candidates:
-        lr = log_likelihood_matrix(matrix, reference, epsilon_floor,
-                                   numerator_name=name,
-                                   denominator_name=reference_name)
-        scores[name] = score_sequence(sequence, lr).score
-    values = list(scores.values())
-    if all(v < 0 for v in values):
-        return MultiModelVerdict(sequence.participant_id, scores,
-                                 reference_name, False)
-    best = max(values)
-    assigned = names[values.index(best)]
-    runners = sorted(values, reverse=True)
-    tie = len(runners) > 1 and (runners[0] - runners[1]) <= TIE_TOLERANCE
-    return MultiModelVerdict(sequence.participant_id, scores, assigned, tie)
+    betas = [
+        log_likelihood_matrix(matrix, reference, epsilon_floor, numerator_name=name,
+                              denominator_name=reference_name).values
+        for name, matrix in candidates
+    ]
+    counts = count_tensor(sequences, StateSpace(reference.size))
+    scores = np.column_stack([score_counts(counts, values) for values in betas])
+    del counts
+    none_positive = (scores < 0).all(axis=1).tolist()
+    best = scores.argmax(axis=1).tolist()  # first candidate on an exact tie
+    if len(names) > 1:
+        ordered = np.sort(scores, axis=1)
+        tie = (ordered[:, -1] - ordered[:, -2] <= TIE_TOLERANCE).tolist()
+    else:
+        tie = [False] * len(best)
+    # a row with every score negative goes to the reference, never as a tie
+    verdicts = [
+        MultiModelVerdict(seq.participant_id, dict(zip(names, row)),
+                          reference_name if reject else names[b], t and not reject)
+        for seq, row, reject, b, t in zip(sequences, scores.tolist(),
+                                          none_positive, best, tie)
+    ]
+    return verdicts[0] if single else verdicts

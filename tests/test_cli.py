@@ -384,6 +384,58 @@ class TestSimulate:
         assert doc["payload"]["results"]["initial_source"] == "uniform"
 
 
+class TestBatchPath:
+    """Each command counts the cohort once and builds each model once."""
+
+    def counting(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_multi_model_classify(self, capsys, monkeypatch, cohort_csv):
+        lr_calls = self.counting(monkeypatch, rc.scoring, "log_likelihood_matrix")
+        registries = self.counting(monkeypatch, rc.models, "builtin_models")
+        counted = self.counting(monkeypatch, rc.chain, "count_transitions")
+        doc = run_report(
+            capsys, "classify", "--input", cohort_csv,
+            "--models", "model:symmetric,model:skewed+,model:skewed-",
+            "--reference", "model:MEM",
+        )
+        assert len(doc["payload"]["results"]["assignments"]) == 100
+        assert (len(lr_calls), len(registries), len(counted)) == (3, 1, 0)
+
+    @pytest.mark.parametrize("command", ["score", "classify", "diagnose"])
+    def test_binary_commands(self, capsys, monkeypatch, cohort_csv, command):
+        lr_calls = self.counting(monkeypatch, rc.scoring, "log_likelihood_matrix")
+        registries = self.counting(monkeypatch, rc.models, "builtin_models")
+        counted = self.counting(monkeypatch, rc.chain, "count_transitions")
+        tensors = self.counting(monkeypatch, rc.chain, "count_tensor")
+        run_report(
+            capsys, command, "--input", cohort_csv,
+            "--numerator", "group:ocd", "--denominator", "group:adhd",
+        )
+        assert (len(lr_calls), len(registries), len(counted), len(tensors)) == \
+            (1, 1, 0, 1)
+
+    def test_stdout_and_output_file_carry_the_same_bytes(self, capsys, tmp_path,
+                                                         cohort_csv):
+        argv = ["estimate", "--input", cohort_csv, "--per-participant"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "r.json"
+        assert main(argv + ["--output", str(target)]) == 0
+        strip = [line for line in out.splitlines(True) if "generated_at" not in line]
+        again = target.read_text(encoding="utf-8").splitlines(True)
+        assert strip == [line for line in again if "generated_at" not in line]
+        assert out.endswith("}\n") and not out.endswith("\n\n")
+
+
 class TestErrorHandling:
     def test_missing_input_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
@@ -429,6 +481,51 @@ class TestErrorHandling:
             main(["--version"])
         assert excinfo.value.code == 0
         assert rc.__version__ in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--cutoff", "nan"), ("--cutoff", "inf"), ("--tolerance", "nan"),
+        ("--tolerance", "inf"), ("--epsilon-floor", "7"),
+        ("--epsilon-floor", "nan"), ("--smoothing-alpha", "nan"),
+    ])
+    def test_non_finite_or_out_of_range_flag(self, capsys, cohort_csv, flag, value):
+        code, out, err = run(
+            capsys, "classify", "--input", cohort_csv,
+            "--numerator", "group:ocd", "--denominator", "group:adhd", flag, value,
+        )
+        assert code == 1 and out == ""
+        assert error_of(err)["type"] == "validation"
+
+    def test_non_finite_config_value(self, capsys, tmp_path, cohort_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"cutoff": NaN}')
+        code, _, err = run(
+            capsys, "classify", "--input", cohort_csv, "--config", str(cfg),
+            "--numerator", "group:ocd", "--denominator", "group:adhd",
+        )
+        assert code == 1
+        assert "cutoff must be a finite number" in error_of(err)["message"]
+
+    def test_superscript_digit_is_a_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "sup.csv"
+        path.write_text("participant_id,group,responses\nA,g,3\u00b23\n",
+                        encoding="utf-8")
+        code, _, err = run(capsys, "estimate", "--input", str(path))
+        assert code == 1
+        assert "line 2" in error_of(err)["message"]
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_one_response_row(self, capsys, tmp_path, mode):
+        path = tmp_path / "short.csv"
+        path.write_text("participant_id,group,responses\nA,g,333\nB,g,3\n")
+        code, out, err = run(
+            capsys, "estimate", "--input", str(path), "--mode", mode,
+        )
+        if mode == "strict":
+            assert code == 1
+            assert "line 3: need at least 2 responses" in error_of(err)["message"]
+        else:
+            assert code == 0 and "skipped" in err
+            assert json.loads(out)["payload"]["results"]["n_sequences"] == 1
 
     def test_lenient_mode_warns_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "mixed.csv"

@@ -94,6 +94,40 @@ class TestLoadCohort:
         with pytest.raises(rc.ValidationError, match="no usable data"):
             rc.load_cohort(path, rc.Config(mode="lenient"))
 
+    @pytest.mark.parametrize("states, cell", [
+        (5, "3\u00b23"), (5, "3\u06633"), (11, "3;\u0663;4"), (11, "3;1_0"),
+    ])
+    def test_non_ascii_digits_name_the_line(self, tmp_path, states, cell):
+        good = "33" if states <= 9 else "3;3"
+        path = write(
+            tmp_path, "bad.csv",
+            f"participant_id,group,responses\nA01,adhd,{good}\nA02,adhd,{cell}\n",
+        )
+        with pytest.raises(rc.ValidationError, match="line 3: responses must be"):
+            rc.load_cohort(path, rc.Config(states=states))
+
+    @pytest.mark.parametrize("states, cell", [(5, "3"), (11, "10")])
+    def test_strict_mode_rejects_a_row_too_short_to_count(self, tmp_path,
+                                                           states, cell):
+        good = "33" if states <= 9 else "3;3"
+        path = write(
+            tmp_path, "short.csv",
+            f"participant_id,group,responses\nA01,adhd,{good}\nA02,adhd,{cell}\n",
+        )
+        with pytest.raises(rc.ValidationError,
+                           match="line 3: need at least 2 responses"):
+            rc.load_cohort(path, rc.Config(states=states))
+
+    def test_lenient_mode_skips_a_row_too_short_to_count(self, tmp_path):
+        path = write(
+            tmp_path, "short.csv",
+            "participant_id,group,responses\nA01,adhd,33\nA02,adhd,3\n",
+        )
+        data = rc.load_cohort(path, rc.Config(mode="lenient"))
+        assert [s.participant_id for s in data.sequences] == ["A01"]
+        assert len(data.warnings) == 1
+        assert "line 3: need at least 2 responses" in data.warnings[0]
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(
             tmp_path, "dup.csv",
@@ -170,6 +204,19 @@ class TestConfig:
             rc.Config(mode="casual")
         with pytest.raises(rc.ValidationError):
             rc.Config(smoothing_alpha=-1)
+
+    @pytest.mark.parametrize("field", ["tolerance", "epsilon_floor",
+                                       "smoothing_alpha", "cutoff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), "0.5", True])
+    def test_numeric_fields_must_be_finite_numbers(self, field, value):
+        with pytest.raises(rc.ValidationError, match=f"{field} must be a finite"):
+            rc.Config(**{field: value})
+
+    def test_epsilon_floor_at_most_one(self):
+        assert rc.Config(epsilon_floor=1).epsilon_floor == 1
+        with pytest.raises(rc.ValidationError, match="epsilon_floor"):
+            rc.Config(epsilon_floor=1.5)
 
     def test_state_space_uses_labels(self):
         cfg = rc.Config(states=3, state_labels=("lo", "mid", "hi"))

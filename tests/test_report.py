@@ -1,5 +1,6 @@
 """Report assembly: provenance, deterministic payload, CSV and SVG output."""
 
+import io
 import json
 
 import numpy as np
@@ -157,3 +158,40 @@ class TestReportJson:
         args = _build_parser().parse_args([*argv, "--input", str(path)])
         doc = run_subcommand(args.command, args, _effective_config(args))
         assert reporting.report_json(doc) == two_pass_report_json(doc)
+
+
+class TestWriteReport:
+    """write_report streams exactly the text of report_json plus a newline."""
+
+    def written(self, doc):
+        out = io.StringIO()
+        reporting.write_report(doc, out)
+        return out.getvalue()
+
+    def test_small_estimate_report(self, tmp_path, adhd_matrix):
+        spec = rc.SimulationSpec(adhd_matrix, length=16, count=5, seed=3)
+        path = tmp_path / "cohort.csv"
+        rc.write_cohort(rc.generate_cohort(spec, group="adhd"), rc.StateSpace(5), path)
+        args = _build_parser().parse_args(["estimate", "--input", str(path)])
+        doc = run_subcommand(args.command, args, _effective_config(args))
+        assert self.written(doc) == reporting.report_json(doc) + "\n"
+
+    def test_large_multi_model_report(self, tmp_path, adhd_matrix, ocd_matrix):
+        rows = []
+        for group, matrix, seed in (("adhd", adhd_matrix, 1), ("ocd", ocd_matrix, 2)):
+            spec = rc.SimulationSpec(matrix, length=16, count=1000, seed=seed)
+            rows.extend(rc.generate_cohort(spec, group=group, id_prefix=group))
+        path = tmp_path / "cohort.csv"
+        rc.write_cohort(rows, rc.StateSpace(5), path)
+        args = _build_parser().parse_args([
+            "classify", "--input", str(path),
+            "--models", "model:symmetric,model:skewed+,model:skewed-",
+            "--reference", "model:MEM"])
+        doc = run_subcommand(args.command, args, _effective_config(args))
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        assert sum(1 for _ in chunks) > 5 * reporting.WRITE_BATCH_CHUNKS
+        assert self.written(doc) == reporting.report_json(doc) + "\n"
+
+    def test_non_finite_float_is_refused(self):
+        with pytest.raises(ValueError):
+            self.written({"x": float("nan")})
