@@ -13,7 +13,6 @@ refuse to run until the gaps are closed by pooling or smoothing.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -311,101 +310,33 @@ def matrix_power(matrix, n):
     return TransitionMatrix(out, np.ones(matrix.size, dtype=bool))
 
 
-def _adjacency(matrix):
-    return matrix.probs > 0.0
+def _structure(matrix):
+    """Reachability and the period of each state in the positive-transition graph.
 
-
-def _reachable(adj, start, reverse=False):
-    a = adj.T if reverse else adj
-    seen = np.zeros(a.shape[0], dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in np.flatnonzero(a[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(int(w))
-        frontier = nxt
-    return seen
+    Returns (reach, period). reach[i, j] is True when state j+1 can be
+    reached from state i+1 in zero or more steps. period[i] is the gcd of
+    the lengths of the closed walks through any state of i+1's strongly
+    connected component (the states that reach it and that it reaches);
+    it is 0 where the component has no cycle. Walks of n = 1..K steps
+    decide both exactly: every simple path and cycle has at most K steps,
+    and every closed walk is made of simple cycles.
+    """
+    adj = matrix.probs > 0.0
+    k = matrix.size
+    reach = power = np.eye(k, dtype=bool)
+    returns = np.empty((k, k), dtype=bool)  # returns[n-1, i]: n-step walk i -> i
+    for n in range(k):
+        power = power @ adj
+        reach = reach | power
+        returns[n] = power.diagonal()
+    lengths = np.arange(1, k + 1)[:, None] * (returns @ (reach & reach.T))
+    return reach, np.gcd.reduce(lengths, axis=0)
 
 
 def is_irreducible(matrix):
     """True when every state can reach every other along positive transitions."""
     _require_fully_defined(matrix, "is_irreducible")
-    adj = _adjacency(matrix)
-    return bool(_reachable(adj, 0).all() and _reachable(adj, 0, reverse=True).all())
-
-
-def _strong_components(adj):
-    # Kosaraju with iterative DFS; fine for the small matrices seen here.
-    n = adj.shape[0]
-    order = []
-    seen = np.zeros(n, dtype=bool)
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, 0)]
-        seen[root] = True
-        while stack:
-            v, ptr = stack.pop()
-            nbrs = np.flatnonzero(adj[v])
-            while ptr < nbrs.size and seen[nbrs[ptr]]:
-                ptr += 1
-            if ptr < nbrs.size:
-                w = int(nbrs[ptr])
-                stack.append((v, ptr + 1))
-                seen[w] = True
-                stack.append((w, 0))
-            else:
-                order.append(v)
-    comp = -np.ones(n, dtype=np.int64)
-    label = 0
-    radj = adj.T
-    for v in reversed(order):
-        if comp[v] >= 0:
-            continue
-        comp[v] = label
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in np.flatnonzero(radj[u]):
-                    if comp[w] < 0:
-                        comp[w] = label
-                        nxt.append(int(w))
-            frontier = nxt
-        label += 1
-    return comp
-
-
-def _component_period(adj, members):
-    """gcd of cycle lengths through a strongly connected set of states.
-
-    BFS from one member assigns levels; every intra-component edge (u, v)
-    closes a walk of length level[u] + 1 - level[v] relative to the tree,
-    and the gcd of those closures is the period.
-    """
-    members = list(members)
-    inside = np.zeros(adj.shape[0], dtype=bool)
-    inside[members] = True
-    level = {members[0]: 0}
-    frontier = [members[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in np.flatnonzero(adj[u]):
-                if inside[w] and int(w) not in level:
-                    level[int(w)] = level[u] + 1
-                    nxt.append(int(w))
-        frontier = nxt
-    g = 0
-    for u in members:
-        for w in np.flatnonzero(adj[u]):
-            if inside[w]:
-                g = gcd(g, level[u] + 1 - level[int(w)])
-    return g
+    return bool(_structure(matrix)[0].all())
 
 
 def is_aperiodic(matrix):
@@ -415,18 +346,7 @@ def is_aperiodic(matrix):
     irreducible matrix this reduces to the usual single-period test.
     """
     _require_fully_defined(matrix, "is_aperiodic")
-    adj = _adjacency(matrix)
-    comp = _strong_components(adj)
-    for label in range(comp.max() + 1):
-        members = np.flatnonzero(comp == label)
-        has_edge = any(
-            adj[u, w] for u in members for w in members
-        )
-        if not has_edge:
-            continue
-        if _component_period(adj, members) != 1:
-            return False
-    return True
+    return bool((_structure(matrix)[1] <= 1).all())
 
 
 def stationary(matrix, tolerance=DEFAULT_TOLERANCE, max_power=DEFAULT_MAX_POWER):
@@ -445,12 +365,13 @@ def stationary(matrix, tolerance=DEFAULT_TOLERANCE, max_power=DEFAULT_MAX_POWER)
     if max_power < 1:
         raise ValidationError(f"max_power must be >= 1, got {max_power}")
     _require_fully_defined(matrix, "stationary")
-    if not is_irreducible(matrix):
+    reach, period = _structure(matrix)
+    if not reach.all():
         raise StructuralError(
             "stationary distribution undefined: matrix is not irreducible "
             "(some state cannot reach some other state)"
         )
-    if not is_aperiodic(matrix):
+    if (period > 1).any():
         raise StructuralError(
             "stationary distribution undefined: matrix is periodic "
             "(cycle lengths share a divisor above 1)"

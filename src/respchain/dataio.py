@@ -51,6 +51,10 @@ class Config:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        for name in ("states", "max_power"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.states < 2:
             raise ValidationError(f"states must be >= 2, got {self.states}")
         if self.tolerance <= 0:
@@ -86,10 +90,10 @@ def load_config(path=None):
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return Config()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ValidationError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path}: expected a JSON object")
@@ -185,17 +189,29 @@ def _parse_responses(cell, k, where):
     return values
 
 
+def _decoded(fh, path):
+    """The lines of a text file, with a decoding error as a ValidationError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from exc
+
+
 def load_cohort(path, config):
     """Read and validate a cohort CSV.
 
-    Strict mode rejects the whole file on the first bad row; lenient mode
-    skips bad rows and records a warning per skip on the dataset.
+    The file is UTF-8, with or without a byte order mark; bytes that are
+    not UTF-8 reject the whole file in either mode. Strict mode rejects the
+    whole file on the first bad row; lenient mode skips bad rows and
+    records a warning per skip on the dataset.
     """
     space = config.state_space
     sequences = []
     warnings = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(_decoded(fh, path))
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{path}: empty file")

@@ -132,20 +132,13 @@ def roc_curve(scores, labels, positive_label):
             "ROC needs at least one positive and one negative case"
         )
     order = np.argsort(-scores, kind="stable")
-    sorted_truth = truth[order]
     sorted_scores = scores[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_truth[i:j].sum())
-        fp += (j - i) - int(sorted_truth[i:j].sum())
-        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
-        i = j
-    fprs = np.array([p[0] for p in points])
-    tprs = np.array([p[1] for p in points])
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    tp = np.cumsum(np.add.reduceat(truth[order].astype(np.int64), starts))
+    fp = np.r_[starts[1:], scores.size] - tp
+    fprs = np.r_[0.0, fp / n_neg]
+    tprs = np.r_[0.0, tp / n_pos]
+    cutoffs = np.r_[np.inf, sorted_scores[starts]]
+    points = tuple(zip(fprs.tolist(), tprs.tolist(), cutoffs.tolist()))
     auc = float(np.trapezoid(tprs, fprs))
-    return RocCurve(tuple(points), auc)
+    return RocCurve(points, auc)

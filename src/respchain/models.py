@@ -101,6 +101,26 @@ class TheoreticalModelSpec:
     params: dict = field(default_factory=dict)
 
     def build(self, space):
+        """The model's matrix on `space`.
+
+        A missing or malformed parameter is a ValidationError naming the
+        model.
+        """
+        try:
+            m = self._matrix(space)
+        except KeyError as exc:
+            raise ValidationError(
+                f"model {self.name!r}: kind {self.kind!r} needs parameter {exc.args[0]!r}"
+            ) from exc
+        except (TypeError, ValueError, ValidationError) as exc:
+            raise ValidationError(f"model {self.name!r}: {exc}") from exc
+        if m.size != space.size:
+            raise ValidationError(
+                f"model {self.name!r} has {m.size} states, expected {space.size}"
+            )
+        return m
+
+    def _matrix(self, space):
         if self.kind == "max_entropy":
             return max_entropy(space)
         if self.kind == "drunkards_walk":
@@ -111,16 +131,10 @@ class TheoreticalModelSpec:
                 epsilon_floor=self.params.get("epsilon_floor", DWM_EPSILON_FLOOR),
             )
         if self.kind == "from_stationary_vector":
-            m = from_stationary_vector(self.params["vector"])
-        elif self.kind == "explicit":
-            m = TransitionMatrix.from_rows(self.params["rows"])
-        else:
-            raise ValidationError(f"unknown model kind {self.kind!r}")
-        if m.size != space.size:
-            raise ValidationError(
-                f"model {self.name!r} has {m.size} states, expected {space.size}"
-            )
-        return m
+            return from_stationary_vector(self.params["vector"])
+        if self.kind == "explicit":
+            return TransitionMatrix.from_rows(self.params["rows"])
+        raise ValidationError(f"unknown model kind {self.kind!r}")
 
 
 def builtin_models(space):

@@ -1,7 +1,13 @@
 """Core chain machinery: counting, normalizing, powers, stationarity."""
 
+from math import gcd
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
 from conftest import ADHD_STATIONARY, OCD_STATIONARY, random_stochastic_matrix
@@ -342,6 +348,168 @@ class TestAperiodic:
             checked += 1
             g = period_oracle(m.probs > 0, 0, 4 * k * k)
             assert rc.is_aperiodic(m) == (g == 1)
+
+
+# The graph traversals that chain._structure replaced, kept as oracles:
+# breadth-first reachability, Kosaraju's strong components and the period
+# of a component from breadth-first levels.
+def oracle_reachable(adj, start, reverse=False):
+    a = adj.T if reverse else adj
+    seen = np.zeros(a.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in np.flatnonzero(a[v]):
+                if not seen[w]:
+                    seen[w] = True
+                    nxt.append(int(w))
+        frontier = nxt
+    return seen
+
+
+def oracle_strong_components(adj):
+    n = adj.shape[0]
+    order = []
+    seen = np.zeros(n, dtype=bool)
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack = [(root, 0)]
+        seen[root] = True
+        while stack:
+            v, ptr = stack.pop()
+            nbrs = np.flatnonzero(adj[v])
+            while ptr < nbrs.size and seen[nbrs[ptr]]:
+                ptr += 1
+            if ptr < nbrs.size:
+                w = int(nbrs[ptr])
+                stack.append((v, ptr + 1))
+                seen[w] = True
+                stack.append((w, 0))
+            else:
+                order.append(v)
+    comp = -np.ones(n, dtype=np.int64)
+    label = 0
+    radj = adj.T
+    for v in reversed(order):
+        if comp[v] >= 0:
+            continue
+        comp[v] = label
+        frontier = [v]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in np.flatnonzero(radj[u]):
+                    if comp[w] < 0:
+                        comp[w] = label
+                        nxt.append(int(w))
+            frontier = nxt
+        label += 1
+    return comp
+
+
+def oracle_component_period(adj, members):
+    """gcd of level[u] + 1 - level[w] over the component's edges (u, w)."""
+    members = list(members)
+    inside = np.zeros(adj.shape[0], dtype=bool)
+    inside[members] = True
+    level = {members[0]: 0}
+    frontier = [members[0]]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in np.flatnonzero(adj[u]):
+                if inside[w] and int(w) not in level:
+                    level[int(w)] = level[u] + 1
+                    nxt.append(int(w))
+        frontier = nxt
+    g = 0
+    for u in members:
+        for w in np.flatnonzero(adj[u]):
+            if inside[w]:
+                g = gcd(g, level[u] + 1 - level[int(w)])
+    return g
+
+
+def oracle_periods(adj):
+    """Each state's component period; 0 for a component with no edge."""
+    comp = oracle_strong_components(adj)
+    period = np.zeros(adj.shape[0], dtype=np.int64)
+    for label in range(comp.max() + 1):
+        members = np.flatnonzero(comp == label)
+        if adj[np.ix_(members, members)].any():
+            period[members] = oracle_component_period(adj, members)
+    return period
+
+
+@st.composite
+def structured_matrices(draw):
+    """Row-stochastic K x K matrices, K in 2..12, of three shapes.
+
+    "sparse": each cell positive with a small drawn probability.
+    "cycle": a planted cycle through 2..K states, plus a few chords.
+    "closed_periodic": a closed class of c states split into d >= 2
+    cyclic classes (edges only from class r to class r+1 mod d, with a
+    planted c-cycle), so its period is d; the remaining states are
+    transient and may point anywhere.
+    """
+    k = draw(st.integers(2, 12))
+    shape = draw(st.sampled_from(["sparse", "cycle", "closed_periodic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "sparse":
+        mask = rng.random((k, k)) < rng.uniform(0.05, 0.4)
+    elif shape == "cycle":
+        mask = rng.random((k, k)) < rng.uniform(0.0, 0.1)
+        ring = rng.permutation(k)[:rng.integers(2, k + 1)]
+        mask[ring, np.roll(ring, -1)] = True
+    else:
+        c = int(rng.integers(2, k)) if k > 2 else 2
+        d = int(rng.choice([p for p in range(2, c + 1) if c % p == 0]))
+        cls = np.arange(k) % d
+        closed = np.arange(k) < c
+        mask = np.zeros((k, k), dtype=bool)
+        mask[:c, :c] = ((cls[:c, None] + 1) % d == cls[None, :c]) & (
+            rng.random((c, c)) < 0.5)
+        mask[np.arange(c), (np.arange(c) + 1) % c] = True
+        mask[~closed] = rng.random((k - c, k)) < rng.uniform(0.1, 0.5)
+    empty = ~mask.any(axis=1)
+    mask[np.flatnonzero(empty), rng.integers(0, k, size=int(empty.sum()))] = True
+    rows = mask * rng.uniform(0.1, 1.0, size=(k, k))
+    return rc.TransitionMatrix.from_rows(rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestStructureAgainstTraversals:
+    @settings(max_examples=400, deadline=None)
+    @given(structured_matrices())
+    def test_matches_traversal_oracles_and_scipy(self, m):
+        adj = m.probs > 0
+        reach, period = rc.chain._structure(m)
+        assert rc.is_irreducible(m) == bool(
+            oracle_reachable(adj, 0).all() and oracle_reachable(adj, 0, reverse=True).all()
+        )
+        oracle = oracle_periods(adj)
+        assert np.array_equal(period, oracle)
+        assert rc.is_aperiodic(m) == bool((oracle <= 1).all())
+        components = len(np.unique(reach & reach.T, axis=0))
+        assert components == oracle_strong_components(adj).max() + 1
+        assert components == scipy.sparse.csgraph.connected_components(
+            scipy.sparse.csr_matrix(adj), directed=True, connection="strong")[0]
+
+    def test_reducible_with_periodic_closed_class_is_periodic(self):
+        m = rc.TransitionMatrix.from_rows(
+            [[0, 1, 0], [1, 0, 0], [0.5, 0, 0.5]]
+        )
+        assert not rc.is_irreducible(m)
+        assert not rc.is_aperiodic(m)
+
+    def test_transient_state_on_no_cycle_constrains_nothing(self):
+        m = rc.TransitionMatrix.from_rows(
+            [[0.5, 0.5, 0], [0.5, 0.5, 0], [0.5, 0.5, 0]]
+        )
+        assert not rc.is_irreducible(m)
+        assert rc.is_aperiodic(m)
 
 
 class TestInertia:

@@ -537,3 +537,64 @@ class TestErrorHandling:
         )
         assert code == 0
         assert "skipped" in err
+
+
+def only_validation_error(code, out, err):
+    """The error object of a run that failed validation with one JSON line."""
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "validation" and error["exit_code"] == 1
+    return error
+
+
+class TestInputEncodingAndTypes:
+    def test_bom_in_cohort_and_config_is_accepted(self, capsys, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfparticipant_id,group,responses\r\nA,g,3323\r\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"states": 5}')
+        doc = run_report(capsys, "estimate", "--input", str(path), "--config", str(cfg))
+        assert doc["payload"]["results"]["n_sequences"] == 1
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_non_utf8_cohort_names_the_file(self, capsys, tmp_path, mode):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"participant_id,group,responses\nA,g,333\nB,\xff,333\n")
+        error = only_validation_error(*run(
+            capsys, "estimate", "--input", str(path), "--mode", mode,
+        ))
+        assert str(path) in error["message"] and "UTF-8" in error["message"]
+
+    def test_non_utf8_config_names_the_file(self, capsys, tmp_path, cohort_csv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"states": 5, "mode": "\xff"}')
+        error = only_validation_error(*run(
+            capsys, "estimate", "--input", cohort_csv, "--config", str(cfg),
+        ))
+        assert str(cfg) in error["message"]
+
+    @pytest.mark.parametrize("body", [
+        {"states": "5"}, {"max_power": "8"}, {"states": True}, {"max_power": 8.0},
+    ])
+    def test_non_integer_config_value(self, capsys, tmp_path, cohort_csv, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        error = only_validation_error(*run(
+            capsys, "estimate", "--input", cohort_csv, "--config", str(cfg),
+        ))
+        assert f"{next(iter(body))} must be an integer" in error["message"]
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "from_stationary_vector"},
+        {"kind": "explicit", "rows": [[0.5, 0.5], [1.0]]},
+    ])
+    def test_bad_config_model_names_the_model(self, capsys, tmp_path, cohort_csv,
+                                              model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"mine": model}}))
+        error = only_validation_error(*run(
+            capsys, "score", "--input", cohort_csv, "--config", str(cfg),
+            "--numerator", "group:ocd", "--denominator", "group:adhd",
+        ))
+        assert "model 'mine'" in error["message"]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
 
@@ -18,6 +20,38 @@ def concordance_oracle(scores, truth):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def reference_roc_curve(scores, labels, positive_label):
+    """The group-by-group loop that roc_curve replaced, kept as its oracle."""
+    scores = np.asarray(scores, dtype=np.float64)
+    truth = np.array([lab == positive_label for lab in labels])
+    n_pos = int(truth.sum())
+    n_neg = int((~truth).sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_truth = truth[order]
+    sorted_scores = scores[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    i = 0
+    while i < scores.size:
+        j = i
+        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_truth[i:j].sum())
+        fp += (j - i) - int(sorted_truth[i:j].sum())
+        points.append((fp / n_neg, tp / n_pos, float(sorted_scores[i])))
+        i = j
+    fprs = np.array([p[0] for p in points])
+    tprs = np.array([p[1] for p in points])
+    return tuple(points), float(np.trapezoid(tprs, fprs))
+
+
+# Scores rounded to halves, so most of them tie, with both signed zeros
+tied_score = st.one_of(
+    st.integers(-6, 6).map(lambda x: x / 2),
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf")]),
+)
 
 
 class TestConfusion:
@@ -149,6 +183,18 @@ class TestRocCurve:
     def test_single_class_rejected(self):
         with pytest.raises(rc.ValidationError):
             rc.roc_curve([0.1, 0.2], ["p", "p"], positive_label="p")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(tied_score, st.booleans()), min_size=2, max_size=80)
+           .filter(lambda rows: len({pos for _, pos in rows}) == 2))
+    def test_matches_reference_loop_on_ties(self, rows):
+        scores = [score for score, _ in rows]
+        labels = ["pos" if pos else "neg" for _, pos in rows]
+        curve = rc.roc_curve(scores, labels, "pos")
+        points, auc = reference_roc_curve(scores, labels, "pos")
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(curve.points) == repr(points)
+        assert curve.auc == auc
 
     def test_point_for_each_distinct_score(self):
         curve = rc.roc_curve(
