@@ -130,6 +130,8 @@ class TransitionMatrix:
             raise ValidationError(f"probs must be square, got shape {probs.shape}")
         if defined.shape != (probs.shape[0],):
             raise ValidationError("defined_rows must have one flag per row")
+        if not np.isfinite(probs).all():
+            raise ValidationError("transition probabilities must be finite")
         if probs.min() < 0:
             raise ValidationError("transition probabilities must be nonnegative")
         sums = probs.sum(axis=1)
@@ -190,58 +192,60 @@ class InertiaSummary:
         return self.on_diagonal / self.total
 
 
-def flat_states(sequences):
-    """The states of many sequences end to end, and where each one starts.
-
-    Returns (states, lengths, starts): one concatenated 1-based state
-    array, each sequence's length, and its offset into states.
-    """
-    lengths = np.fromiter((s.states.size for s in sequences), dtype=np.int64,
-                          count=len(sequences))
-    states = (np.concatenate([s.states for s in sequences]) if sequences
-              else np.zeros(0, dtype=np.int64))
-    return states, lengths, np.cumsum(lengths) - lengths
-
-
-def count_tensor(sequences, space):
+def count_tensor(sequences, space, order=None):
     """Count adjacent (from, to) pairs of many sequences at once.
 
-    Returns an (N, K, K) int64 array whose row n is the count table of
-    sequences[n]. One bincount runs over the concatenated states; pairs
-    that would join one sequence's last response to the next one's first
-    are left out. Every sequence needs at least two responses, and states
-    outside 1..space.size are rejected; the first offending sequence is
-    named, with the position of its bad state.
+    sequences is a list of ResponseSequence or a columnar cohort: an
+    object with participant_ids, one flat array of 1-based states and each
+    sequence's length (lengths), such as a dataio.CohortDataset. Returns an
+    (N, K, K) int64 array whose row r is the count table of sequence
+    order[r]; order is a permutation of range(N), by default the identity.
+    One bincount runs over all the states; pairs that would join one
+    sequence's last response to the next one's first are left out. Every
+    sequence needs at least two responses, and states outside
+    1..space.size are rejected; the first offending sequence in input
+    order is named, with the position of its bad state.
     """
-    sequences = list(sequences)
-    k = space.size
-    if not sequences:
+    if hasattr(sequences, "lengths"):
+        ids, states, lengths = sequences.participant_ids, sequences.states, sequences.lengths
+    else:
+        sequences = list(sequences)
+        ids = [s.participant_id for s in sequences]
+        lengths = np.fromiter((s.states.size for s in sequences), dtype=np.int64,
+                              count=len(sequences))
+        states = (np.concatenate([s.states for s in sequences]) if sequences
+                  else np.zeros(0, dtype=np.int64))
+    n, k = len(lengths), space.size
+    if n == 0:
         return np.zeros((0, k, k), dtype=np.int64)
-    states, lengths, starts = flat_states(sequences)
+    ends = np.cumsum(lengths)
     short = lengths < 2
-    high = np.maximum.reduceat(states, starts) > k
-    if short.any() or high.any():
-        row = int(np.argmax(short | high))
-        seq = sequences[row]
-        if short[row]:
+    outside = np.flatnonzero((states < 1) | (states > k))
+    if short.any() or outside.size:
+        first_short = int(np.argmax(short)) if short.any() else n
+        row = int(np.searchsorted(ends, outside[0], side="right")) if outside.size else n
+        if first_short <= row:
             raise ValidationError(
-                f"participant {seq.participant_id!r}: need at least 2 responses "
-                f"to count transitions, got {seq.states.size}"
+                f"participant {ids[first_short]!r}: need at least 2 responses "
+                f"to count transitions, got {lengths[first_short]}"
             )
-        bad = int(np.argmax(seq.states > k))
         raise ValidationError(
-            f"participant {seq.participant_id!r}: state {seq.states[bad]} at "
-            f"position {bad} is outside 1..{k}"
+            f"participant {ids[row]!r}: state {states[outside[0]]} at position "
+            f"{outside[0] - (ends[row] - lengths[row])} is outside 1..{k}"
         )
-    # code of each pair = row * K*K + (from-1) * K + (to-1); the code at a
-    # sequence's last response is the spare bin past the end, dropped below
-    size = len(sequences) * k * k
-    codes = np.repeat(np.arange(len(sequences)) * (k * k) - (k + 1), lengths)
+    # code of each pair = row * K*K + (from-1) * K + (to-1), with row the
+    # sequence's place in order; the code at a sequence's last response is
+    # the spare bin past the end, dropped below
+    rows = np.arange(n)
+    if order is not None:
+        rows[np.asarray(order)] = np.arange(n)
+    size = n * k * k
+    codes = np.repeat(rows * (k * k) - (k + 1), lengths)
+    states = states.astype(np.intp, copy=False)
     codes[:-1] += states[:-1] * k + states[1:]
-    codes[starts[1:] - 1] = size
-    codes[-1] = size
+    codes[ends - 1] = size
     del states
-    return np.bincount(codes, minlength=size + 1)[:size].reshape(len(sequences), k, k)
+    return np.bincount(codes, minlength=size + 1)[:size].reshape(n, k, k)
 
 
 def count_transitions(sequence, space):

@@ -168,18 +168,21 @@ def _load_dataset(args, config):
 class _CountedCohort:
     """A cohort in participant_id order with its (N, K, K) count tensor.
 
-    Counted at most once per command, on first use; group pools and
-    scores are read from the tensor.
+    Reads the dataset's columns; counted at most once per command, on
+    first use, straight into that order. Group pools and scores are read
+    from the tensor.
     """
 
     def __init__(self, dataset):
         self.dataset = dataset
-        self.sequences = sorted(dataset.sequences, key=lambda s: s.participant_id)
-        self.groups = np.array([s.group for s in self.sequences], dtype=object)
+        ids = dataset.participant_ids
+        self.order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.ids = [ids[i] for i in self.order]
+        self.groups = np.array(dataset.groups, dtype=object)[self.order]
 
     @cached_property
     def counts(self):
-        return chain.count_tensor(self.sequences, self.dataset.state_space)
+        return chain.count_tensor(self.dataset, self.dataset.state_space, self.order)
 
     def pool(self, group):
         """A group's pooled TransitionCounts and its number of sequences."""
@@ -278,10 +281,10 @@ def _cmd_estimate(args, config):
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
         per = {}
-        for seq, table in zip(cohort.sequences, cohort.counts):
+        for pid, group, table in zip(cohort.ids, cohort.groups.tolist(), cohort.counts):
             counts = chain.TransitionCounts(table)
-            per[seq.participant_id] = {
-                "group": seq.group,
+            per[pid] = {
+                "group": group,
                 "counts": reporting.counts_block(counts),
                 "matrix": reporting.matrix_block(
                     chain.normalize_rows(counts, config.smoothing_alpha)),
@@ -292,14 +295,13 @@ def _cmd_estimate(args, config):
 
 def _cmd_stationary(args, config):
     name, matrix, input_path = _source_matrix(args, config)
-    irreducible = chain.is_irreducible(matrix)
-    aperiodic = chain.is_aperiodic(matrix)
+    # stationary raises StructuralError unless the matrix is both
     result = chain.stationary(matrix, config.tolerance, config.max_power)
     results = {
         "source": name,
         "matrix": reporting.matrix_block(matrix),
-        "irreducible": irreducible,
-        "aperiodic": aperiodic,
+        "irreducible": True,
+        "aperiodic": True,
         "stationary": reporting.stationary_block(result),
     }
     return results, input_path
@@ -351,8 +353,8 @@ def _cmd_score(args, config):
     lr = _log_ratio(args, cohort, _model_registry(config), config)
     scores = scoring.score_counts(cohort.counts, lr.values).tolist()
     rows = [
-        {"participant_id": seq.participant_id, "group": seq.group, "score": score}
-        for seq, score in zip(cohort.sequences, scores)
+        {"participant_id": pid, "group": group, "score": score}
+        for pid, group, score in zip(cohort.ids, cohort.groups.tolist(), scores)
     ]
     if args.breakdown:
         for row, terms in zip(rows, scoring.score_terms(cohort.counts, lr.values)):
@@ -382,10 +384,10 @@ def _cmd_classify(args, config):
         scores = scoring.score_counts(cohort.counts, lr.values).tolist()
         labels = scoring.binary_labels(scores, lr.numerator_name,
                                        lr.denominator_name, config.cutoff)
-        for seq, score, label in zip(cohort.sequences, scores, labels):
+        for pid, score, label in zip(cohort.ids, scores, labels):
             class_counts[label] += 1
             rows.append({
-                "participant_id": seq.participant_id,
+                "participant_id": pid,
                 "score": score,
                 "assigned": label,
             })
@@ -406,8 +408,8 @@ def _cmd_classify(args, config):
         _resolve(name, cohort, registry, config) for name in candidate_names
     ]
     ref_name, ref = _resolve(args.reference, cohort, registry, config)
-    verdicts = scoring.classify_multimodel(
-        cohort.sequences, candidates, ref, reference_name=ref_name,
+    verdicts = scoring.classify_counts(
+        cohort.counts, cohort.ids, candidates, ref, reference_name=ref_name,
         epsilon_floor=config.epsilon_floor,
     )
     rows = []
@@ -473,8 +475,8 @@ def _cmd_diagnose(args, config):
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:
-        states, _, starts = chain.flat_states(cohort.sequences)
-        sums = np.add.reduceat(states, starts).astype(np.float64)
+        sums = np.add.reduceat(dataset.states, dataset.starts, dtype=np.int64)
+        sums = sums[cohort.order].astype(np.float64)
         sum_curve = diagnostics.roc_curve(sums, labels, positive)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)

@@ -12,18 +12,26 @@ given.
 """
 
 import csv
+import itertools
 import json
 import math
 import numbers
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .chain import ResponseSequence, StateSpace
+import numpy as np
+
+from .chain import ResponseSequence, StateSpace, _readonly
 from .errors import ValidationError
 from .models import TheoreticalModelSpec
 
 CSV_HEADER = ("participant_id", "group", "responses")
 CONFIG_ENV_VAR = "RESPCHAIN_CONFIG"
+
+# Rows whose responses load_cohort checks as one column at a time; a fault
+# sends only its own block through the row-by-row parser.
+PARSE_BLOCK_ROWS = 1024
 
 _CONFIG_KEYS = {
     "states", "state_labels", "tolerance", "max_power", "epsilon_floor",
@@ -113,33 +121,69 @@ def load_config(path=None):
     return Config(models=tuple(models), **raw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CohortDataset:
-    """A validated set of response sequences sharing one state space."""
+    """A validated cohort on one state space, held in columns.
 
-    sequences: tuple
+    Row i is participant participant_ids[i], in group groups[i] (None for
+    no group), with the 1-based responses
+    states[starts[i]:starts[i] + lengths[i]]. states is one flat read-only
+    array of the smallest unsigned integer type that holds K. sequences
+    and by_group give the rows as ResponseSequence objects, built on first
+    use.
+    """
+
+    participant_ids: tuple
+    groups: tuple
+    states: np.ndarray
+    lengths: np.ndarray
     state_space: StateSpace
     source: str
-    group_labels: frozenset = frozenset()
     warnings: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        seen = set()
-        for s in self.sequences:
-            if s.participant_id in seen:
-                raise ValidationError(
-                    f"duplicate participant id {s.participant_id!r}"
-                )
-            seen.add(s.participant_id)
-        object.__setattr__(
-            self,
-            "group_labels",
-            frozenset(s.group for s in self.sequences if s.group is not None),
-        )
+        ids = tuple(self.participant_ids)
+        groups = tuple(self.groups)
+        lengths = _readonly(np.asarray(self.lengths, dtype=np.int64))
+        states = _readonly(np.asarray(self.states))
+        if len(groups) != len(ids) or lengths.shape != (len(ids),) \
+                or states.ndim != 1 or lengths.sum() != states.size:
+            raise ValidationError(
+                "cohort columns disagree: one id, group and length per row, "
+                "and the lengths must add up to the number of states"
+            )
+        if len(set(ids)) < len(ids):
+            seen = set()
+            for pid in ids:
+                if pid in seen:
+                    raise ValidationError(f"duplicate participant id {pid!r}")
+                seen.add(pid)
+        object.__setattr__(self, "participant_ids", ids)
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "states", states)
 
     def __len__(self):
-        return len(self.sequences)
+        return len(self.participant_ids)
+
+    @property
+    def starts(self):
+        """Where each row's responses begin in states."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @cached_property
+    def group_labels(self):
+        return frozenset(self.groups) - {None}
+
+    @cached_property
+    def sequences(self):
+        """The rows as ResponseSequence objects, in file order."""
+        ends = np.cumsum(self.lengths).tolist()
+        return tuple(
+            ResponseSequence(pid, self.states[end - length:end], group)
+            for pid, group, end, length in zip(self.participant_ids, self.groups,
+                                               ends, self.lengths.tolist())
+        )
 
     def by_group(self, group):
         out = [s for s in self.sequences if s.group == group]
@@ -189,6 +233,61 @@ def _parse_responses(cell, k, where):
     return values
 
 
+def _column(cells, k):
+    """The states of every responses cell end to end, and each cell's count.
+
+    Checks all cells at once against the rules _parse_responses applies to
+    one; None when any cell breaks one of them.
+    """
+    if k <= 9:
+        text = "".join(cells)
+        if not _is_ascii_digits(text):
+            return None
+        states = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
+        lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    else:
+        parts = [part.strip() for part in ";".join(cells).split(";")]
+        if not (all(parts) and _is_ascii_digits("".join(parts))):
+            return None
+        try:
+            states = np.array(parts, dtype=np.int64)
+        except OverflowError:  # a state far above k
+            return None
+        lengths = np.fromiter((cell.count(";") + 1 for cell in cells),
+                              dtype=np.int64, count=len(cells))
+    if lengths.min() < 2 or states.min() < 1 or states.max() > k:
+        return None
+    return states.astype(np.min_scalar_type(k), copy=False), lengths
+
+
+def _responses(cells, lines, k, path):
+    """The states and lengths of the responses cells that parse, and the rest.
+
+    Returns (states, lengths, bad): bad lists (index, ValidationError) for
+    every cell that does not parse, in order, each error naming the cell's
+    line exactly as _parse_responses does. Cells are checked as one column
+    PARSE_BLOCK_ROWS at a time; only a block in which that check finds a
+    fault is parsed cell by cell.
+    """
+    dtype = np.min_scalar_type(k)
+    states, lengths, bad = [np.zeros(0, dtype)], [np.zeros(0, np.int64)], []
+    for start in range(0, len(cells), PARSE_BLOCK_ROWS):
+        block = cells[start:start + PARSE_BLOCK_ROWS]
+        column = _column(block, k)
+        if column is None:
+            values = []
+            for i, cell in enumerate(block, start):
+                try:
+                    values.append(_parse_responses(cell, k, f"{path}, line {lines[i]}"))
+                except ValidationError as exc:
+                    bad.append((i, exc))
+            column = (np.fromiter(itertools.chain.from_iterable(values), dtype=dtype),
+                      np.fromiter(map(len, values), dtype=np.int64, count=len(values)))
+        states.append(column[0])
+        lengths.append(column[1])
+    return np.concatenate(states), np.concatenate(lengths), bad
+
+
 def _decoded(fh, path):
     """The lines of a text file, with a decoding error as a ValidationError."""
     try:
@@ -200,16 +299,22 @@ def _decoded(fh, path):
 
 
 def load_cohort(path, config):
-    """Read and validate a cohort CSV.
+    """Read and validate a cohort CSV into a columnar CohortDataset.
 
     The file is UTF-8, with or without a byte order mark; bytes that are
     not UTF-8 reject the whole file in either mode. Strict mode rejects the
     whole file on the first bad row; lenient mode skips bad rows and
-    records a warning per skip on the dataset.
+    records a warning per skip on the dataset, in line order.
+
+    One csv pass collects the ids, groups and responses cells with the
+    per-row checks; the responses are then checked and converted as one
+    column.
     """
     space = config.state_space
-    sequences = []
-    warnings = []
+    strict = config.mode == "strict"
+    ids, groups, cells, lines = [], [], [], []
+    labels = {}  # one shared object per group label
+    rejected = []  # (line, problem) of rows the per-row checks turned away
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
         header = next(reader, None)
@@ -220,29 +325,46 @@ def load_cohort(path, config):
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got "
                 f"{','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            where = f"{path}, line {lineno}"
-            try:
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
                 if len(row) != 3:
-                    raise ValidationError(
-                        f"{where}: expected 3 columns, got {len(row)}"
-                    )
-                pid, group, responses = (c.strip() for c in row)
-                if not pid:
-                    raise ValidationError(f"{where}: empty participant_id")
-                states = _parse_responses(responses, space.size, where)
-                sequences.append(
-                    ResponseSequence(pid, states, group or None)
-                )
-            except ValidationError as exc:
-                if config.mode == "strict":
-                    raise
-                warnings.append(f"skipped: {exc}")
-    if not sequences:
+                    rejected.append((lineno, f"expected 3 columns, got {len(row)}"))
+                elif not (pid := row[0].strip()):
+                    rejected.append((lineno, "empty participant_id"))
+                else:
+                    group = row[1].strip() or None
+                    ids.append(pid)
+                    groups.append(labels.setdefault(group, group))
+                    cells.append(row[2].strip())
+                    lines.append(lineno)
+                    continue
+                if strict:
+                    break
+        except (csv.Error, ValidationError):
+            # strict mode reports the first bad line, so a bad row read
+            # before a fault in the file beats the fault
+            if strict and (bad := _responses(cells, lines, space.size, path)[2]):
+                raise bad[0][1] from None
+            raise
+    states, lengths, bad = _responses(cells, lines, space.size, path)
+    problems = sorted(
+        [(lines[i], exc) for i, exc in bad]
+        + [(line, ValidationError(f"{path}, line {line}: {problem}"))
+           for line, problem in rejected],
+        key=lambda item: item[0],
+    )
+    if problems and strict:
+        raise problems[0][1]
+    if bad:
+        drop = {i for i, _ in bad}
+        ids = [pid for i, pid in enumerate(ids) if i not in drop]
+        groups = [group for i, group in enumerate(groups) if i not in drop]
+    if not ids:
         raise ValidationError(f"{path}: no usable data rows")
-    return CohortDataset(tuple(sequences), space, str(path), warnings=tuple(warnings))
+    return CohortDataset(ids, groups, states, lengths, space, str(path),
+                         warnings=tuple(f"skipped: {exc}" for _, exc in problems))
 
 
 def write_cohort(sequences, space, path):

@@ -247,19 +247,31 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
                         epsilon_floor=0.01):
     """Score sequences against each candidate model over a shared reference.
 
+    sequence is one ResponseSequence, which gets one MultiModelVerdict, or
+    a list of them, which gets a list of verdicts in the same order. The
+    view of classify_counts that counts the sequences first.
+    """
+    single = isinstance(sequence, ResponseSequence)
+    sequences = [sequence] if single else list(sequence)
+    verdicts = classify_counts(
+        count_tensor(sequences, StateSpace(reference.size)),
+        [s.participant_id for s in sequences], candidates, reference,
+        reference_name, epsilon_floor,
+    )
+    return verdicts[0] if single else verdicts
+
+
+def classify_counts(counts, participant_ids, candidates, reference,
+                    reference_name="MEM", epsilon_floor=0.01):
+    """Multi-model verdicts from an (N, K, K) count tensor.
+
     Each candidate is scored as numerator against the reference. If every
     score is negative the sequence is assigned to the reference model;
     otherwise to the candidate with the highest score, first in the given
     order on an exact tie (tie flag set when the top two scores are within
-    1e-12).
-
-    sequence is one ResponseSequence, which gets one MultiModelVerdict, or
-    a list of them, which gets a list of verdicts in the same order. The
-    sequences are counted into one tensor, and each candidate's log-ratio
-    matrix is built once.
+    1e-12). participant_ids names the tensor's rows; each candidate's
+    log-ratio matrix is built once.
     """
-    single = isinstance(sequence, ResponseSequence)
-    sequences = [sequence] if single else list(sequence)
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("need at least one candidate model")
@@ -270,14 +282,16 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
         raise ValidationError(
             f"reference name {reference_name!r} collides with a candidate"
         )
+    if len(participant_ids) != len(counts):
+        raise ValidationError(
+            f"{len(participant_ids)} participant ids for {len(counts)} count tables"
+        )
     betas = [
         log_likelihood_matrix(matrix, reference, epsilon_floor, numerator_name=name,
                               denominator_name=reference_name).values
         for name, matrix in candidates
     ]
-    counts = count_tensor(sequences, StateSpace(reference.size))
     scores = np.column_stack([score_counts(counts, values) for values in betas])
-    del counts
     none_positive = (scores < 0).all(axis=1).tolist()
     best = scores.argmax(axis=1).tolist()  # first candidate on an exact tie
     if len(names) > 1:
@@ -286,10 +300,9 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
     else:
         tie = [False] * len(best)
     # a row with every score negative goes to the reference, never as a tie
-    verdicts = [
-        MultiModelVerdict(seq.participant_id, dict(zip(names, row)),
+    return [
+        MultiModelVerdict(pid, dict(zip(names, row)),
                           reference_name if reject else names[b], t and not reject)
-        for seq, row, reject, b, t in zip(sequences, scores.tolist(),
+        for pid, row, reject, b, t in zip(participant_ids, scores.tolist(),
                                           none_positive, best, tie)
     ]
-    return verdicts[0] if single else verdicts

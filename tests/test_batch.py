@@ -82,6 +82,35 @@ class TestCountTensor:
         with pytest.raises(rc.ValidationError, match="'p1': state 9"):
             rc.count_tensor(seqs, rc.StateSpace(3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(ragged_cohorts())
+    def test_columnar_cohort_counts_into_any_order(self, case):
+        k, rows, seed = case
+        space = rc.StateSpace(k)
+        columns = rc.CohortDataset(
+            [f"p{i}" for i in range(len(rows))], [None] * len(rows),
+            np.concatenate(rows).astype(np.uint8), [len(r) for r in rows],
+            space, "memory")
+        order = np.random.default_rng(seed).permutation(len(rows)).tolist()
+        tensor = rc.count_tensor(columns, space, order)
+        expected = rc.count_tensor(_sequences(rows), space)[order]
+        assert np.array_equal(tensor, expected)
+        assert np.array_equal(rc.count_tensor(columns, space),
+                              rc.count_tensor(columns.sequences, space))
+
+    @pytest.mark.parametrize("states, lengths, message", [
+        ([1, 2, 2, 0, 1], [2, 3], r"'p1': state 0 at position 1 is outside 1..3"),
+        ([1, 2, 3, 1, 4], [3, 1, 1], r"'p1': need at least 2 responses to count "
+                                     r"transitions, got 1"),
+        ([1, 4, 3, 1, 1], [2, 1, 2], r"'p0': state 4 at position 1"),
+    ])
+    def test_columnar_cohort_checks(self, states, lengths, message):
+        columns = rc.CohortDataset(
+            [f"p{i}" for i in range(len(lengths))], [None] * len(lengths),
+            np.array(states, dtype=np.uint8), lengths, rc.StateSpace(3), "memory")
+        with pytest.raises(rc.ValidationError, match=message):
+            rc.count_tensor(columns, rc.StateSpace(3))
+
     def test_count_transitions_agrees(self, o05, space):
         tensor = rc.count_tensor([o05], space)
         assert np.array_equal(rc.count_transitions(o05, space).counts, tensor[0])
@@ -167,6 +196,21 @@ class TestClassifyMultimodelBatch:
         assert any(v.tie for v in batch) == (len(names) == 3)
         assert [rc.classify_multimodel(s, candidates, registry["MEM"])
                 for s in cohort[:20]] == expected[:20]
+
+    def test_counts_entry_matches_list_form(self, ocd_matrix):
+        space = rc.StateSpace(5)
+        registry = rc.builtin_models(space)
+        candidates = [("DWM", registry["DWM"]), ("ocd", ocd_matrix)]
+        cohort = rc.generate_cohort(
+            rc.SimulationSpec(ocd_matrix, length=8, count=200, seed=9), id_prefix="c")
+        ids = [s.participant_id for s in cohort]
+        verdicts = rc.classify_counts(rc.count_tensor(cohort, space), ids,
+                                      candidates, registry["MEM"], "flat")
+        assert verdicts == rc.classify_multimodel(cohort, candidates,
+                                                  registry["MEM"], "flat")
+        with pytest.raises(rc.ValidationError, match="199 participant ids for 200"):
+            rc.classify_counts(rc.count_tensor(cohort, space), ids[1:],
+                               candidates, registry["MEM"])
 
     def test_empty_list_gets_no_verdicts(self, space):
         registry = rc.builtin_models(space)

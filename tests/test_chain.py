@@ -132,6 +132,24 @@ class TestNormalizeRows:
             rc.normalize_rows(counts, smoothing_alpha=-0.1)
 
 
+class TestTransitionMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        rows = np.full((3, 3), 1 / 3)
+        rows[1, 2] = bad
+        with pytest.raises(rc.ValidationError, match="must be finite"):
+            rc.TransitionMatrix.from_rows(rows)
+        rows[1] = 0.0
+        rows[1, 2] = bad
+        with pytest.raises(rc.ValidationError, match="must be finite"):
+            rc.TransitionMatrix(rows, [True, False, True])
+
+    def test_nan_model_parameter_names_the_model(self, space):
+        spec = rc.TheoreticalModelSpec("w", "drunkards_walk", {"stay": float("nan")})
+        with pytest.raises(rc.ValidationError, match="model 'w': .*finite"):
+            spec.build(space)
+
+
 class TestPoolCounts:
     def test_cohort_totals(self, space):
         # 73 and 27 sequences of length 16 give 1095 and 405 transitions

@@ -423,6 +423,45 @@ class TestBatchPath:
         assert (len(lr_calls), len(registries), len(counted), len(tensors)) == \
             (1, 1, 0, 1)
 
+    def test_group_candidate_shares_the_one_count(self, capsys, monkeypatch,
+                                                  cohort_csv):
+        counted = self.counting(monkeypatch, rc.chain, "count_transitions")
+        tensors = self.counting(monkeypatch, rc.chain, "count_tensor")
+        # scoring holds its own binding of count_tensor
+        in_scoring = self.counting(monkeypatch, rc.scoring, "count_tensor")
+        doc = run_report(
+            capsys, "classify", "--input", cohort_csv,
+            "--models", "group:ocd,model:symmetric", "--reference", "model:MEM",
+        )
+        assert len(doc["payload"]["results"]["assignments"]) == 100
+        assert (len(counted), len(tensors), len(in_scoring)) == (0, 1, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--per-participant"],
+        ["compare", "--focal", "ocd", "--reference", "adhd"],
+        ["score", "--numerator", "group:ocd", "--denominator", "group:adhd",
+         "--breakdown"],
+        ["classify", "--numerator", "group:ocd", "--denominator", "group:adhd"],
+        ["classify", "--models", "group:ocd,model:DWM", "--reference", "model:MEM"],
+        ["diagnose", "--numerator", "group:ocd", "--denominator", "group:adhd",
+         "--with-sum-score"],
+        ["stationary", "--group", "ocd"],
+        ["simulate", "--group", "ocd", "--length", "5", "--out", "{tmp}/sim.csv"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_no_response_sequence_is_built(self, capsys, monkeypatch, tmp_path,
+                                           cohort_csv, argv):
+        built = []
+        original = rc.ResponseSequence.__post_init__
+
+        def counting(seq):
+            built.append(seq.participant_id)
+            original(seq)
+
+        monkeypatch.setattr(rc.ResponseSequence, "__post_init__", counting)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        run_report(capsys, *argv, "--input", cohort_csv)
+        assert built == ([] if argv[0] != "simulate" else ["sim0000"])
+
     def test_stdout_and_output_file_carry_the_same_bytes(self, capsys, tmp_path,
                                                          cohort_csv):
         argv = ["estimate", "--input", cohort_csv, "--per-participant"]
@@ -598,3 +637,35 @@ class TestInputEncodingAndTypes:
             "--numerator", "group:ocd", "--denominator", "group:adhd",
         ))
         assert "model 'mine'" in error["message"]
+
+
+class TestNonFiniteModels:
+    @pytest.fixture
+    def nan_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"models": {"w": {"kind": "drunkards_walk", "stay": NaN}}}')
+        return str(cfg)
+
+    def test_stationary_rejects_a_nan_model(self, capsys, nan_config):
+        error = only_validation_error(*run(
+            capsys, "stationary", "--model", "w", "--config", nan_config,
+        ))
+        assert "model 'w'" in error["message"] and "finite" in error["message"]
+
+    def test_simulate_rejects_a_nan_model(self, capsys, tmp_path, nan_config):
+        out = tmp_path / "sim.csv"
+        error = only_validation_error(*run(
+            capsys, "simulate", "--model", "w", "--config", nan_config,
+            "--length", "5", "--out", str(out),
+        ))
+        assert "model 'w'" in error["message"] and "finite" in error["message"]
+        assert not out.exists()
+
+
+def test_stationary_names_itself_for_an_undefined_row(capsys, tmp_path):
+    path = tmp_path / "narrow.csv"
+    path.write_text("participant_id,group,responses\nA,g,1122\nB,g,2211\n")
+    code, out, err = run(capsys, "stationary", "--group", "g", "--input", str(path))
+    assert code == 2 and out == ""
+    assert error_of(err)["message"].startswith(
+        "stationary needs every row defined, but undefined row(s) 3, 4, 5")

@@ -1,11 +1,16 @@
 """Cohort CSV round-trips and config file handling."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
+import respchain.dataio as dataio
 
 
 GOOD_CSV = """participant_id,group,responses
@@ -148,6 +153,54 @@ class TestLoadCohort:
             rc.load_cohort(tmp_path / "nope.csv", rc.Config())
 
 
+class TestColumns:
+    def test_rows_are_held_in_columns(self, tmp_path):
+        data = rc.load_cohort(write(tmp_path, "cohort.csv", GOOD_CSV), rc.Config())
+        assert data.participant_ids == ("A01", "A02", "O05", "S01")
+        assert data.groups == ("adhd", "adhd", "ocd", None)
+        assert data.lengths.tolist() == [16, 10, 16, 9]
+        assert data.starts.tolist() == [0, 16, 26, 42]
+        assert data.states.dtype == np.uint8 and data.states.size == 51
+        assert not data.states.flags.writeable
+        assert data.states[16:26].tolist() == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+    def test_sequences_are_a_view_built_once(self, tmp_path):
+        data = rc.load_cohort(write(tmp_path, "cohort.csv", GOOD_CSV), rc.Config())
+        assert data.sequences is data.sequences
+        assert [s.participant_id for s in data.sequences] == list(data.participant_ids)
+        assert [s.group for s in data.sequences] == list(data.groups)
+        assert np.concatenate([s.states for s in data.sequences]).tolist() == \
+            data.states.tolist()
+
+    def test_wide_scale_states(self, tmp_path):
+        path = write(tmp_path, "wide.csv",
+                     "participant_id,group,responses\nW1,,1; 5 ;011;3\nW2,,300;2\n")
+        data = rc.load_cohort(path, rc.Config(states=300))
+        assert data.states.dtype == np.uint16
+        assert data.states.tolist() == [1, 5, 11, 3, 300, 2]
+
+    def test_columns_must_agree(self, space):
+        with pytest.raises(rc.ValidationError, match="columns disagree"):
+            rc.CohortDataset(("a", "b"), ("g", "g"), np.array([1, 2, 3], np.uint8),
+                             np.array([2, 2]), space, "x.csv")
+
+    @pytest.mark.parametrize("row, message", [
+        ("A02,g,3x3", "responses must be"), ("A02,g", "expected 3 columns"),
+        (" ,g,333", "empty participant_id"),
+    ])
+    def test_strict_bad_row_before_an_unreadable_field_wins(self, tmp_path, row,
+                                                            message):
+        path = write(
+            tmp_path, "big.csv",
+            f"participant_id,group,responses\nA01,g,333\n{row}\n"
+            f"A03,g,{'3' * 200_000}\n",
+        )
+        with pytest.raises(rc.ValidationError, match=f"line 3: {message}"):
+            rc.load_cohort(path, rc.Config())
+        with pytest.raises(csv.Error):
+            rc.load_cohort(path, rc.Config(mode="lenient"))
+
+
 class TestByGroup:
     def test_filters(self, tmp_path):
         path = write(tmp_path, "cohort.csv", GOOD_CSV)
@@ -277,3 +330,167 @@ class TestLoadConfig:
         path = write(tmp_path, "cfg.json", json.dumps(body))
         with pytest.raises(rc.ValidationError, match="kind"):
             rc.load_config(path)
+
+
+# --- oracle: the per-row loader the columnar one replaced -------------------
+
+def _reference_parse_responses(cell, k, where):
+    def ascii_digits(text):
+        return text.isascii() and text.isdigit()
+
+    if k <= 9:
+        if not ascii_digits(cell):
+            raise rc.ValidationError(
+                f"{where}: responses must be a digit string for a {k}-point "
+                f"scale, got {cell!r}"
+            )
+        values = [int(ch) for ch in cell]
+    else:
+        parts = [part.strip() for part in cell.split(";")]
+        if not all(ascii_digits(part) for part in parts):
+            raise rc.ValidationError(
+                f"{where}: responses must be semicolon-separated integers, "
+                f"got {cell!r}"
+            )
+        values = [int(part) for part in parts]
+    if len(values) < 2:
+        raise rc.ValidationError(
+            f"{where}: need at least 2 responses to count transitions, "
+            f"got {len(values)}"
+        )
+    for pos, v in enumerate(values):
+        if not 1 <= v <= k:
+            raise rc.ValidationError(
+                f"{where}, response position {pos}: state {v} outside 1..{k}"
+            )
+    return values
+
+
+def reference_load_cohort(path, config):
+    """load_cohort as it was: one ResponseSequence per row, checked in turn.
+
+    Returns (sequences, warnings) or raises the ValidationError it raised.
+    """
+    sequences, warnings = [], []
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise rc.ValidationError(f"{path}: empty file")
+        if tuple(h.strip() for h in header) != rc.CSV_HEADER:
+            raise rc.ValidationError(
+                f"{path}: expected header {','.join(rc.CSV_HEADER)!r}, got "
+                f"{','.join(header)!r}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}, line {lineno}"
+            try:
+                if len(row) != 3:
+                    raise rc.ValidationError(
+                        f"{where}: expected 3 columns, got {len(row)}"
+                    )
+                pid, group, responses = (c.strip() for c in row)
+                if not pid:
+                    raise rc.ValidationError(f"{where}: empty participant_id")
+                states = _reference_parse_responses(responses, config.states, where)
+                sequences.append(rc.ResponseSequence(pid, states, group or None))
+            except rc.ValidationError as exc:
+                if config.mode == "strict":
+                    raise
+                warnings.append(f"skipped: {exc}")
+    if not sequences:
+        raise rc.ValidationError(f"{path}: no usable data rows")
+    seen = set()
+    for s in sequences:
+        if s.participant_id in seen:
+            raise rc.ValidationError(f"duplicate participant id {s.participant_id!r}")
+        seen.add(s.participant_id)
+    return sequences, warnings
+
+
+def _responses_cell(draw, k, kind):
+    length = 1 if kind == "one_response" else draw(st.integers(2, 12))
+    values = draw(st.lists(st.integers(1, k), min_size=length, max_size=length))
+    if kind == "out_of_range":
+        values[draw(st.integers(0, length - 1))] = draw(
+            st.sampled_from([0, k + 1, 9] if k <= 9 else [0, k + 1, 99]))
+    if k <= 9:
+        text = "".join(map(str, values))
+    else:
+        pads = st.sampled_from(["", " ", "  ", "\t"])
+        text = ";".join(f"{draw(pads)}{v}{draw(pads)}" for v in values)
+    if kind == "bad_digit":
+        bad = draw(st.sampled_from(["\u00b2", "\u0663", "x", ";;", "1_0", "+3", " 3 3"]))
+        cut = draw(st.integers(0, len(text)))
+        text = text[:cut] + bad + text[cut:]
+    if kind == "empty_cell":
+        text = draw(st.sampled_from(["", " "]))
+    return text
+
+
+@st.composite
+def cohort_files(draw):
+    """CSV text: mostly good rows, some of every kind the loader turns away."""
+    k = draw(st.sampled_from([5, 11]))
+    kinds = ["good"] * 12 + ["columns", "empty_id", "blank", "bad_digit",
+                             "empty_cell", "one_response", "out_of_range"]
+    ids = st.sampled_from(["A1", "A2", " A3 ", "B1", "B2", "C1", "C2", "D1"])
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind == "blank":
+            rows.append([])
+            continue
+        pid = draw(st.sampled_from(["", "  "])) if kind == "empty_id" else draw(ids)
+        group = draw(st.sampled_from(["", "a", " b ", "b"]))
+        cell = _responses_cell(draw, k, kind if kind != "good" else "good")
+        row = [pid, group, cell]
+        if kind == "columns":
+            row = row[:2] if draw(st.booleans()) else row + ["extra"]
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rc.CSV_HEADER)
+    writer.writerows(rows)
+    return k, buf.getvalue()
+
+
+def load_in_blocks(path, config, block_rows):
+    default = dataio.PARSE_BLOCK_ROWS
+    dataio.PARSE_BLOCK_ROWS = block_rows
+    try:
+        return rc.load_cohort(path, config)
+    finally:
+        dataio.PARSE_BLOCK_ROWS = default
+
+
+class TestAgainstPerRowLoader:
+    @settings(max_examples=400, deadline=None)
+    @given(cohort_files(), st.sampled_from(["strict", "lenient"]),
+           st.sampled_from([dataio.PARSE_BLOCK_ROWS, 1, 3]))
+    def test_same_rows_warnings_and_errors(self, tmp_path_factory, case, mode,
+                                           block_rows):
+        k, text = case
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(text, encoding="utf-8")
+        config = rc.Config(states=k, mode=mode)
+        try:
+            expected = reference_load_cohort(path, config)
+        except rc.ValidationError as exc:
+            with pytest.raises(rc.ValidationError) as got:
+                load_in_blocks(path, config, block_rows)
+            assert str(got.value) == str(exc)
+            return
+        data = load_in_blocks(path, config, block_rows)
+        sequences, warnings = expected
+        assert list(data.warnings) == warnings
+        assert list(data.participant_ids) == [s.participant_id for s in sequences]
+        assert list(data.groups) == [s.group for s in sequences]
+        assert data.lengths.tolist() == [len(s) for s in sequences]
+        assert data.states.tolist() == [v for s in sequences for v in s.states.tolist()]
+        assert len(data.sequences) == len(sequences)
+        for got, want in zip(data.sequences, sequences):
+            assert (got.participant_id, got.group) == (want.participant_id, want.group)
+            assert got.states.dtype == want.states.dtype
+            assert got.states.tolist() == want.states.tolist()
