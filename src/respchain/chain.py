@@ -265,12 +265,21 @@ def normalize_rows(counts, smoothing_alpha=0.0):
     """
     if smoothing_alpha < 0:
         raise ValidationError(f"smoothing_alpha must be >= 0, got {smoothing_alpha}")
-    work = counts.counts.astype(np.float64) + float(smoothing_alpha)
-    totals = work.sum(axis=1)
+    return TransitionMatrix(*_row_probabilities(counts.counts, smoothing_alpha))
+
+
+def _row_probabilities(counts, smoothing_alpha=0.0):
+    """The probabilities and defined-row mask of count tables (..., K, K).
+
+    What normalize_rows computes, for a whole (N, K, K) tensor at once:
+    each table's rows divided by their sums after adding the alpha.
+    """
+    work = counts.astype(np.float64) + float(smoothing_alpha)
+    totals = work.sum(axis=-1)
     defined = totals > 0
     probs = np.zeros_like(work)
     probs[defined] = work[defined] / totals[defined, None]
-    return TransitionMatrix(probs, defined)
+    return probs, defined
 
 
 def pool_counts(items):

@@ -158,10 +158,32 @@ def _effective_config(args):
     )
 
 
-def _load_dataset(args, config):
+class _Notes:
+    """What a report carries besides a command's results: the rows lenient
+    mode skipped and the warnings, each also printed to stderr."""
+
+    def __init__(self):
+        self.skipped_rows = ()
+        self.warnings = []
+
+    def warn(self, message):
+        print(message, file=sys.stderr)
+        self.warnings.append(message)
+
+    def stationary(self, matrix, config, source):
+        """chain.stationary, with a warning when the search did not converge."""
+        result = chain.stationary(matrix, config.tolerance, config.max_power)
+        if not result.converged:
+            self.warn(f"stationary search for {source} did not converge within "
+                      f"max_power {config.max_power} (tolerance {config.tolerance})")
+        return result
+
+
+def _load_dataset(args, config, notes):
     dataset = dataio.load_cohort(args.input, config)
     for warning in dataset.warnings:
         print(warning, file=sys.stderr)
+    notes.skipped_rows = dataset.skipped
     return dataset
 
 
@@ -246,7 +268,7 @@ def _log_ratio(args, cohort, registry, config):
     )
 
 
-def _source_matrix(args, config):
+def _source_matrix(args, config, notes):
     """The --group or --model matrix, its name, and the input it came from."""
     if args.group is None:
         name, matrix = _resolve(f"model:{args.model}", None,
@@ -254,7 +276,7 @@ def _source_matrix(args, config):
         return name, matrix, None
     if not args.input:
         raise ValidationError("--group needs --input")
-    cohort = _CountedCohort(_load_dataset(args, config))
+    cohort = _CountedCohort(_load_dataset(args, config, notes))
     return args.group, cohort.group_matrix(args.group, config), args.input
 
 
@@ -268,8 +290,8 @@ def _estimate_block(counts, n_sequences, config):
     }
 
 
-def _cmd_estimate(args, config):
-    dataset = _load_dataset(args, config)
+def _cmd_estimate(args, config, notes):
+    dataset = _load_dataset(args, config, notes)
     cohort = _CountedCohort(dataset)
     groups = args.group or sorted(dataset.group_labels)
     blocks = {
@@ -280,23 +302,21 @@ def _cmd_estimate(args, config):
         blocks["all"] = _estimate_block(counts, len(dataset), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
-        per = {}
-        for pid, group, table in zip(cohort.ids, cohort.groups.tolist(), cohort.counts):
-            counts = chain.TransitionCounts(table)
-            per[pid] = {
-                "group": group,
-                "counts": reporting.counts_block(counts),
-                "matrix": reporting.matrix_block(
-                    chain.normalize_rows(counts, config.smoothing_alpha)),
-            }
-        results["participants"] = per
+        counts = cohort.counts
+        probs, defined = chain._row_probabilities(counts, config.smoothing_alpha)
+        results["participants"] = reporting.Table({
+            "group": cohort.groups.tolist(),
+            "counts": {"counts": counts.tolist(), "row_totals": counts.sum(axis=2).tolist(),
+                       "total": counts.sum(axis=(1, 2)).tolist()},
+            "matrix": {"probs": probs.tolist(), "defined_rows": defined.tolist()},
+        }, keys=cohort.ids)
     return results, args.input
 
 
-def _cmd_stationary(args, config):
-    name, matrix, input_path = _source_matrix(args, config)
+def _cmd_stationary(args, config, notes):
+    name, matrix, input_path = _source_matrix(args, config, notes)
     # stationary raises StructuralError unless the matrix is both
-    result = chain.stationary(matrix, config.tolerance, config.max_power)
+    result = notes.stationary(matrix, config, repr(name))
     results = {
         "source": name,
         "matrix": reporting.matrix_block(matrix),
@@ -307,8 +327,8 @@ def _cmd_stationary(args, config):
     return results, input_path
 
 
-def _cmd_compare(args, config):
-    dataset = _load_dataset(args, config)
+def _cmd_compare(args, config, notes):
+    dataset = _load_dataset(args, config, notes)
     cohort = _CountedCohort(dataset)
     blocks = {}
     summaries = {}
@@ -317,7 +337,7 @@ def _cmd_compare(args, config):
         counts, n_sequences = cohort.pool(group)
         matrix = chain.normalize_rows(counts, config.smoothing_alpha)
         summaries[role] = chain.inertia(counts)
-        stat_result = chain.stationary(matrix, config.tolerance, config.max_power)
+        stat_result = notes.stationary(matrix, config, f"the {role} group {group!r}")
         points[role] = (counts, stat_result)
         blocks[role] = {
             "group": group,
@@ -348,26 +368,25 @@ def _cmd_compare(args, config):
     return results, args.input
 
 
-def _cmd_score(args, config):
-    cohort = _CountedCohort(_load_dataset(args, config))
+def _cmd_score(args, config, notes):
+    cohort = _CountedCohort(_load_dataset(args, config, notes))
     lr = _log_ratio(args, cohort, _model_registry(config), config)
-    scores = scoring.score_counts(cohort.counts, lr.values).tolist()
-    rows = [
-        {"participant_id": pid, "group": group, "score": score}
-        for pid, group, score in zip(cohort.ids, cohort.groups.tolist(), scores)
-    ]
+    rows = {
+        "participant_id": cohort.ids,
+        "group": cohort.groups.tolist(),
+        "score": scoring.score_counts(cohort.counts, lr.values).tolist(),
+    }
     if args.breakdown:
-        for row, terms in zip(rows, scoring.score_terms(cohort.counts, lr.values)):
-            row["terms"] = terms
+        rows["terms"] = scoring.score_terms(cohort.counts, lr.values)
     results = {
         "log_ratio": reporting.log_ratio_block(lr),
-        "scores": rows,
+        "scores": reporting.Table(rows),
     }
     return results, args.input
 
 
-def _cmd_classify(args, config):
-    cohort = _CountedCohort(_load_dataset(args, config))
+def _cmd_classify(args, config, notes):
+    cohort = _CountedCohort(_load_dataset(args, config, notes))
     binary = args.numerator is not None or args.denominator is not None
     multi = args.models is not None or args.reference is not None
     if binary == multi:
@@ -379,23 +398,16 @@ def _cmd_classify(args, config):
         if not (args.numerator and args.denominator):
             raise ValidationError("binary mode needs both --numerator and --denominator")
         lr = _log_ratio(args, cohort, _model_registry(config), config)
-        rows = []
-        class_counts = {lr.numerator_name: 0, lr.denominator_name: 0}
         scores = scoring.score_counts(cohort.counts, lr.values).tolist()
         labels = scoring.binary_labels(scores, lr.numerator_name,
                                        lr.denominator_name, config.cutoff)
-        for pid, score, label in zip(cohort.ids, scores, labels):
-            class_counts[label] += 1
-            rows.append({
-                "participant_id": pid,
-                "score": score,
-                "assigned": label,
-            })
         results = {
             "mode": "binary",
             "cutoff": config.cutoff,
-            "assignments": rows,
-            "class_counts": class_counts,
+            "assignments": reporting.Table(
+                {"participant_id": cohort.ids, "score": scores, "assigned": labels}),
+            "class_counts": {name: labels.count(name)
+                             for name in (lr.numerator_name, lr.denominator_name)},
         }
         return results, args.input
     if not (args.models and args.reference):
@@ -412,31 +424,28 @@ def _cmd_classify(args, config):
         cohort.counts, cohort.ids, candidates, ref, reference_name=ref_name,
         epsilon_floor=config.epsilon_floor,
     )
-    rows = []
-    class_counts = {name: 0 for name, _ in candidates}
-    class_counts[ref_name] = 0
-    for verdict in verdicts:
-        class_counts[verdict.assigned_model] += 1
-        rows.append({
-            "participant_id": verdict.participant_id,
-            "scores": verdict.scores,
-            "assigned": verdict.assigned_model,
-            "tie": verdict.tie,
-        })
+    class_counts = {name: verdicts.assigned.count(name)
+                    for name in [*verdicts.names, ref_name]}
     equi = stats.equiprobability_test(list(class_counts.values()))
+    rows = {
+        "participant_id": verdicts.participant_ids,
+        "scores": dict(zip(verdicts.names, verdicts.scores.T.tolist())),
+        "assigned": verdicts.assigned,
+        "tie": verdicts.tie,
+    }
     results = {
         "mode": "multimodel",
         "reference": ref_name,
-        "candidates": [name for name, _ in candidates],
-        "assignments": rows,
+        "candidates": verdicts.names,
+        "assignments": reporting.Table(rows),
         "class_counts": class_counts,
         "equiprobability": reporting.outcome_block(equi),
     }
     return results, args.input
 
 
-def _cmd_diagnose(args, config):
-    dataset = _load_dataset(args, config)
+def _cmd_diagnose(args, config, notes):
+    dataset = _load_dataset(args, config, notes)
     cohort = _CountedCohort(dataset)
     registry = _model_registry(config)
     num_name, num = _resolve(args.numerator, cohort, registry, config)
@@ -494,8 +503,8 @@ def _cmd_diagnose(args, config):
     return results, args.input
 
 
-def _cmd_simulate(args, config):
-    name, matrix, input_path = _source_matrix(args, config)
+def _cmd_simulate(args, config, notes):
+    name, matrix, input_path = _source_matrix(args, config, notes)
     spec = simulate.SimulationSpec(
         matrix=matrix, length=args.length, count=args.count, seed=args.seed,
     )
@@ -531,8 +540,11 @@ _COMMANDS = {
 
 def run_subcommand(command, args, config):
     """Run one subcommand and return its assembled report document."""
-    results, input_path = _COMMANDS[command](args, config)
-    return reporting.build_report(command, results, config, input_path)
+    notes = _Notes()
+    results, input_path = _COMMANDS[command](args, config, notes)
+    return reporting.build_report(command, results, config, input_path,
+                                  skipped_rows=notes.skipped_rows,
+                                  warnings=notes.warnings)
 
 
 def main(argv=None):

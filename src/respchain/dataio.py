@@ -33,6 +33,9 @@ CONFIG_ENV_VAR = "RESPCHAIN_CONFIG"
 # sends only its own block through the row-by-row parser.
 PARSE_BLOCK_ROWS = 1024
 
+# States write_cohort converts to text at a time within a ';'-joined row.
+WRITE_BLOCK_STATES = 1 << 16
+
 _CONFIG_KEYS = {
     "states", "state_labels", "tolerance", "max_power", "epsilon_floor",
     "smoothing_alpha", "cutoff", "mode", "models",
@@ -130,7 +133,8 @@ class CohortDataset:
     states[starts[i]:starts[i] + lengths[i]]. states is one flat read-only
     array of the smallest unsigned integer type that holds K. sequences
     and by_group give the rows as ResponseSequence objects, built on first
-    use.
+    use. skipped holds a (line, message) pair per input row that lenient
+    mode skipped, in line order.
     """
 
     participant_ids: tuple
@@ -139,7 +143,7 @@ class CohortDataset:
     lengths: np.ndarray
     state_space: StateSpace
     source: str
-    warnings: tuple = ()
+    skipped: tuple = ()
 
     def __post_init__(self):
         ids = tuple(self.participant_ids)
@@ -165,6 +169,11 @@ class CohortDataset:
 
     def __len__(self):
         return len(self.participant_ids)
+
+    @property
+    def warnings(self):
+        """One "skipped: ..." line per row that lenient mode skipped."""
+        return tuple(f"skipped: {message}" for _, message in self.skipped)
 
     @property
     def starts(self):
@@ -304,7 +313,8 @@ def load_cohort(path, config):
     The file is UTF-8, with or without a byte order mark; bytes that are
     not UTF-8 reject the whole file in either mode. Strict mode rejects the
     whole file on the first bad row; lenient mode skips bad rows and
-    records a warning per skip on the dataset, in line order.
+    records each skipped line and its error message on the dataset, in
+    line order.
 
     One csv pass collects the ids, groups and responses cells with the
     per-row checks; the responses are then checked and converted as one
@@ -364,17 +374,31 @@ def load_cohort(path, config):
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
     return CohortDataset(ids, groups, states, lengths, space, str(path),
-                         warnings=tuple(f"skipped: {exc}" for _, exc in problems))
+                         skipped=tuple((line, str(exc)) for line, exc in problems))
+
+
+def _joined(states, sep):
+    """The states as decimal text joined by sep, converted a block of
+    WRITE_BLOCK_STATES at a time: a long row never holds a Python int and
+    str per state at once."""
+    return sep.join(sep.join(map(str, states[i:i + WRITE_BLOCK_STATES].tolist()))
+                    for i in range(0, len(states), WRITE_BLOCK_STATES))
 
 
 def write_cohort(sequences, space, path):
     """Write sequences in the same CSV format load_cohort reads."""
+    sequences = list(sequences)
+    rows = [seq.states for seq in sequences]
+    if space.size <= 9 and rows and (flat := np.concatenate(rows)).max() <= 9:
+        # one digit per state, so each row's cell is a slice of one text
+        text = (flat.astype(np.uint8) + 48).tobytes().decode("ascii")
+        ends = np.cumsum([len(row) for row in rows]).tolist()
+        cells = [text[end - len(row):end] for end, row in zip(ends, rows)]
+    else:
+        sep = ";" if space.size > 9 else ""
+        cells = [_joined(row, sep) for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for seq in sequences:
-            if space.size <= 9:
-                cell = "".join(str(int(s)) for s in seq.states)
-            else:
-                cell = ";".join(str(int(s)) for s in seq.states)
-            writer.writerow([seq.participant_id, seq.group or "", cell])
+        writer.writerows((seq.participant_id, seq.group or "", cell)
+                         for seq, cell in zip(sequences, cells))

@@ -7,30 +7,59 @@ header may differ between runs. Provenance (input file hash, effective
 config, tool version) lives inside the payload because it is part of
 what determines the numbers.
 
+Per-participant results are a Table: columns plus row keys, written row
+by row from one template per table, a block of rows at a time. The rest
+of the payload is a small tree of dicts and lists. One writer produces
+the text of both, the same text as ``json.dumps(doc, indent=2,
+allow_nan=False)`` of the rows materialised as dicts.
+
 ROC points can additionally be exported as plain CSV, and one or more ROC
 curves as a self-contained SVG figure (axes, diagonal reference, one
 polyline per classifier).
 """
 
 import hashlib
-import json
 from dataclasses import asdict
 from datetime import datetime, timezone
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 SCHEMA = "respchain-report/1"
 
-# Encoder chunks write_report joins into one write.
-WRITE_BATCH_CHUNKS = 8192
+# Table rows write_report encodes and writes at a time.
+WRITE_BLOCK_ROWS = 256
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+_NUMBERS = frozenset((int, float))
+_ATOMS = frozenset((str, bool, type(None)))
+_SEQUENCES = frozenset((list, tuple))
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 
+class Table:
+    """Per-participant results held as columns, one JSON object per row.
+
+    columns maps each key of a row to a list with one cell per row, or to
+    a dict of such lists, which every row holds as a nested object with
+    those keys. Without keys the table is written as a list of row
+    objects; with keys (one string per row, in sorted order) as an object
+    that maps each key to its row. Keys within a row are written sorted.
+    A cell is a str, int, bool, None, float or a list of such cells; a
+    non-finite float is written as the string "inf", "-inf" or "nan", the
+    rule the rest of the payload follows.
+    """
+
+    def __init__(self, columns, keys=None):
+        self.columns = columns
+        self.keys = keys
+
+
 def _sanitize(value):
     """Make a value JSON-safe and deterministic: numpy types to Python,
-    non-finite floats to strings, dict keys to strings in sorted order."""
+    non-finite floats to strings, dict keys to strings in sorted order.
+    A Table is left as it is."""
     if isinstance(value, dict):
         out = {str(k): _sanitize(v) for k, v in value.items()}
         return dict(sorted(out.items()))
@@ -52,6 +81,130 @@ def _sanitize(value):
     if isinstance(value, (np.bool_,)):
         return bool(value)
     return value
+
+
+def _strict_float(value):
+    text = float.__repr__(value)
+    if text in _NON_FINITE:
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text
+
+
+def _lenient_float(value):
+    text = float.__repr__(value)
+    return f'"{text}"' if text in _NON_FINITE else text
+
+
+def _newline(level):
+    return "\n" + "  " * level
+
+
+def _texts(values, level, floats):
+    """The JSON text of each value, for values written at this indent level.
+
+    floats writes a float. A run of plain numbers or strings is converted
+    by one C-level map, and a run of lists by one call for all their items.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _NUMBERS:
+        texts = list(map(repr, values))
+        if _NON_FINITE.isdisjoint(texts):
+            return texts
+    elif kinds == {str}:
+        return list(map(_quote, values))
+    elif kinds <= _ATOMS:  # labels, flags: few distinct values
+        texts = {value: _encode(value, level, floats) for value in set(values)}
+        return list(map(texts.__getitem__, values))
+    elif kinds <= _SEQUENCES:
+        items = _texts([item for value in values for item in value], level + 1, floats)
+        inner = _newline(level + 1)
+        close = _newline(level) + "]"
+        out, start = [], 0
+        for value in values:
+            end = start + len(value)
+            out.append(f"[{inner}{(',' + inner).join(items[start:end])}{close}"
+                       if value else "[]")
+            start = end
+        return out
+    return [_encode(value, level, floats) for value in values]
+
+
+def _encode(value, level, floats):
+    """The JSON text of one value whose closing bracket sits at this
+    indent level; json.dumps(value, indent=2) at level 0."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        return _texts([list(value)], level, floats)[0]
+    if isinstance(value, (dict, Table)):
+        return "".join(_chunks(value, level, floats)) if value else "{}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return floats(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _chunks(value, level, floats):
+    """The JSON text of a value in pieces; a Table's rows come a block at a time."""
+    if isinstance(value, Table):
+        yield from _table_chunks(value, level)
+    elif isinstance(value, dict) and value:
+        inner = _newline(level + 1)
+        opener = "{"
+        for key, item in value.items():
+            yield f"{opener}{inner}{_quote(key)}: "
+            yield from _chunks(item, level + 1, floats)
+            opener = ","
+        yield _newline(level) + "}"
+    else:
+        yield _encode(value, level, floats)
+
+
+def _row_format(columns, level):
+    """A %-format string for one row object at this indent level, and the
+    (column, indent level) of its %s placeholders in order."""
+    if not columns:
+        return "{}", []
+    parts, fields = [], []
+    for key in sorted(columns):
+        column = columns[key]
+        if isinstance(column, dict):
+            text, inner = _row_format(column, level + 1)
+        else:
+            text, inner = "%s", [(column, level + 1)]
+        name = _quote(key).replace("%", "%%")
+        parts.append(f"{_newline(level + 1)}{name}: {text}")
+        fields += inner
+    return "{" + ",".join(parts) + _newline(level) + "}", fields
+
+
+def _table_chunks(table, level):
+    """A Table's JSON text: its brackets, then WRITE_BLOCK_ROWS rows at a time."""
+    row, fields = _row_format(table.columns, level + 1)
+    brackets = "[]"
+    if table.keys is not None:
+        row, fields, brackets = "%s: " + row, [(table.keys, level + 1), *fields], "{}"
+    lengths = {len(column) for column, _ in fields}
+    if len(lengths) > 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    if not n:
+        yield brackets
+        return
+    row = _newline(level + 1) + row
+    yield brackets[0]
+    for start in range(0, n, WRITE_BLOCK_ROWS):
+        texts = [_texts(column[start:start + WRITE_BLOCK_ROWS], cell_level, _lenient_float)
+                 for column, cell_level in fields]
+        yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
+    yield _newline(level) + brackets[1]
 
 
 def file_sha256(path):
@@ -80,23 +233,34 @@ def config_block(config):
     return body
 
 
-def build_report(command, results, config, input_path=None, input_sha256=None):
+def build_report(command, results, config, input_path=None, input_sha256=None,
+                 skipped_rows=(), warnings=()):
     """Assemble the full report document around a results payload.
 
     The caller may pass a precomputed input hash (for simulated data that
-    never touched disk, pass neither).
+    never touched disk, pass neither). skipped_rows holds a (line, reason)
+    pair per input row that was skipped and warnings one message per
+    warning; each appears in the payload only when non-empty.
     """
     provenance = {"tool_version": _tool_version(), "config": config_block(config)}
     if input_path is not None:
         provenance["input"] = str(input_path)
         provenance["input_sha256"] = input_sha256 or file_sha256(input_path)
+    if skipped_rows:
+        provenance["skipped_rows"] = {
+            "count": len(skipped_rows),
+            "rows": [{"line": line, "reason": reason} for line, reason in skipped_rows],
+        }
+    payload = {"provenance": provenance, "results": results}
+    if warnings:
+        payload["warnings"] = list(warnings)
     return {
         "schema": SCHEMA,
         "header": {
             "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "command": command,
         },
-        "payload": _sanitize({"provenance": provenance, "results": results}),
+        "payload": _sanitize(payload),
     }
 
 
@@ -107,25 +271,24 @@ def _tool_version():
 
 
 def payload_json(report):
-    """Canonical serialization of the deterministic part of a report."""
-    return json.dumps(report["payload"], sort_keys=True, indent=2,
-                      allow_nan=False)
+    """Canonical serialization of the deterministic part of a report;
+    build_report has sorted its keys."""
+    return "".join(_chunks(report["payload"], 0, _strict_float))
 
 
 def report_json(report):
     """The whole report as JSON; the payload's keys are already sorted."""
-    return json.dumps(report, indent=2, allow_nan=False)
+    return "".join(_chunks(report, 0, _strict_float))
 
 
 def write_report(report, fh):
     """Write report_json(report) and a newline to a text file.
 
-    The encoder's chunks are joined and written WRITE_BATCH_CHUNKS at a
-    time, so the whole text is never held at once.
+    A table's rows are encoded and written WRITE_BLOCK_ROWS at a time, so
+    the whole text is never held at once.
     """
-    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(report)
-    while batch := list(islice(chunks, WRITE_BATCH_CHUNKS)):
-        fh.write("".join(batch))
+    for chunk in _chunks(report, 0, _strict_float):
+        fh.write(chunk)
     fh.write("\n")
 
 

@@ -12,6 +12,7 @@ same epsilon floor before dividing; every substitution is recorded on the
 resulting LogRatioMatrix so no floored cell passes silently.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import fsum
 
@@ -91,6 +92,38 @@ class MultiModelVerdict:
     scores: dict
     assigned_model: str
     tie: bool
+
+
+@dataclass(frozen=True, eq=False)
+class VerdictColumns(Sequence):
+    """Multi-model verdicts of many sequences, held as columns.
+
+    scores is the (N, M) score matrix, one column per name in `names`;
+    assigned and tie are lists with one entry per row. Indexing and
+    iteration give MultiModelVerdicts, and it equals any sequence of the
+    same verdicts.
+    """
+
+    participant_ids: list
+    names: list
+    scores: np.ndarray
+    assigned: list
+    tie: list
+
+    def __len__(self):
+        return len(self.assigned)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return MultiModelVerdict(self.participant_ids[index],
+                                 dict(zip(self.names, self.scores[index].tolist())),
+                                 self.assigned[index], self.tie[index])
+
+    def __eq__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _floor_zeros(matrix, side, epsilon_floor):
@@ -258,12 +291,12 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
         [s.participant_id for s in sequences], candidates, reference,
         reference_name, epsilon_floor,
     )
-    return verdicts[0] if single else verdicts
+    return verdicts[0] if single else list(verdicts)
 
 
 def classify_counts(counts, participant_ids, candidates, reference,
                     reference_name="MEM", epsilon_floor=0.01):
-    """Multi-model verdicts from an (N, K, K) count tensor.
+    """Multi-model verdicts from an (N, K, K) count tensor, as VerdictColumns.
 
     Each candidate is scored as numerator against the reference. If every
     score is negative the sequence is assigned to the reference model;
@@ -292,17 +325,15 @@ def classify_counts(counts, participant_ids, candidates, reference,
         for name, matrix in candidates
     ]
     scores = np.column_stack([score_counts(counts, values) for values in betas])
-    none_positive = (scores < 0).all(axis=1).tolist()
-    best = scores.argmax(axis=1).tolist()  # first candidate on an exact tie
+    reject = (scores < 0).all(axis=1)
+    # first candidate on an exact tie; a row with every score negative goes
+    # to the reference, never as a tie
+    choice = np.where(reject, len(names), scores.argmax(axis=1)).tolist()
+    labels = [*names, reference_name]
     if len(names) > 1:
         ordered = np.sort(scores, axis=1)
-        tie = (ordered[:, -1] - ordered[:, -2] <= TIE_TOLERANCE).tolist()
+        tie = (ordered[:, -1] - ordered[:, -2] <= TIE_TOLERANCE) & ~reject
     else:
-        tie = [False] * len(best)
-    # a row with every score negative goes to the reference, never as a tie
-    return [
-        MultiModelVerdict(pid, dict(zip(names, row)),
-                          reference_name if reject else names[b], t and not reject)
-        for pid, row, reject, b, t in zip(participant_ids, scores.tolist(),
-                                          none_positive, best, tie)
-    ]
+        tie = np.zeros(len(choice), dtype=bool)
+    return VerdictColumns(list(participant_ids), names, scores,
+                          list(map(labels.__getitem__, choice)), tie.tolist())

@@ -13,6 +13,7 @@ that have none; ``resolve_initial`` reports which was chosen so output
 metadata can say so.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class SimulationSpec:
             raise ValidationError(f"length must be >= 2, got {self.length}")
         if self.count < 1:
             raise ValidationError(f"count must be >= 1, got {self.count}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         _require_fully_defined(self.matrix, "simulation")
         if self.initial_distribution is not None:
             init = np.asarray(self.initial_distribution, dtype=np.float64)

@@ -212,6 +212,24 @@ class TestClassifyMultimodelBatch:
             rc.classify_counts(rc.count_tensor(cohort, space), ids[1:],
                                candidates, registry["MEM"])
 
+    def test_verdict_columns_are_a_sequence_of_verdicts(self, ocd_matrix):
+        space = rc.StateSpace(5)
+        registry = rc.builtin_models(space)
+        candidates = [("DWM", registry["DWM"]), ("ocd", ocd_matrix)]
+        cohort = rc.generate_cohort(
+            rc.SimulationSpec(ocd_matrix, length=8, count=50, seed=3), id_prefix="c")
+        ids = [s.participant_id for s in cohort]
+        columns = rc.classify_counts(rc.count_tensor(cohort, space), ids,
+                                     candidates, registry["MEM"])
+        verdicts = [reference_verdict(s, candidates, registry["MEM"]) for s in cohort]
+        assert isinstance(columns, rc.VerdictColumns)
+        assert columns.scores.shape == (50, 2) and columns.names == ["DWM", "ocd"]
+        assert columns.assigned == [v.assigned_model for v in verdicts]
+        assert columns.tie == [v.tie for v in verdicts]
+        assert len(columns) == 50 and list(columns) == verdicts
+        assert columns[-1] == verdicts[-1] and columns[10:3:-2] == verdicts[10:3:-2]
+        assert columns != verdicts[:-1] and columns != "not verdicts"
+
     def test_empty_list_gets_no_verdicts(self, space):
         registry = rc.builtin_models(space)
         assert rc.classify_multimodel([], [("DWM", registry["DWM"])],

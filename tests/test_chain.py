@@ -131,6 +131,16 @@ class TestNormalizeRows:
         with pytest.raises(rc.ValidationError):
             rc.normalize_rows(counts, smoothing_alpha=-0.1)
 
+    @pytest.mark.parametrize("k", [2, 5, 11])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1 / 3, 1e-9])
+    def test_tensor_rows_match_one_table_at_a_time(self, k, alpha):
+        rng = np.random.default_rng(k)
+        tensor = rng.integers(0, 7, size=(60, k, k)) * (rng.random((60, k, 1)) < 0.7)
+        probs, defined = rc.chain._row_probabilities(tensor, alpha)
+        for table, p, d in zip(tensor, probs, defined):
+            m = rc.normalize_rows(rc.TransitionCounts(table), alpha)
+            assert np.array_equal(p, m.probs) and np.array_equal(d, m.defined_rows)
+
 
 class TestTransitionMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -370,6 +370,16 @@ class TestSimulate:
         assert doc["payload"]["results"]["source"] == "ocd"
         assert len(rc.load_cohort(out, rc.Config())) == 5
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_one_validation_error(self, capsys, tmp_path, seed):
+        out = tmp_path / "sim.csv"
+        error = only_validation_error(*run(
+            capsys, "simulate", "--model", "DWM", "--length", "6",
+            "--count", "3", "--seed", seed, "--out", str(out),
+        ))
+        assert "seed must be a non-negative integer" in error["message"]
+        assert not out.exists()
+
     def test_periodic_model_falls_back_to_uniform_start(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -669,3 +679,53 @@ def test_stationary_names_itself_for_an_undefined_row(capsys, tmp_path):
     assert code == 2 and out == ""
     assert error_of(err)["message"].startswith(
         "stationary needs every row defined, but undefined row(s) 3, 4, 5")
+
+
+class TestReportNotes:
+    """Skipped rows and unconverged searches leave a trace in the payload."""
+
+    def test_lenient_skips_are_listed_in_provenance(self, capsys, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("participant_id,group,responses\n"
+                        "A,g,333\nB,g,3x3\nC,g,44\nD,g,4\n")
+        code, out, err = run(capsys, "estimate", "--input", str(path),
+                             "--mode", "lenient")
+        assert code == 0
+        skipped = json.loads(out)["payload"]["provenance"]["skipped_rows"]
+        assert skipped["count"] == 2
+        assert [row["line"] for row in skipped["rows"]] == [3, 5]
+        assert "line 3: responses must be a digit string" in skipped["rows"][0]["reason"]
+        assert "line 5: need at least 2 responses" in skipped["rows"][1]["reason"]
+        assert err.count("skipped:") == 2
+
+    def test_no_skipped_rows_key_without_skips(self, capsys, cohort_csv):
+        doc = run_report(capsys, "estimate", "--input", cohort_csv, "--mode", "lenient")
+        assert "skipped_rows" not in doc["payload"]["provenance"]
+        assert "warnings" not in doc["payload"]
+
+    def test_unconverged_stationary_search_warns(self, capsys):
+        code, out, err = run(capsys, "stationary", "--model", "DWM", "--max-power", "1")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["results"]["stationary"]["converged"] is False
+        assert len(payload["warnings"]) == 1
+        assert "'DWM' did not converge within max_power 1" in payload["warnings"][0]
+        assert err.strip().splitlines() == payload["warnings"]
+
+    def test_converged_stationary_search_is_quiet(self, capsys):
+        code, out, err = run(capsys, "stationary", "--model", "DWM")
+        assert code == 0 and err == ""
+        assert "warnings" not in json.loads(out)["payload"]
+
+    def test_compare_warns_for_each_unconverged_role(self, capsys, cohort_csv):
+        code, out, err = run(capsys, "compare", "--input", cohort_csv, "--focal", "ocd",
+                             "--reference", "adhd", "--max-power", "1")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        warnings = payload["warnings"]
+        assert len(warnings) == 2
+        assert "focal group 'ocd'" in warnings[0]
+        assert "reference group 'adhd'" in warnings[1]
+        assert err.strip().splitlines() == warnings
+        for role in ("focal", "reference"):
+            assert payload["results"][role]["stationary"]["converged"] is False

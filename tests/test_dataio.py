@@ -133,6 +133,17 @@ class TestLoadCohort:
         assert len(data.warnings) == 1
         assert "line 3: need at least 2 responses" in data.warnings[0]
 
+    def test_lenient_mode_records_each_skipped_line(self, tmp_path):
+        path = write(
+            tmp_path, "short.csv",
+            "participant_id,group,responses\nA01,adhd,33\nA02,adhd,3\nA03,adhd\n",
+        )
+        data = rc.load_cohort(path, rc.Config(mode="lenient"))
+        assert [line for line, _ in data.skipped] == [3, 4]
+        assert data.warnings == tuple(f"skipped: {reason}" for _, reason in data.skipped)
+        assert "line 3: need at least 2 responses" in data.skipped[0][1]
+        assert "line 4: expected 3 columns, got 2" in data.skipped[1][1]
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(
             tmp_path, "dup.csv",
@@ -233,6 +244,29 @@ class TestWriteCohort:
         rc.write_cohort([seq], rc.StateSpace(12), out)
         again = rc.load_cohort(out, rc.Config(states=12))
         assert again.sequences[0].states.tolist() == [1, 10, 12, 3]
+
+    @pytest.mark.parametrize("k, rows", [
+        (5, [[1, 2, 3, 4, 5], [5, 5], [3] * 40]),
+        (5, []),
+        (5, [[1, 12, 3], [4, 4]]),  # a state above the scale keeps its digits
+        (9, [[9, 1], [2, 8, 9]]),
+        (12, [[1, 10, 12, 3], [11, 11]]),
+        (12, [[i % 12 + 1 for i in range(2 * dataio.WRITE_BLOCK_STATES + 5)], [4, 4]]),
+        (5, [[i % 10 + 1 for i in range(dataio.WRITE_BLOCK_STATES + 1)]]),
+    ])
+    def test_matches_per_state_writer(self, tmp_path, k, rows):
+        seqs = [rc.ResponseSequence(f"p{i}", row, "g" if i % 2 else None)
+                for i, row in enumerate(rows)]
+        out = tmp_path / "cohort.csv"
+        rc.write_cohort(seqs, rc.StateSpace(k), out)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("participant_id", "group", "responses"))
+        for seq in seqs:
+            sep = "" if k <= 9 else ";"
+            writer.writerow([seq.participant_id, seq.group or "",
+                             sep.join(str(int(s)) for s in seq.states)])
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestConfig:

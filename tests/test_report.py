@@ -2,9 +2,13 @@
 
 import io
 import json
+from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
 from respchain import report as reporting
@@ -116,6 +120,77 @@ class TestBlocks:
         assert parsed["payload"]["results"]["m"]["defined_rows"] == [True] * 5
 
 
+def oracle_sanitize(value):
+    """The payload walk the table writer replaced: numpy types to Python,
+    non-finite floats to strings, dict keys to strings in sorted order."""
+    if isinstance(value, dict):
+        out = {str(k): oracle_sanitize(v) for k, v in value.items()}
+        return dict(sorted(out.items()))
+    if isinstance(value, (list, tuple)):
+        return [oracle_sanitize(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [oracle_sanitize(v) for v in value.tolist()]
+    if isinstance(value, (np.floating, float)):
+        v = float(value)
+        if v != v:
+            return "nan"
+        if v == float("inf"):
+            return "inf"
+        if v == float("-inf"):
+            return "-inf"
+        return v
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.bool_,)):
+        return bool(value)
+    return value
+
+
+def materialise(value):
+    """value with every Table replaced by its rows, as the oracle walk
+    makes them: a list of row dicts, or a dict of them under the keys."""
+    if isinstance(value, reporting.Table):
+        def leaves(columns):
+            for column in columns.values():
+                if isinstance(column, dict):
+                    yield from leaves(column)
+                else:
+                    yield column
+
+        def cell(column, i):
+            if isinstance(column, dict):
+                return {key: cell(sub, i) for key, sub in column.items()}
+            return column[i]
+
+        if value.keys is not None:
+            n = len(value.keys)
+        else:
+            n = len(next(leaves(value.columns), ()))
+        rows = [oracle_sanitize(cell(value.columns, i)) for i in range(n)]
+        return rows if value.keys is None else dict(zip(value.keys, rows))
+    if isinstance(value, dict):
+        return {key: materialise(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [materialise(item) for item in value]
+    return value
+
+
+def oracle_write_report(report, fh, batch_chunks=8192):
+    """The encoder the table writer replaced, over the materialised rows:
+    JSONEncoder(indent=2, allow_nan=False) chunks, a batch per write."""
+    chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(
+        materialise(report))
+    while batch := list(islice(chunks, batch_chunks)):
+        fh.write("".join(batch))
+    fh.write("\n")
+
+
+def oracle_text(report):
+    out = io.StringIO()
+    oracle_write_report(report, out)
+    return out.getvalue()
+
+
 def two_pass_report_json(report):
     """The earlier encoder: payload sorted and indented, parsed back, and
     the whole report encoded again."""
@@ -188,10 +263,181 @@ class TestWriteReport:
             "--models", "model:symmetric,model:skewed+,model:skewed-",
             "--reference", "model:MEM"])
         doc = run_subcommand(args.command, args, _effective_config(args))
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        assert sum(1 for _ in chunks) > 5 * reporting.WRITE_BATCH_CHUNKS
+        table = doc["payload"]["results"]["assignments"]
+        assert len(table.columns["participant_id"]) > 5 * reporting.WRITE_BLOCK_ROWS
         assert self.written(doc) == reporting.report_json(doc) + "\n"
+        assert self.written(doc) == oracle_text(doc)
 
     def test_non_finite_float_is_refused(self):
         with pytest.raises(ValueError):
             self.written({"x": float("nan")})
+
+
+# --- the table writer against the oracle walk and encoder -----------------
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e16, 1.5e300, 0.1, float("inf"), float("-inf"),
+     float("nan")])
+INTS = st.integers(-2**70, 2**70) | st.sampled_from([2**63, 2**64 + 1, -2**63 - 1])
+TEXT = st.text(max_size=6) | st.sampled_from(
+    ["é", "☃", "\U0001f600", "\"", "\\", "\x00\x1f\n\t", "{}", "{0}", "%", "%s"])
+ATOMS = TEXT | FLOATS | INTS | st.booleans() | st.none()
+NESTED = st.recursive(ATOMS, lambda inner: st.lists(inner, max_size=4)
+                      | st.tuples(inner, inner), max_leaves=10)
+CELLS = {
+    "text": TEXT,
+    "float": FLOATS,
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "int": INTS,
+    "bool": st.booleans(),
+    "group": st.none() | st.sampled_from(["adhd", "ocd", "é"]),
+    "atom": ATOMS,
+    "nested": NESTED,
+}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 9))
+
+    def column():
+        return draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))],
+                             min_size=n, max_size=n))
+
+    columns = {}
+    for name in draw(st.lists(TEXT, unique=True, max_size=4)):
+        if draw(st.integers(0, 3)) == 0:  # a fixed-key nested object per row
+            names = draw(st.lists(TEXT, unique=True, min_size=1, max_size=3))
+            columns[name] = {sub: column() for sub in names}
+        else:
+            columns[name] = column()
+    keys = None
+    if draw(st.booleans()) or not columns:
+        keys = sorted(draw(st.lists(TEXT, unique=True, min_size=n, max_size=n)))
+    return reporting.Table(columns, keys)
+
+
+class TestTableWriter:
+    """A Table writes the text json.dumps(indent=2) gives its rows."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tables(), st.integers(0, 3), st.integers(1, 4))
+    def test_matches_oracle_encoder(self, table, depth, block_rows):
+        doc = table
+        for _ in range(depth):
+            doc = {"after": [1, "x"], "level": doc}  # keys in sorted order
+        expected = json.dumps(oracle_sanitize(materialise(doc)), indent=2,
+                              allow_nan=False)
+        with mock.patch.object(reporting, "WRITE_BLOCK_ROWS", block_rows):
+            assert reporting.report_json(doc) == expected
+            out = io.StringIO()
+            reporting.write_report(doc, out)
+        assert out.getvalue() == expected + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        TEXT | INTS | st.booleans() | st.none()
+        | st.floats(allow_nan=False, allow_infinity=False),
+        lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+        | st.dictionaries(TEXT, inner, max_size=4), max_leaves=20))
+    def test_other_values_match_json_dumps(self, value):
+        expected = json.dumps(value, indent=2, allow_nan=False)
+        assert reporting.report_json(value) == expected
+        out = io.StringIO()
+        reporting.write_report(value, out)
+        assert out.getvalue() == expected + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), [1.0, float("inf")],
+                                       {"a": [[-float("inf")]]}])
+    def test_non_finite_floats_outside_a_table_are_refused(self, value):
+        with pytest.raises(ValueError):
+            reporting.report_json(value)
+
+    def test_empty_tables(self):
+        doc = {"list": reporting.Table({"a": [], "b": {"c": []}}),
+               "keyed": reporting.Table({"a": []}, keys=[])}
+        assert reporting.report_json(doc) == json.dumps(
+            {"list": [], "keyed": {}}, indent=2)
+
+    def test_non_finite_cells_follow_the_string_rule(self):
+        table = reporting.Table({"x": [float("nan"), float("-inf"), 1.0],
+                                 "terms": [[float("inf")], [], [(1, -0.0)]]})
+        assert json.loads(reporting.report_json({"t": table}))["t"] == [
+            {"terms": ["inf"], "x": "nan"}, {"terms": [], "x": "-inf"},
+            {"terms": [[1, -0.0]], "x": 1.0}]
+
+    def test_columns_of_different_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            reporting.report_json({"t": reporting.Table({"a": [1, 2], "b": [1]})})
+
+    def test_rows_are_written_a_block_at_a_time(self):
+        n = 40 * reporting.WRITE_BLOCK_ROWS
+        table = reporting.Table({"id": [f"p{i}" for i in range(n)],
+                                 "score": [i / 7 for i in range(n)]})
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        reporting.write_report({"rows": table}, Recorder())
+        text = "".join(writes)
+        assert text == oracle_text({"rows": table})
+        assert max(map(len, writes)) < len(text) / 20
+
+
+CLI_RUNS = {
+    "estimate": ["estimate"],
+    "estimate_per_participant": ["estimate", "--per-participant"],
+    "estimate_per_participant_smoothed": ["estimate", "--per-participant",
+                                          "--smoothing-alpha", "0.3"],
+    "stationary_model": ["stationary", "--model", "DWM"],
+    "stationary_group": ["stationary", "--group", "ocd"],
+    "compare": ["compare", "--focal", "ocd", "--reference", "adhd"],
+    "score": ["score", "--numerator", "group:ocd", "--denominator", "group:adhd"],
+    "score_breakdown": ["score", "--numerator", "group:ocd", "--denominator",
+                        "group:adhd", "--breakdown"],
+    "classify_binary": ["classify", "--numerator", "model:DWM", "--denominator",
+                        "group:adhd"],
+    "classify_multi": ["classify", "--models", "model:symmetric,group:ocd,model:DWM",
+                       "--reference", "model:MEM"],
+    "diagnose": ["diagnose", "--numerator", "group:ocd", "--denominator",
+                 "group:adhd", "--with-sum-score"],
+    "simulate": ["simulate", "--model", "DWM", "--length", "7", "--count", "12"],
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_cohort(tmp_path_factory, adhd_matrix, ocd_matrix):
+    """Two groups with some rows in neither, of two lengths each."""
+    rows = []
+    for group, matrix, seed in (("adhd", adhd_matrix, 5), ("ocd", ocd_matrix, 6),
+                                (None, ocd_matrix, 7)):
+        for length, count in ((16, 40), (3, 10)):
+            spec = rc.SimulationSpec(matrix, length=length, count=count,
+                                     seed=seed * 10 + length)
+            rows.extend(rc.generate_cohort(spec, group=group,
+                                           id_prefix=f"{group}-{length}-"))
+    path = tmp_path_factory.mktemp("oracle") / "cohort.csv"
+    rc.write_cohort(rows, rc.StateSpace(5), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_report_matches_oracle(name, oracle_cohort, tmp_path):
+    argv = list(CLI_RUNS[name])
+    if argv[0] == "simulate":
+        argv += ["--out", str(tmp_path / "sim.csv")]
+    else:
+        argv += ["--input", oracle_cohort]
+    if argv[0] == "diagnose":  # needs every row in one of two groups
+        lines = open(oracle_cohort, encoding="utf-8").read().splitlines()
+        path = tmp_path / "two_groups.csv"
+        path.write_text("\n".join(line for line in lines if ",," not in line) + "\n")
+        argv[-1] = str(path)
+    args = _build_parser().parse_args(argv)
+    doc = run_subcommand(args.command, args, _effective_config(args))
+    out = io.StringIO()
+    reporting.write_report(doc, out)
+    assert out.getvalue() == oracle_text(doc)
+    assert reporting.report_json(doc) + "\n" == oracle_text(doc)

@@ -41,6 +41,17 @@ class TestSpecValidation:
             )
 
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, adhd_matrix, seed):
+        with pytest.raises(rc.ValidationError, match="seed must be a non-negative integer"):
+            rc.SimulationSpec(adhd_matrix, length=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**70, np.int64(7), np.uint64(2**63)])
+    def test_integer_seeds_accepted(self, adhd_matrix, seed):
+        spec = rc.SimulationSpec(adhd_matrix, length=4, count=2, seed=seed)
+        assert len(rc.generate_cohort(spec)) == 2
+
+
 class TestResolveInitial:
     def test_explicit_distribution_wins(self, adhd_matrix):
         spec = rc.SimulationSpec(
