@@ -192,29 +192,33 @@ class InertiaSummary:
         return self.on_diagonal / self.total
 
 
+def _columns(cohort):
+    """The participant ids, groups, flat states and lengths of a columnar
+    cohort (such as a dataio.CohortDataset) or of a list of ResponseSequence."""
+    if hasattr(cohort, "lengths"):
+        return cohort.participant_ids, cohort.groups, cohort.states, cohort.lengths
+    rows = list(cohort)
+    states = np.concatenate([s.states for s in rows]) if rows else np.zeros(0, dtype=np.int64)
+    lengths = np.fromiter((s.states.size for s in rows), dtype=np.int64, count=len(rows))
+    return [s.participant_id for s in rows], [s.group for s in rows], states, lengths
+
+
 def count_tensor(sequences, space, order=None):
     """Count adjacent (from, to) pairs of many sequences at once.
 
     sequences is a list of ResponseSequence or a columnar cohort: an
-    object with participant_ids, one flat array of 1-based states and each
-    sequence's length (lengths), such as a dataio.CohortDataset. Returns an
-    (N, K, K) int64 array whose row r is the count table of sequence
-    order[r]; order is a permutation of range(N), by default the identity.
+    object with participant_ids, groups, one flat array of 1-based states
+    and each sequence's length (lengths), such as a dataio.CohortDataset.
+    Returns an (N, K, K) int64 array whose row r is the count table of
+    sequence order[r]; order is a permutation of range(N), by default the
+    identity.
     One bincount runs over all the states; pairs that would join one
     sequence's last response to the next one's first are left out. Every
     sequence needs at least two responses, and states outside
     1..space.size are rejected; the first offending sequence in input
     order is named, with the position of its bad state.
     """
-    if hasattr(sequences, "lengths"):
-        ids, states, lengths = sequences.participant_ids, sequences.states, sequences.lengths
-    else:
-        sequences = list(sequences)
-        ids = [s.participant_id for s in sequences]
-        lengths = np.fromiter((s.states.size for s in sequences), dtype=np.int64,
-                              count=len(sequences))
-        states = (np.concatenate([s.states for s in sequences]) if sequences
-                  else np.zeros(0, dtype=np.int64))
+    ids, _, states, lengths = _columns(sequences)
     n, k = len(lengths), space.size
     if n == 0:
         return np.zeros((0, k, k), dtype=np.int64)

@@ -509,9 +509,11 @@ def _cmd_simulate(args, config, notes):
         matrix=matrix, length=args.length, count=args.count, seed=args.seed,
     )
     init, init_source = simulate.resolve_initial(spec)
-    cohort = simulate.generate_cohort(
-        spec, group=args.group_label, id_prefix=args.id_prefix,
-    )
+    if init_source == "uniform":
+        notes.warn(f"no stationary distribution found for {name!r} (periodic, reducible "
+                   f"or not converged); simulated sequences start from the uniform "
+                   f"distribution")
+    cohort = simulate.draw_cohort(spec, init, args.group_label, args.id_prefix)
     dataio.write_cohort(cohort, config.state_space, args.out)
     results = {
         "source": name,

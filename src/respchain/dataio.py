@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ResponseSequence, StateSpace, _readonly
+from .chain import ResponseSequence, StateSpace, _columns, _readonly
 from .errors import ValidationError
 from .models import TheoreticalModelSpec
 
@@ -385,20 +385,24 @@ def _joined(states, sep):
                     for i in range(0, len(states), WRITE_BLOCK_STATES))
 
 
-def write_cohort(sequences, space, path):
-    """Write sequences in the same CSV format load_cohort reads."""
-    sequences = list(sequences)
-    rows = [seq.states for seq in sequences]
-    if space.size <= 9 and rows and (flat := np.concatenate(rows)).max() <= 9:
+def write_cohort(cohort, space, path):
+    """Write a cohort in the CSV format load_cohort reads.
+
+    cohort is a columnar cohort, such as a CohortDataset, or a list of
+    ResponseSequence.
+    """
+    ids, groups, states, lengths = _columns(cohort)
+    ends = np.cumsum(lengths).tolist()
+    lengths = lengths.tolist()
+    if space.size <= 9 and states.size and states.max() <= 9:
         # one digit per state, so each row's cell is a slice of one text
-        text = (flat.astype(np.uint8) + 48).tobytes().decode("ascii")
-        ends = np.cumsum([len(row) for row in rows]).tolist()
-        cells = [text[end - len(row):end] for end, row in zip(ends, rows)]
+        text = (states.astype(np.uint8) + 48).tobytes().decode("ascii")
+        cells = [text[end - length:end] for end, length in zip(ends, lengths)]
     else:
         sep = ";" if space.size > 9 else ""
-        cells = [_joined(row, sep) for row in rows]
+        cells = [_joined(states[end - length:end], sep) for end, length in zip(ends, lengths)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        writer.writerows((seq.participant_id, seq.group or "", cell)
-                         for seq, cell in zip(sequences, cells))
+        writer.writerows((pid, group or "", cell)
+                         for pid, group, cell in zip(ids, groups, cells))

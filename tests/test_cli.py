@@ -457,6 +457,8 @@ class TestBatchPath:
          "--with-sum-score"],
         ["stationary", "--group", "ocd"],
         ["simulate", "--group", "ocd", "--length", "5", "--out", "{tmp}/sim.csv"],
+        ["simulate", "--model", "DWM", "--length", "16", "--count", "300",
+         "--out", "{tmp}/sim.csv"],
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_no_response_sequence_is_built(self, capsys, monkeypatch, tmp_path,
                                            cohort_csv, argv):
@@ -470,7 +472,7 @@ class TestBatchPath:
         monkeypatch.setattr(rc.ResponseSequence, "__post_init__", counting)
         argv = [a.format(tmp=tmp_path) for a in argv]
         run_report(capsys, *argv, "--input", cohort_csv)
-        assert built == ([] if argv[0] != "simulate" else ["sim0000"])
+        assert built == []
 
     def test_stdout_and_output_file_carry_the_same_bytes(self, capsys, tmp_path,
                                                          cohort_csv):
@@ -682,7 +684,8 @@ def test_stationary_names_itself_for_an_undefined_row(capsys, tmp_path):
 
 
 class TestReportNotes:
-    """Skipped rows and unconverged searches leave a trace in the payload."""
+    """Skipped rows, unconverged searches and a uniform simulation start leave
+    a trace in the payload."""
 
     def test_lenient_skips_are_listed_in_provenance(self, capsys, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -729,3 +732,26 @@ class TestReportNotes:
         assert err.strip().splitlines() == warnings
         for role in ("focal", "reference"):
             assert payload["results"][role]["stationary"]["converged"] is False
+
+    def test_uniform_simulation_start_warns(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"states": 2, "models": {
+            "swap": {"kind": "explicit", "rows": [[0, 1], [1, 0]]}}}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--model", "swap",
+                             "--length", "6", "--count", "3",
+                             "--out", str(tmp_path / "sim.csv"))
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert payload["results"]["initial_source"] == "uniform"
+        assert len(payload["warnings"]) == 1
+        assert "'swap'" in payload["warnings"][0]
+        assert "start from the uniform distribution" in payload["warnings"][0]
+        assert err.strip().splitlines() == payload["warnings"]
+
+    def test_stationary_simulation_start_is_quiet(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "--model", "DWM", "--length", "6",
+                             "--out", str(tmp_path / "sim.csv"))
+        assert code == 0 and err == ""
+        payload = json.loads(out)["payload"]
+        assert payload["results"]["initial_source"] == "stationary"
+        assert "warnings" not in payload

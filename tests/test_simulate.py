@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
+from respchain import simulate
 from respchain.cli import main
 
 
@@ -45,6 +48,17 @@ class TestSpecValidation:
     def test_seed_must_be_a_non_negative_integer(self, adhd_matrix, seed):
         with pytest.raises(rc.ValidationError, match="seed must be a non-negative integer"):
             rc.SimulationSpec(adhd_matrix, length=10, seed=seed)
+
+    @pytest.mark.parametrize("field", ["length", "count"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4", None])
+    def test_length_and_count_must_be_integers(self, adhd_matrix, field, value):
+        sizes = {"length": 10, "count": 2, field: value}
+        with pytest.raises(rc.ValidationError, match=f"{field} must be an integer"):
+            rc.SimulationSpec(adhd_matrix, **sizes)
+
+    def test_numpy_integer_sizes_accepted(self, adhd_matrix):
+        spec = rc.SimulationSpec(adhd_matrix, length=np.int64(4), count=np.int64(3))
+        assert [len(s) for s in rc.generate_cohort(spec)] == [4, 4, 4]
 
     @pytest.mark.parametrize("seed", [0, 2**70, np.int64(7), np.uint64(2**63)])
     def test_integer_seeds_accepted(self, adhd_matrix, seed):
@@ -161,6 +175,51 @@ class TestStatisticalBehavior:
             initial_distribution=[0, 0, 0, 0, 1],
         )
         assert all(s.states[0] == 5 for s in rc.generate_cohort(spec))
+
+
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**128, 2**200),
+)
+
+
+class TestStreams:
+    """The vectorised pass against numpy's Generator, the contract's oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, length=st.sampled_from([1, 2, 15, 16, 17, 511, 512, 513]),
+           indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6,
+                            unique=True))
+    def test_vectorised_uniforms_are_generator_bits(self, seed, length, indices):
+        indices = np.array(indices, dtype=np.int64)
+        got = simulate._vectorised_uniforms(seed, indices, length)
+        want = simulate._generator_uniforms(seed, indices, length)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("count, length", [(3, 40), (500, 16), (300, 16), (64, 300)])
+    def test_both_paths_draw_the_same_cohort(self, ocd_matrix, monkeypatch, count, length):
+        spec = rc.SimulationSpec(ocd_matrix, length=length, count=count, seed=2**64 + 5)
+        init = rc.resolve_initial(spec)[0]
+        cohorts = []
+        for vectorise in (True, False):
+            monkeypatch.setattr(simulate, "_vectorise", lambda *_: vectorise)
+            cohorts.append(simulate.draw_cohort(spec, init))
+        assert np.array_equal(cohorts[0].states, cohorts[1].states)
+        assert cohorts[0].states.shape == (count * length,)
+
+    @pytest.mark.parametrize("count, length, vectorised", [
+        (20_000, 16, True),
+        (500, 16, True),
+        (1, 1_000_000, False),
+        (3, 1700, False),
+        (1000, 1000, False),
+        (1, 16, False),
+        (2**32 + 1, 2, False),  # a spawn key past one 32-bit word
+    ])
+    def test_path_rule(self, count, length, vectorised):
+        assert simulate._vectorise(count, length) is vectorised
 
 
 def _sha256_file(path):
