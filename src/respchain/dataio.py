@@ -29,10 +29,6 @@ from .models import TheoreticalModelSpec
 CSV_HEADER = ("participant_id", "group", "responses")
 CONFIG_ENV_VAR = "RESPCHAIN_CONFIG"
 
-# Rows whose responses load_cohort checks as one column at a time; a fault
-# sends only its own block through the row-by-row parser.
-PARSE_BLOCK_ROWS = 1024
-
 # States write_cohort converts to text at a time within a ';'-joined row.
 WRITE_BLOCK_STATES = 1 << 16
 
@@ -83,6 +79,11 @@ class Config:
                 f"mode must be 'strict' or 'lenient', got {self.mode!r}"
             )
         if self.state_labels is not None:
+            if not isinstance(self.state_labels, (list, tuple)) or not all(
+                    isinstance(label, (str, numbers.Real)) and not isinstance(label, bool)
+                    for label in self.state_labels):
+                raise ValidationError("state_labels must be an array of strings or "
+                                      f"numbers, got {self.state_labels!r}")
             object.__setattr__(self, "state_labels", tuple(self.state_labels))
 
     @property
@@ -113,8 +114,11 @@ def load_config(path=None):
         raise ValidationError(
             f"config {path}: unknown key(s) {', '.join(sorted(unknown))}"
         )
+    bodies = raw.pop("models", {})
+    if not isinstance(bodies, dict):
+        raise ValidationError(f"config {path}: models must be an object, got {bodies!r}")
     models = []
-    for name, body in (raw.pop("models", None) or {}).items():
+    for name, body in bodies.items():
         if not isinstance(body, dict) or "kind" not in body:
             raise ValidationError(
                 f"config {path}: model {name!r} needs an object with a 'kind'"
@@ -212,89 +216,64 @@ def _is_ascii_digits(text):
     return text.isascii() and text.isdigit()
 
 
-def _parse_responses(cell, k, where):
-    """The 1-based states of a responses cell; at least two, all in 1..k."""
-    if k <= 9:
-        if not _is_ascii_digits(cell):
-            raise ValidationError(
-                f"{where}: responses must be a digit string for a {k}-point "
-                f"scale, got {cell!r}"
-            )
-        values = [int(ch) for ch in cell]
-    else:
-        parts = [part.strip() for part in cell.split(";")]
-        if not all(_is_ascii_digits(part) for part in parts):
-            raise ValidationError(
-                f"{where}: responses must be semicolon-separated integers, "
-                f"got {cell!r}"
-            )
-        values = [int(part) for part in parts]
-    if len(values) < 2:
-        raise ValidationError(
-            f"{where}: need at least 2 responses to count transitions, "
-            f"got {len(values)}"
-        )
-    for pos, v in enumerate(values):
-        if not 1 <= v <= k:
-            raise ValidationError(
-                f"{where}, response position {pos}: state {v} outside 1..{k}"
-            )
-    return values
-
-
-def _column(cells, k):
-    """The states of every responses cell end to end, and each cell's count.
-
-    Checks all cells at once against the rules _parse_responses applies to
-    one; None when any cell breaks one of them.
-    """
-    if k <= 9:
-        text = "".join(cells)
-        if not _is_ascii_digits(text):
-            return None
-        states = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
-        lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
-    else:
-        parts = [part.strip() for part in ";".join(cells).split(";")]
-        if not (all(parts) and _is_ascii_digits("".join(parts))):
-            return None
-        try:
-            states = np.array(parts, dtype=np.int64)
-        except OverflowError:  # a state far above k
-            return None
-        lengths = np.fromiter((cell.count(";") + 1 for cell in cells),
-                              dtype=np.int64, count=len(cells))
-    if lengths.min() < 2 or states.min() < 1 or states.max() > k:
-        return None
-    return states.astype(np.min_scalar_type(k), copy=False), lengths
-
-
 def _responses(cells, lines, k, path):
     """The states and lengths of the responses cells that parse, and the rest.
 
     Returns (states, lengths, bad): bad lists (index, ValidationError) for
-    every cell that does not parse, in order, each error naming the cell's
-    line exactly as _parse_responses does. Cells are checked as one column
-    PARSE_BLOCK_ROWS at a time; only a block in which that check finds a
-    fault is parsed cell by cell.
+    every cell that does not parse, in order, each naming the cell's line
+    and its first fault: not digits, fewer than 2 states, or the first
+    state outside 1..k. The whole column is checked and converted at once;
+    only when it has a fault are the bad cells' faults read from the same
+    arrays.
     """
-    dtype = np.min_scalar_type(k)
-    states, lengths, bad = [np.zeros(0, dtype)], [np.zeros(0, np.int64)], []
-    for start in range(0, len(cells), PARSE_BLOCK_ROWS):
-        block = cells[start:start + PARSE_BLOCK_ROWS]
-        column = _column(block, k)
-        if column is None:
-            values = []
-            for i, cell in enumerate(block, start):
-                try:
-                    values.append(_parse_responses(cell, k, f"{path}, line {lines[i]}"))
-                except ValidationError as exc:
-                    bad.append((i, exc))
-            column = (np.fromiter(itertools.chain.from_iterable(values), dtype=dtype),
-                      np.fromiter(map(len, values), dtype=np.int64, count=len(values)))
-        states.append(column[0])
-        lengths.append(column[1])
-    return np.concatenate(states), np.concatenate(lengths), bad
+    dtype, n = np.min_scalar_type(k), len(cells)
+    if not n:
+        return np.zeros(0, dtype), np.zeros(0, np.int64), []
+    lengths = np.fromiter(map(len, cells) if k <= 9 else
+                          (cell.count(";") + 1 for cell in cells), dtype=np.int64, count=n)
+    digits = lengths > 0  # the cells that pass the digit rule; "" is no digit string
+    if k <= 9:
+        tokens = "".join(cells)
+        if not _is_ascii_digits(tokens):
+            digits = np.fromiter(map(_is_ascii_digits, cells), bool, count=n)
+            tokens = "".join(itertools.compress(cells, digits))
+        states = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8) - 48
+    else:
+        tokens = [part.strip() for part in ";".join(cells).split(";")]
+        if not (all(tokens) and _is_ascii_digits("".join(tokens))):
+            flags = np.fromiter(map(_is_ascii_digits, tokens), bool, count=len(tokens))
+            digits = np.logical_and.reduceat(flags, np.cumsum(lengths) - lengths)
+            tokens = list(itertools.compress(tokens, np.repeat(digits, lengths)))
+        try:
+            states = np.array(tokens, dtype=np.int64)
+        except (OverflowError, ValueError):  # a state too long for int64, so above k
+            states = np.array(tokens, dtype=np.float64)
+    if digits.all() and lengths.min() >= 2 and states.min() >= 1 and states.max() <= k:
+        return states.astype(dtype, copy=False), lengths, []
+    sizes = np.where(digits, lengths, 0)  # how many states each cell put in states
+    starts = np.cumsum(sizes) - sizes
+    hits = np.flatnonzero((states < 1) | (states > k))
+    hit_cells, first = np.unique(np.searchsorted(starts, hits, side="right") - 1,
+                                 return_index=True)
+    at = np.full(n, -1)  # where in states each cell's first state outside 1..k is
+    at[hit_cells] = hits[first]
+    faulty = ~digits | (lengths < 2) | (at >= 0)
+    rule = (f"a digit string for a {k}-point scale" if k <= 9
+            else "semicolon-separated integers")
+    bad = []
+    for i in np.flatnonzero(faulty).tolist():
+        where = f"{path}, line {lines[i]}"
+        if not digits[i]:
+            message = f"{where}: responses must be {rule}, got {cells[i]!r}"
+        elif lengths[i] < 2:
+            message = (f"{where}: need at least 2 responses to count transitions, "
+                       f"got {lengths[i]}")
+        else:  # the state as int() would print it, but at any length
+            message = (f"{where}, response position {at[i] - starts[i]}: "
+                       f"state {tokens[at[i]].lstrip('0') or 0} outside 1..{k}")
+        bad.append((i, ValidationError(message)))
+    keep = ~faulty
+    return states[np.repeat(keep, sizes)].astype(dtype, copy=False), lengths[keep], bad
 
 
 def _decoded(fh, path):
@@ -317,14 +296,16 @@ def load_cohort(path, config):
     line order.
 
     One csv pass collects the ids, groups and responses cells with the
-    per-row checks; the responses are then checked and converted as one
-    column.
+    per-row checks, numbering each row by the line its record starts on.
+    The responses are then checked and converted as one column; only when
+    that finds a fault is each bad cell's first fault read from the same
+    arrays, and its row dropped.
     """
     space = config.state_space
     strict = config.mode == "strict"
     ids, groups, cells, lines = [], [], [], []
     labels = {}  # one shared object per group label
-    rejected = []  # (line, problem) of rows the per-row checks turned away
+    rejected = []  # (line, ValidationError) of rows the per-row checks turned away
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(_decoded(fh, path))
         header = next(reader, None)
@@ -335,14 +316,16 @@ def load_cohort(path, config):
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got "
                 f"{','.join(header)!r}"
             )
+        start = reader.line_num + 1
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != 3:
-                    rejected.append((lineno, f"expected 3 columns, got {len(row)}"))
+                    problem = f"expected 3 columns, got {len(row)}"
                 elif not (pid := row[0].strip()):
-                    rejected.append((lineno, "empty participant_id"))
+                    problem = "empty participant_id"
                 else:
                     group = row[1].strip() or None
                     ids.append(pid)
@@ -350,6 +333,8 @@ def load_cohort(path, config):
                     cells.append(row[2].strip())
                     lines.append(lineno)
                     continue
+                rejected.append(
+                    (lineno, ValidationError(f"{path}, line {lineno}: {problem}")))
                 if strict:
                     break
         except (csv.Error, ValidationError):
@@ -359,12 +344,7 @@ def load_cohort(path, config):
                 raise bad[0][1] from None
             raise
     states, lengths, bad = _responses(cells, lines, space.size, path)
-    problems = sorted(
-        [(lines[i], exc) for i, exc in bad]
-        + [(line, ValidationError(f"{path}, line {line}: {problem}"))
-           for line, problem in rejected],
-        key=lambda item: item[0],
-    )
+    problems = sorted([(lines[i], exc) for i, exc in bad] + rejected)  # lines are distinct
     if problems and strict:
         raise problems[0][1]
     if bad:

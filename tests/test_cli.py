@@ -636,6 +636,19 @@ class TestInputEncodingAndTypes:
         ))
         assert f"{next(iter(body))} must be an integer" in error["message"]
 
+    @pytest.mark.parametrize("body", [
+        {"state_labels": 5}, {"state_labels": "abcde"},
+        {"state_labels": ["a", "b", "c", "d", {"e": 1}]},
+        {"models": [1]}, {"models": "x"},
+    ])
+    def test_config_value_of_the_wrong_type(self, capsys, tmp_path, cohort_csv, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        error = only_validation_error(*run(
+            capsys, "estimate", "--input", cohort_csv, "--config", str(cfg),
+        ))
+        assert f"{next(iter(body))} must be" in error["message"]
+
     @pytest.mark.parametrize("model", [
         {"kind": "from_stationary_vector"},
         {"kind": "explicit", "rows": [[0.5, 0.5], [1.0]]},

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ class TestLoadCohort:
         with pytest.raises(rc.ValidationError, match="position 1"):
             rc.load_cohort(path, rc.Config())
 
+    @pytest.mark.parametrize("state", ["9" * 5000, "0" * 4999 + "12"],
+                             ids=["nines", "leading_zeros"])
+    def test_state_past_python_int_digit_limit_names_position(self, tmp_path, state):
+        path = write(tmp_path, "huge.csv", "participant_id,group,responses\n"
+                     f"A01,g,1;2;3\nA02,g,1;{state};3\n")
+        message = (f"{path}, line 3, response position 1: "
+                   f"state {state.lstrip('0')} outside 1..11")
+        with pytest.raises(rc.ValidationError) as got:
+            rc.load_cohort(path, rc.Config(states=11))
+        assert str(got.value) == message
+        data = rc.load_cohort(path, rc.Config(states=11, mode="lenient"))
+        assert data.skipped == ((3, message),)
+
     def test_lenient_mode_skips_and_warns(self, tmp_path):
         path = write(
             tmp_path, "mixed.csv",
@@ -143,6 +157,22 @@ class TestLoadCohort:
         assert data.warnings == tuple(f"skipped: {reason}" for _, reason in data.skipped)
         assert "line 3: need at least 2 responses" in data.skipped[0][1]
         assert "line 4: expected 3 columns, got 2" in data.skipped[1][1]
+
+    MULTILINE_CSV = 'participant_id,group,responses\nA,"x\ny",12345\nB,a,12x45\n'
+
+    def test_strict_line_after_a_multiline_field(self, tmp_path):
+        path = write(tmp_path, "multiline.csv", self.MULTILINE_CSV)
+        with pytest.raises(rc.ValidationError) as got:
+            rc.load_cohort(path, rc.Config())
+        assert str(got.value) == (f"{path}, line 4: responses must be a digit string "
+                                  "for a 5-point scale, got '12x45'")
+
+    def test_lenient_line_after_a_multiline_field(self, tmp_path):
+        path = write(tmp_path, "multiline.csv", self.MULTILINE_CSV)
+        data = rc.load_cohort(path, rc.Config(mode="lenient"))
+        assert data.groups == ("x\ny",)
+        assert [line for line, _ in data.skipped] == [4]
+        assert f"{path}, line 4: responses must be" in data.skipped[0][1]
 
     def test_duplicate_ids_rejected(self, tmp_path):
         path = write(
@@ -449,12 +479,14 @@ def _responses_cell(draw, k, kind):
     values = draw(st.lists(st.integers(1, k), min_size=length, max_size=length))
     if kind == "out_of_range":
         values[draw(st.integers(0, length - 1))] = draw(
-            st.sampled_from([0, k + 1, 9] if k <= 9 else [0, k + 1, 99]))
+            st.sampled_from([0, k + 1, 9] if k <= 9 else
+                            [0, k + 1, 99, 99999999999999999999, 9223372036854775808]))
     if k <= 9:
         text = "".join(map(str, values))
     else:
         pads = st.sampled_from(["", " ", "  ", "\t"])
-        text = ";".join(f"{draw(pads)}{v}{draw(pads)}" for v in values)
+        zeros = st.sampled_from(["", "", "00", "0" * 21])  # "007", "000...0003"
+        text = ";".join(f"{draw(pads)}{draw(zeros)}{v}{draw(pads)}" for v in values)
     if kind == "bad_digit":
         bad = draw(st.sampled_from(["\u00b2", "\u0663", "x", ";;", "1_0", "+3", " 3 3"]))
         cut = draw(st.integers(0, len(text)))
@@ -490,41 +522,69 @@ def cohort_files(draw):
     return k, buf.getvalue()
 
 
-def load_in_blocks(path, config, block_rows):
-    default = dataio.PARSE_BLOCK_ROWS
-    dataio.PARSE_BLOCK_ROWS = block_rows
+def assert_loads_like_reference(path, config):
     try:
-        return rc.load_cohort(path, config)
-    finally:
-        dataio.PARSE_BLOCK_ROWS = default
+        expected = reference_load_cohort(path, config)
+    except rc.ValidationError as exc:
+        with pytest.raises(rc.ValidationError) as got:
+            rc.load_cohort(path, config)
+        assert str(got.value) == str(exc)
+        return
+    data = rc.load_cohort(path, config)
+    sequences, warnings = expected
+    assert list(data.warnings) == warnings
+    assert list(data.participant_ids) == [s.participant_id for s in sequences]
+    assert list(data.groups) == [s.group for s in sequences]
+    assert data.lengths.tolist() == [len(s) for s in sequences]
+    assert data.states.tolist() == [v for s in sequences for v in s.states.tolist()]
+    assert len(data.sequences) == len(sequences)
+    for got, want in zip(data.sequences, sequences):
+        assert (got.participant_id, got.group) == (want.participant_id, want.group)
+        assert got.states.dtype == want.states.dtype
+        assert got.states.tolist() == want.states.tolist()
+
+
+# one bad responses cell of every kind per scale, and two awkward good ones
+SCATTERED_CELLS = {
+    5: ["3x3", "3\u00b23", "", "3", "3603", "0033", "13", "55555555555555555555"],
+    11: ["3;x;3", ";;", "3; 3 3", "3", "3;12;3", "3;99999999999999999999;3",
+         "9223372036854775808;1", "007;0000000000000000000003;11", "11; 1"],
+}
+
+
+def scattered_faults_csv(k):
+    """3,000 rows with faults of every kind spread through them, some at and
+    next to multiples of 1024."""
+    rng = random.Random(k)
+    at = sorted({1023, 1024, 1025, 2047, 2048, 2049, 2999}
+                | set(rng.sample(range(1000, 3000), 60)))
+    faults = [lambda row: row[:2], lambda row: [" "] + row[1:], lambda row: []]
+    faults += [lambda row, cell=cell: row[:2] + [cell] for cell in SCATTERED_CELLS[k]]
+    join = "".join if k <= 9 else ";".join
+    rows = [[f"P{i:04d}", "ab"[i % 2], join(str(1 + (i + j) % k) for j in range(16))]
+            for i in range(3000)]
+    for n, i in enumerate(at):
+        rows[i] = faults[n % len(faults)](rows[i])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rc.CSV_HEADER)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 class TestAgainstPerRowLoader:
     @settings(max_examples=400, deadline=None)
-    @given(cohort_files(), st.sampled_from(["strict", "lenient"]),
-           st.sampled_from([dataio.PARSE_BLOCK_ROWS, 1, 3]))
-    def test_same_rows_warnings_and_errors(self, tmp_path_factory, case, mode,
-                                           block_rows):
+    @given(cohort_files(), st.sampled_from(["strict", "lenient"]))
+    def test_same_rows_warnings_and_errors(self, tmp_path_factory, case, mode):
         k, text = case
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_text(text, encoding="utf-8")
-        config = rc.Config(states=k, mode=mode)
-        try:
-            expected = reference_load_cohort(path, config)
-        except rc.ValidationError as exc:
-            with pytest.raises(rc.ValidationError) as got:
-                load_in_blocks(path, config, block_rows)
-            assert str(got.value) == str(exc)
-            return
-        data = load_in_blocks(path, config, block_rows)
-        sequences, warnings = expected
-        assert list(data.warnings) == warnings
-        assert list(data.participant_ids) == [s.participant_id for s in sequences]
-        assert list(data.groups) == [s.group for s in sequences]
-        assert data.lengths.tolist() == [len(s) for s in sequences]
-        assert data.states.tolist() == [v for s in sequences for v in s.states.tolist()]
-        assert len(data.sequences) == len(sequences)
-        for got, want in zip(data.sequences, sequences):
-            assert (got.participant_id, got.group) == (want.participant_id, want.group)
-            assert got.states.dtype == want.states.dtype
-            assert got.states.tolist() == want.states.tolist()
+        assert_loads_like_reference(path, rc.Config(states=k, mode=mode))
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("k", [5, 11])
+    def test_faults_scattered_through_a_long_file(self, tmp_path, k, mode):
+        path = write(tmp_path, "scattered.csv", scattered_faults_csv(k))
+        assert_loads_like_reference(path, rc.Config(states=k, mode=mode))
+        if mode == "lenient":
+            assert len(rc.load_cohort(path, rc.Config(states=k, mode=mode)).skipped) > 40
