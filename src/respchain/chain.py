@@ -422,8 +422,8 @@ def expected_inertia(matrix, row_totals):
         raise ValidationError(
             f"row_totals must have {matrix.size} entries, got shape {row_totals.shape}"
         )
-    if row_totals.min() < 0:
-        raise ValidationError("row_totals must be nonnegative")
+    if not np.isfinite(row_totals).all() or row_totals.min() < 0:
+        raise ValidationError("row_totals must be finite and nonnegative")
     exposed_undefined = (row_totals > 0) & ~matrix.defined_rows
     if exposed_undefined.any():
         i = int(np.argmax(exposed_undefined))

@@ -9,9 +9,9 @@ what determines the numbers.
 
 Per-participant results are a Table: columns plus row keys, written row
 by row from one template per table, a block of rows at a time. The rest
-of the payload is a small tree of dicts and lists. One writer produces
-the text of both, the same text as ``json.dumps(doc, indent=2,
-allow_nan=False)`` of the rows materialised as dicts.
+of the payload is a small tree of dicts and lists, written by the stdlib
+``json.dumps(value, indent=2, allow_nan=False)``. The whole text is that
+of ``json.dumps`` with the rows materialised as dicts.
 
 ROC points can additionally be exported as plain CSV, and one or more ROC
 curves as a self-contained SVG figure (axes, diagonal reference, one
@@ -19,8 +19,10 @@ polyline per classifier).
 """
 
 import hashlib
+import json
 from dataclasses import asdict
 from datetime import datetime, timezone
+from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -48,7 +50,8 @@ class Table:
     that maps each key to its row. Keys within a row are written sorted.
     A cell is a str, int, bool, None, float or a list of such cells; a
     non-finite float is written as the string "inf", "-inf" or "nan", the
-    rule the rest of the payload follows.
+    rule the rest of the payload follows. A Table is written only as a dict
+    value, never as a list item.
     """
 
     def __init__(self, columns, keys=None):
@@ -83,27 +86,22 @@ def _sanitize(value):
     return value
 
 
-def _strict_float(value):
-    text = float.__repr__(value)
-    if text in _NON_FINITE:
-        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
-    return text
-
-
-def _lenient_float(value):
-    text = float.__repr__(value)
-    return f'"{text}"' if text in _NON_FINITE else text
-
-
 def _newline(level):
     return "\n" + "  " * level
 
 
-def _texts(values, level, floats):
-    """The JSON text of each value, for values written at this indent level.
+def _json(value, level):
+    """json.dumps(value, indent=2) for a value whose closing bracket sits at
+    this indent level; JSON strings hold no raw newline, so the shift is safe."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", _newline(level))
 
-    floats writes a float. A run of plain numbers or strings is converted
-    by one C-level map, and a run of lists by one call for all their items.
+
+def _texts(values, level):
+    """The JSON text of each table cell, for cells written at this indent level.
+
+    A run of plain numbers or strings is converted by one C-level map, and a
+    run of lists by one call for all their items. Any other cell goes through
+    _sanitize, so a non-finite float is written as a string.
     """
     kinds = set(map(type, values))
     if kinds <= _NUMBERS:
@@ -112,11 +110,11 @@ def _texts(values, level, floats):
             return texts
     elif kinds == {str}:
         return list(map(_quote, values))
-    elif kinds <= _ATOMS:  # labels, flags: few distinct values
-        texts = {value: _encode(value, level, floats) for value in set(values)}
+    elif kinds <= _ATOMS:  # labels, flags: few distinct values, no nesting
+        texts = {value: json.dumps(value) for value in set(values)}
         return list(map(texts.__getitem__, values))
     elif kinds <= _SEQUENCES:
-        items = _texts([item for value in values for item in value], level + 1, floats)
+        items = _texts([item for value in values for item in value], level + 1)
         inner = _newline(level + 1)
         close = _newline(level) + "]"
         out, start = [], 0
@@ -126,32 +124,10 @@ def _texts(values, level, floats):
                        if value else "[]")
             start = end
         return out
-    return [_encode(value, level, floats) for value in values]
+    return [_json(_sanitize(value), level) for value in values]
 
 
-def _encode(value, level, floats):
-    """The JSON text of one value whose closing bracket sits at this
-    indent level; json.dumps(value, indent=2) at level 0."""
-    if isinstance(value, str):
-        return _quote(value)
-    if isinstance(value, (list, tuple)):
-        return _texts([list(value)], level, floats)[0]
-    if isinstance(value, (dict, Table)):
-        return "".join(_chunks(value, level, floats)) if value else "{}"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return floats(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _chunks(value, level, floats):
+def _chunks(value, level):
     """The JSON text of a value in pieces; a Table's rows come a block at a time."""
     if isinstance(value, Table):
         yield from _table_chunks(value, level)
@@ -160,11 +136,11 @@ def _chunks(value, level, floats):
         opener = "{"
         for key, item in value.items():
             yield f"{opener}{inner}{_quote(key)}: "
-            yield from _chunks(item, level + 1, floats)
+            yield from _chunks(item, level + 1)
             opener = ","
         yield _newline(level) + "}"
     else:
-        yield _encode(value, level, floats)
+        yield _json(value, level)
 
 
 def _row_format(columns, level):
@@ -201,7 +177,7 @@ def _table_chunks(table, level):
     row = _newline(level + 1) + row
     yield brackets[0]
     for start in range(0, n, WRITE_BLOCK_ROWS):
-        texts = [_texts(column[start:start + WRITE_BLOCK_ROWS], cell_level, _lenient_float)
+        texts = [_texts(column[start:start + WRITE_BLOCK_ROWS], cell_level)
                  for column, cell_level in fields]
         yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
     yield _newline(level) + brackets[1]
@@ -233,19 +209,19 @@ def config_block(config):
     return body
 
 
-def build_report(command, results, config, input_path=None, input_sha256=None,
-                 skipped_rows=(), warnings=()):
+def build_report(command, results, config, input_path=None, skipped_rows=(),
+                 warnings=()):
     """Assemble the full report document around a results payload.
 
-    The caller may pass a precomputed input hash (for simulated data that
-    never touched disk, pass neither). skipped_rows holds a (line, reason)
-    pair per input row that was skipped and warnings one message per
-    warning; each appears in the payload only when non-empty.
+    input_path is hashed into the provenance (simulated data that never
+    touched disk has none). skipped_rows holds a (line, reason) pair per
+    input row that was skipped and warnings one message per warning; each
+    appears in the payload only when non-empty.
     """
     provenance = {"tool_version": _tool_version(), "config": config_block(config)}
     if input_path is not None:
         provenance["input"] = str(input_path)
-        provenance["input_sha256"] = input_sha256 or file_sha256(input_path)
+        provenance["input_sha256"] = file_sha256(input_path)
     if skipped_rows:
         provenance["skipped_rows"] = {
             "count": len(skipped_rows),
@@ -273,12 +249,12 @@ def _tool_version():
 def payload_json(report):
     """Canonical serialization of the deterministic part of a report;
     build_report has sorted its keys."""
-    return "".join(_chunks(report["payload"], 0, _strict_float))
+    return "".join(_chunks(report["payload"], 0))
 
 
 def report_json(report):
     """The whole report as JSON; the payload's keys are already sorted."""
-    return "".join(_chunks(report, 0, _strict_float))
+    return "".join(_chunks(report, 0))
 
 
 def write_report(report, fh):
@@ -287,7 +263,7 @@ def write_report(report, fh):
     A table's rows are encoded and written WRITE_BLOCK_ROWS at a time, so
     the whole text is never held at once.
     """
-    for chunk in _chunks(report, 0, _strict_float):
+    for chunk in _chunks(report, 0):
         fh.write(chunk)
     fh.write("\n")
 
@@ -391,7 +367,7 @@ def roc_svg(curves, title="ROC comparison"):
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{title}</text>',
+        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
     ]
     # axes box
     parts.append(
@@ -447,7 +423,7 @@ def roc_svg(curves, title="ROC comparison"):
         )
         parts.append(
             f'<text x="{ml + 46}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{name} (AUC = {curve.auc:.3f})</text>'
+            f'font-size="12">{escape(name, quote=False)} (AUC = {curve.auc:.3f})</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

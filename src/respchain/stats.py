@@ -92,10 +92,10 @@ def chi_square_p(statistic, df):
     Q(df/2, statistic/2) via the regularized upper incomplete gamma
     function, accurate to about 1e-8 over the usual range.
     """
-    if df < 1 or int(df) != df:
+    if not (math.isfinite(df) and df >= 1 and int(df) == df):
         raise ValidationError(f"df must be a positive integer, got {df!r}")
-    if statistic < 0:
-        raise ValidationError(f"statistic must be >= 0, got {statistic}")
+    if not (math.isfinite(statistic) and statistic >= 0):
+        raise ValidationError(f"statistic must be finite and >= 0, got {statistic}")
     if statistic == 0:
         return 1.0
     a = df / 2.0
@@ -114,6 +114,8 @@ def _as_counts(observed, expected):
         )
     if o.size == 0:
         raise ValidationError("empty tables have no chi-square statistic")
+    if not (np.isfinite(o).all() and np.isfinite(e).all()):
+        raise ValidationError("observed and expected counts must be finite")
     if o.min() < 0:
         raise ValidationError("observed counts must be nonnegative")
     if e.min() <= 0:
@@ -218,10 +220,10 @@ def stationary_gof(focal, reference, n_focal):
     r = np.asarray(reference, dtype=np.float64)
     if f.shape != r.shape or f.ndim != 1:
         raise ValidationError("focal and reference must be 1-d of equal length")
-    if n_focal < 1:
-        raise ValidationError(f"n_focal must be >= 1, got {n_focal}")
+    if not (math.isfinite(n_focal) and n_focal >= 1):
+        raise ValidationError(f"n_focal must be finite and >= 1, got {n_focal}")
     for name, v in (("focal", f), ("reference", r)):
-        if v.min() < 0 or abs(v.sum() - 1.0) > 1e-6:
+        if not np.isfinite(v).all() or v.min() < 0 or abs(v.sum() - 1.0) > 1e-6:
             raise ValidationError(f"{name} is not a probability vector")
     warnings = ()
     expected = r * n_focal

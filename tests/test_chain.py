@@ -587,6 +587,11 @@ class TestExpectedInertia:
         with pytest.raises(rc.ValidationError):
             rc.expected_inertia(adhd_matrix, [1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_totals_rejected(self, adhd_matrix, bad):
+        with pytest.raises(rc.ValidationError, match="finite"):
+            rc.expected_inertia(adhd_matrix, [bad, 1, 1, 1, 1])
+
 
 class TestSequenceLog2Prob:
     def test_matches_product_oracle(self, adhd_matrix):

@@ -6,6 +6,8 @@ all exercised together.
 """
 
 import json
+import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -299,6 +301,18 @@ class TestDiagnose:
         assert lines[0] == "fpr,tpr,cutoff"
         assert lines[1] == "0.0,0.0,inf"
         assert svg.read_text().startswith("<svg")
+
+    def test_svg_escapes_group_names(self, capsys, tmp_path, cohort_csv):
+        text = open(cohort_csv, encoding="utf-8").read()
+        path = tmp_path / "marked.csv"
+        path.write_text(text.replace(",adhd,", ",a&b,").replace(",ocd,", ",c<d,"))
+        svg = tmp_path / "roc.svg"
+        run_report(capsys, "diagnose", "--input", str(path), "--numerator", "a&b",
+                   "--denominator", "c<d", "--svg", str(svg))
+        texts = [el.text for el in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        legend = [t for t in texts if t.startswith("score ")]
+        assert len(legend) == 1
+        assert re.fullmatch(r"score a&b/c<d \(AUC = \d\.\d{3}\)", legend[0])
 
     def test_metrics_follow_cutoff(self, capsys, cohort_csv):
         doc = run_report(

@@ -44,8 +44,21 @@ class TestChiSquareP:
         with pytest.raises(rc.ValidationError):
             rc.chi_square_p(1.0, 2.5)
 
+    @pytest.mark.parametrize("statistic, df", [
+        (np.nan, 1), (np.inf, 1), (-np.inf, 1), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_input_rejected(self, statistic, df):
+        with pytest.raises(rc.ValidationError):
+            rc.chi_square_p(statistic, df)
+
 
 class TestChiSquareStatistic:
+    @pytest.mark.parametrize("observed, expected", [
+        ([1, np.nan], [1, 1]), ([1, np.inf], [1, 1]), ([1, 1], [1, np.nan]),
+        ([1, 1], [1, np.inf])])
+    def test_non_finite_counts_rejected(self, observed, expected):
+        with pytest.raises(rc.ValidationError, match="finite"):
+            rc.chi_square_statistic(observed, expected)
+
     def test_goodness_of_fit_df(self):
         stat, df = rc.chi_square_statistic([10, 20, 30], [20, 20, 20])
         assert df == 2
@@ -157,6 +170,11 @@ class TestEquiprobability:
         with pytest.raises(rc.ValidationError):
             rc.equiprobability_test([50])
 
+    @pytest.mark.parametrize("counts", [[np.nan, 1], [np.inf, 1], [1, 2, np.nan]])
+    def test_non_finite_counts_rejected(self, counts):
+        with pytest.raises(rc.ValidationError):
+            rc.equiprobability_test(counts)
+
 
 class TestStationaryGof:
     def test_group_comparison_pipeline(self):
@@ -184,6 +202,13 @@ class TestStationaryGof:
     def test_not_a_distribution_rejected(self):
         with pytest.raises(rc.ValidationError):
             rc.stationary_gof([0.5, 0.6], [0.5, 0.5], 100)
+
+    @pytest.mark.parametrize("focal, reference, n_focal", [
+        ([np.nan, 1.0], [0.5, 0.5], 100), ([0.5, 0.5], [np.nan, 1.0], 100),
+        ([0.5, 0.5], [0.5, 0.5], np.nan), ([0.5, 0.5], [0.5, 0.5], np.inf)])
+    def test_non_finite_input_rejected(self, focal, reference, n_focal):
+        with pytest.raises(rc.ValidationError):
+            rc.stationary_gof(focal, reference, n_focal)
 
     def test_small_n_warns(self):
         outcome = rc.stationary_gof(
