@@ -203,6 +203,19 @@ def _columns(cohort):
     return [s.participant_id for s in rows], [s.group for s in rows], states, lengths
 
 
+def _check_states(ids, states, lengths, k):
+    """Reject the first of the flat states (a cohort's, or a prefix of them)
+    that lies outside 1..k, naming its participant and position."""
+    outside = np.flatnonzero((states < 1) | (states > k))
+    if outside.size:
+        ends = np.cumsum(lengths)
+        row = int(np.searchsorted(ends, outside[0], side="right"))
+        raise ValidationError(
+            f"participant {ids[row]!r}: state {states[outside[0]]} at position "
+            f"{outside[0] - (ends[row] - lengths[row])} is outside 1..{k}"
+        )
+
+
 def count_tensor(sequences, space, order=None):
     """Count adjacent (from, to) pairs of many sequences at once.
 
@@ -223,20 +236,15 @@ def count_tensor(sequences, space, order=None):
     if n == 0:
         return np.zeros((0, k, k), dtype=np.int64)
     ends = np.cumsum(lengths)
-    short = lengths < 2
-    outside = np.flatnonzero((states < 1) | (states > k))
-    if short.any() or outside.size:
-        first_short = int(np.argmax(short)) if short.any() else n
-        row = int(np.searchsorted(ends, outside[0], side="right")) if outside.size else n
-        if first_short <= row:
-            raise ValidationError(
-                f"participant {ids[first_short]!r}: need at least 2 responses "
-                f"to count transitions, got {lengths[first_short]}"
-            )
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        row = short[0]
+        _check_states(ids, states[:ends[row] - lengths[row]], lengths, k)
         raise ValidationError(
-            f"participant {ids[row]!r}: state {states[outside[0]]} at position "
-            f"{outside[0] - (ends[row] - lengths[row])} is outside 1..{k}"
+            f"participant {ids[row]!r}: need at least 2 responses "
+            f"to count transitions, got {lengths[row]}"
         )
+    _check_states(ids, states, lengths, k)
     # code of each pair = row * K*K + (from-1) * K + (to-1), with row the
     # sequence's place in order; the code at a sequence's last response is
     # the spare bin past the end, dropped below

@@ -284,8 +284,7 @@ def _estimate_block(counts, n_sequences, config):
     return {
         "n_sequences": n_sequences,
         "counts": reporting.counts_block(counts),
-        "matrix": reporting.matrix_block(
-            chain.normalize_rows(counts, config.smoothing_alpha)),
+        "matrix": chain.normalize_rows(counts, config.smoothing_alpha),
         "inertia": reporting.inertia_block(chain.inertia(counts)),
     }
 
@@ -319,10 +318,10 @@ def _cmd_stationary(args, config, notes):
     result = notes.stationary(matrix, config, repr(name))
     results = {
         "source": name,
-        "matrix": reporting.matrix_block(matrix),
+        "matrix": matrix,
         "irreducible": True,
         "aperiodic": True,
-        "stationary": reporting.stationary_block(result),
+        "stationary": result,
     }
     return results, input_path
 
@@ -344,7 +343,7 @@ def _cmd_compare(args, config, notes):
             "n_sequences": n_sequences,
             "n_transitions": counts.total,
             "inertia": reporting.inertia_block(summaries[role]),
-            "stationary": reporting.stationary_block(stat_result),
+            "stationary": stat_result,
         }
     association = stats.inertia_association_test(
         summaries["focal"], summaries["reference"]
@@ -359,11 +358,8 @@ def _cmd_compare(args, config, notes):
     results = {
         "focal": blocks["focal"],
         "reference": blocks["reference"],
-        "inertia_association": reporting.outcome_block(association),
-        "stationary_gof": {
-            "n_focal": n_focal,
-            **reporting.outcome_block(gof, state_labels=labels),
-        },
+        "inertia_association": association,
+        "stationary_gof": {"n_focal": n_focal, **reporting.outcome_block(gof, labels)},
     }
     return results, args.input
 
@@ -439,7 +435,7 @@ def _cmd_classify(args, config, notes):
         "candidates": verdicts.names,
         "assignments": reporting.Table(rows),
         "class_counts": class_counts,
-        "equiprobability": reporting.outcome_block(equi),
+        "equiprobability": equi,
     }
     return results, args.input
 
@@ -479,8 +475,8 @@ def _cmd_diagnose(args, config, notes):
     results = {
         "positive_group": positive,
         "cutoff": config.cutoff,
-        "confusion": reporting.confusion_block(table),
-        "metrics": reporting.metrics_block(mets),
+        "confusion": table,
+        "metrics": mets,
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:

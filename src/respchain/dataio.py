@@ -17,12 +17,12 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .chain import ResponseSequence, StateSpace, _columns, _readonly
+from .chain import ResponseSequence, StateSpace, _check_states, _columns, _readonly
 from .errors import ValidationError
 from .models import TheoreticalModelSpec
 
@@ -31,12 +31,6 @@ CONFIG_ENV_VAR = "RESPCHAIN_CONFIG"
 
 # States write_cohort converts to text at a time within a ';'-joined row.
 WRITE_BLOCK_STATES = 1 << 16
-
-_CONFIG_KEYS = {
-    "states", "state_labels", "tolerance", "max_power", "epsilon_floor",
-    "smoothing_alpha", "cutoff", "mode", "models",
-}
-
 
 @dataclass(frozen=True)
 class Config:
@@ -109,7 +103,7 @@ def load_config(path=None):
             raise ValidationError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config {path}: expected a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw).difference(f.name for f in fields(Config))
     if unknown:
         raise ValidationError(
             f"config {path}: unknown key(s) {', '.join(sorted(unknown))}"
@@ -357,11 +351,11 @@ def load_cohort(path, config):
                          skipped=tuple((line, str(exc)) for line, exc in problems))
 
 
-def _joined(states, sep):
-    """The states as decimal text joined by sep, converted a block of
+def _joined(states):
+    """The states as decimal text joined by ';', converted a block of
     WRITE_BLOCK_STATES at a time: a long row never holds a Python int and
     str per state at once."""
-    return sep.join(sep.join(map(str, states[i:i + WRITE_BLOCK_STATES].tolist()))
+    return ";".join(";".join(map(str, states[i:i + WRITE_BLOCK_STATES].tolist()))
                     for i in range(0, len(states), WRITE_BLOCK_STATES))
 
 
@@ -369,18 +363,19 @@ def write_cohort(cohort, space, path):
     """Write a cohort in the CSV format load_cohort reads.
 
     cohort is a columnar cohort, such as a CohortDataset, or a list of
-    ResponseSequence.
+    ResponseSequence. A state outside 1..space.size is rejected, naming
+    its participant and position.
     """
     ids, groups, states, lengths = _columns(cohort)
+    _check_states(ids, states, lengths, space.size)
     ends = np.cumsum(lengths).tolist()
     lengths = lengths.tolist()
-    if space.size <= 9 and states.size and states.max() <= 9:
+    if space.size <= 9:
         # one digit per state, so each row's cell is a slice of one text
         text = (states.astype(np.uint8) + 48).tobytes().decode("ascii")
         cells = [text[end - length:end] for end, length in zip(ends, lengths)]
     else:
-        sep = ";" if space.size > 9 else ""
-        cells = [_joined(states[end - length:end], sep) for end, length in zip(ends, lengths)]
+        cells = [_joined(states[end - length:end]) for end, length in zip(ends, lengths)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

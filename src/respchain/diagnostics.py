@@ -118,12 +118,14 @@ def roc_curve(scores, labels, positive_label):
     preceded by an infinite cutoff that predicts nothing positive; tied
     scores therefore cross together. AUC is the trapezoidal area, which
     equals the probability that a random positive outscores a random
-    negative (ties counted half).
+    negative (ties counted half). Scores may be infinite but not NaN.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = list(labels)
     if scores.ndim != 1 or len(labels) != scores.size:
         raise ValidationError("scores and labels must be 1-d and equal length")
+    if np.isnan(scores).any():
+        raise ValidationError("scores must not be NaN")
     truth = np.array([lab == positive_label for lab in labels])
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())

@@ -11,7 +11,8 @@ Per-participant results are a Table: columns plus row keys, written row
 by row from one template per table, a block of rows at a time. The rest
 of the payload is a small tree of dicts and lists, written by the stdlib
 ``json.dumps(value, indent=2, allow_nan=False)``. The whole text is that
-of ``json.dumps`` with the rows materialised as dicts.
+of ``json.dumps`` with the rows materialised as dicts. A result object (a
+dataclass such as TransitionMatrix) is written as the object of its fields.
 
 ROC points can additionally be exported as plain CSV, and one or more ROC
 curves as a self-contained SVG figure (axes, diagonal reference, one
@@ -20,7 +21,7 @@ polyline per classifier).
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from html import escape
 from json.encoder import encode_basestring_ascii as _quote
@@ -61,8 +62,8 @@ class Table:
 
 def _sanitize(value):
     """Make a value JSON-safe and deterministic: numpy types to Python,
-    non-finite floats to strings, dict keys to strings in sorted order.
-    A Table is left as it is."""
+    non-finite floats to strings, dataclasses to dicts of their fields,
+    dict keys to strings in sorted order. A Table is left as it is."""
     if isinstance(value, dict):
         out = {str(k): _sanitize(v) for k, v in value.items()}
         return dict(sorted(out.items()))
@@ -83,6 +84,8 @@ def _sanitize(value):
         return int(value)
     if isinstance(value, (np.bool_,)):
         return bool(value)
+    if is_dataclass(value):
+        return _sanitize({f.name: getattr(value, f.name) for f in fields(value)})
     return value
 
 
@@ -192,20 +195,12 @@ def file_sha256(path):
 
 
 def config_block(config):
-    body = {
-        "states": config.states,
-        "state_labels": list(config.state_labels) if config.state_labels else None,
-        "tolerance": config.tolerance,
-        "max_power": config.max_power,
-        "epsilon_floor": config.epsilon_floor,
-        "smoothing_alpha": config.smoothing_alpha,
-        "cutoff": config.cutoff,
-        "mode": config.mode,
-    }
-    if config.models:
-        body["models"] = {
-            m.name: {"kind": m.kind, **m.params} for m in config.models
-        }
+    """The config's fields; state_labels is null when unset or empty, and
+    models, written as {name: {kind, **params}}, is left out when empty."""
+    body = {f.name: getattr(config, f.name) for f in fields(config)}
+    body["state_labels"] = config.state_labels or None
+    if models := body.pop("models"):
+        body["models"] = {m.name: {"kind": m.kind, **m.params} for m in models}
     return body
 
 
@@ -268,13 +263,6 @@ def write_report(report, fh):
     fh.write("\n")
 
 
-def matrix_block(matrix):
-    return {
-        "probs": matrix.probs,
-        "defined_rows": matrix.defined_rows,
-    }
-
-
 def counts_block(counts):
     return {
         "counts": counts.counts,
@@ -292,28 +280,10 @@ def inertia_block(summary):
     }
 
 
-def stationary_block(result):
-    return {
-        "distribution": result.distribution,
-        "power_at_convergence": result.power_at_convergence,
-        "converged": result.converged,
-        "tolerance_used": result.tolerance_used,
-    }
-
-
-def outcome_block(outcome, state_labels=None):
-    body = {
-        "statistic": outcome.statistic,
-        "df": outcome.df,
-        "p_value": outcome.p_value,
-        "std_residuals": outcome.std_residuals,
-        "flagged_cells": list(outcome.flagged_cells),
-        "warnings": list(outcome.warnings),
-    }
-    if state_labels is not None and outcome.std_residuals is not None \
-            and outcome.std_residuals.ndim == 1:
-        body["flagged_states"] = [state_labels[i] for i in outcome.flagged_cells]
-    return body
+def outcome_block(outcome, state_labels):
+    """A one-dimensional outcome's fields plus the labels of its flagged states."""
+    return {**_sanitize(outcome),
+            "flagged_states": [state_labels[i] for i in outcome.flagged_cells]}
 
 
 def log_ratio_block(lr):
@@ -321,16 +291,8 @@ def log_ratio_block(lr):
         "numerator": lr.numerator_name,
         "denominator": lr.denominator_name,
         "values": lr.values,
-        "epsilon_policy": [asdict(r) for r in lr.epsilon_policy],
+        "epsilon_policy": lr.epsilon_policy,
     }
-
-
-def metrics_block(m):
-    return asdict(m)
-
-
-def confusion_block(t):
-    return asdict(t)
 
 
 def roc_block(curve):

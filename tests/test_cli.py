@@ -8,6 +8,7 @@ all exercised together.
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ class TestDiagnose:
         assert svg.read_text().startswith("<svg")
 
     def test_svg_escapes_group_names(self, capsys, tmp_path, cohort_csv):
-        text = open(cohort_csv, encoding="utf-8").read()
+        text = Path(cohort_csv).read_text(encoding="utf-8")
         path = tmp_path / "marked.csv"
         path.write_text(text.replace(",adhd,", ",a&b,").replace(",ocd,", ",c<d,"))
         svg = tmp_path / "roc.svg"

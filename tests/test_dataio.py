@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -278,11 +279,11 @@ class TestWriteCohort:
     @pytest.mark.parametrize("k, rows", [
         (5, [[1, 2, 3, 4, 5], [5, 5], [3] * 40]),
         (5, []),
-        (5, [[1, 12, 3], [4, 4]]),  # a state above the scale keeps its digits
+        (5, [[5, 1, 5], [1, 1]]),  # both ends of the scale
         (9, [[9, 1], [2, 8, 9]]),
         (12, [[1, 10, 12, 3], [11, 11]]),
         (12, [[i % 12 + 1 for i in range(2 * dataio.WRITE_BLOCK_STATES + 5)], [4, 4]]),
-        (5, [[i % 10 + 1 for i in range(dataio.WRITE_BLOCK_STATES + 1)]]),
+        (5, [[i % 5 + 1 for i in range(dataio.WRITE_BLOCK_STATES + 1)]]),
     ])
     def test_matches_per_state_writer(self, tmp_path, k, rows):
         seqs = [rc.ResponseSequence(f"p{i}", row, "g" if i % 2 else None)
@@ -297,6 +298,20 @@ class TestWriteCohort:
             writer.writerow([seq.participant_id, seq.group or "",
                              sep.join(str(int(s)) for s in seq.states)])
         assert out.read_bytes() == expected.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("k, rows, message", [
+        (5, [[1, 12, 3], [2, 3]], "'p0': state 12 at position 1 is outside 1..5"),
+        (5, [[1, 2], [3, 4, 6]], "'p1': state 6 at position 2 is outside 1..5"),
+        (9, [[9, 10]], "'p0': state 10 at position 1 is outside 1..9"),
+        (12, [[4, 4], [12, 13]], "'p1': state 13 at position 1 is outside 1..12"),
+    ])
+    def test_state_outside_scale_rejected(self, tmp_path, k, rows, message):
+        # one digit per state up to 9 points: 12 would be read back as 1, 2
+        seqs = [rc.ResponseSequence(f"p{i}", row) for i, row in enumerate(rows)]
+        out = tmp_path / "cohort.csv"
+        with pytest.raises(rc.ValidationError, match=re.escape(message)):
+            rc.write_cohort(seqs, rc.StateSpace(k), out)
+        assert not out.exists()
 
 
 class TestConfig:

@@ -137,6 +137,14 @@ class TestRocCurve:
         )
         assert curve.auc == 0.0
 
+    @pytest.mark.parametrize("scores", [
+        [float("nan"), 0.3, 0.8, 0.1],
+        [0.9, 0.3, 0.8, float("nan")],
+    ])
+    def test_nan_score_rejected(self, scores):
+        with pytest.raises(rc.ValidationError, match="NaN"):
+            rc.roc_curve(scores, ["p", "p", "n", "n"], positive_label="p")
+
     def test_all_tied_is_chance(self):
         curve = rc.roc_curve(
             [0.5, 0.5, 0.5, 0.5], ["p", "p", "n", "n"], positive_label="p"

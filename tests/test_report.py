@@ -2,7 +2,9 @@
 
 import io
 import json
+from dataclasses import fields
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -75,6 +77,25 @@ class TestBuildReport:
         block = reporting.config_block(cfg)
         assert block["models"] == {"flat": {"kind": "max_entropy"}}
 
+    def test_config_file_with_every_field_is_written_back(self, tmp_path):
+        body = {
+            "states": 3, "state_labels": ["lo", "mid", "hi"], "tolerance": 1e-3,
+            "max_power": 32, "epsilon_floor": 0.02, "smoothing_alpha": 0.5,
+            "cutoff": 1.5, "mode": "lenient",
+            "models": {"flat": {"kind": "max_entropy"}},
+        }
+        assert set(body) == {f.name for f in fields(rc.Config)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(body))
+        doc = reporting.build_report("x", {}, rc.load_config(path))
+        assert doc["payload"]["provenance"]["config"] == body
+
+    @pytest.mark.parametrize("labels", [None, []])
+    def test_unset_state_labels_written_as_null(self, labels):
+        doc = reporting.build_report("x", {}, rc.Config(state_labels=labels))
+        parsed = json.loads(reporting.report_json(doc))
+        assert parsed["payload"]["provenance"]["config"]["state_labels"] is None
+
 
 class TestRocOutputs:
     def test_csv_header_and_origin(self, curve):
@@ -112,7 +133,7 @@ class TestBlocks:
 
     def test_matrix_block_round_trips_through_json(self, adhd_matrix):
         doc = reporting.build_report(
-            "x", {"m": reporting.matrix_block(adhd_matrix)}, rc.Config(),
+            "x", {"m": adhd_matrix}, rc.Config(),
         )
         parsed = json.loads(reporting.report_json(doc))
         probs = np.array(parsed["payload"]["results"]["m"]["probs"])
@@ -431,7 +452,7 @@ def test_cli_report_matches_oracle(name, oracle_cohort, tmp_path):
     else:
         argv += ["--input", oracle_cohort]
     if argv[0] == "diagnose":  # needs every row in one of two groups
-        lines = open(oracle_cohort, encoding="utf-8").read().splitlines()
+        lines = Path(oracle_cohort).read_text(encoding="utf-8").splitlines()
         path = tmp_path / "two_groups.csv"
         path.write_text("\n".join(line for line in lines if ",," not in line) + "\n")
         argv[-1] = str(path)
