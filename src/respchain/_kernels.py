@@ -6,6 +6,12 @@ column j with u < cum_rows[s-1, j], clamped to the last column; that is,
 to 1 + the number of the first K-1 cumulative masses u reaches. All
 randomness is drawn before ``walk`` runs, so the same draws always give
 the same states.
+
+``walk`` applies the rule by table lookup. A draw that reaches b of the
+K(K-1) edges of all rows, merged in sorted order, reaches exactly the
+first b of them; so the row-s edges it reaches are the row-s edges among
+those b, whether edges tie within a row or across rows, and a (b, s)
+table of those counts gives every step.
 """
 
 import numpy as np
@@ -24,15 +30,16 @@ def pair_counts(states, n_states):
     return np.bincount(codes, minlength=n_states * n_states).reshape(n_states, n_states)
 
 
-def _advance(edges, states, uniforms, out=None):
-    """Step 0-based `states` through the last axis of `uniforms` in lockstep.
+def _advance(flat, states, base, out=None):
+    """Step 0-based `states` through the last axis of `base` in lockstep.
 
-    edges holds the first K-1 cumulative masses of each row. uniforms[..., t]
-    must broadcast against states. Each visited state is written 1-based to
-    out[..., t] when out is given; the final states are returned.
+    flat is the transition table and base the draws' scaled bins (see
+    walk); base[..., t] must broadcast against states. Each visited state
+    is written 1-based to out[..., t] when out is given; the final states
+    are returned.
     """
-    for t in range(uniforms.shape[-1]):
-        states = (edges[states] <= uniforms[..., t, None]).sum(axis=-1)
+    for t in range(base.shape[-1]):
+        states = flat.take(base[..., t] + states)
         if out is not None:
             out[..., t] = states + 1
     return states
@@ -46,31 +53,44 @@ def walk(cum_rows, first_states, uniforms):
     array of draws, one per step. Returns an (N, T+1) int64 array of
     1-based states whose first column is first_states.
 
+    The first K-1 edges of every row are merged by a stable sort, and
+    flat[b*K + s] counts the row-s edges among the first b merged ones.
+    Each draw is mapped once to b*K, b the number of merged edges it
+    reaches, and a step from 0-based state s reads flat[b*K + s]. The
+    table has K(K(K-1)+1) cells of the smallest type that holds K.
+
     A walk longer than CHUNK steps is cut into chunks of CHUNK steps. Every
     full chunk is first walked from every possible start state at once,
     which gives its end state as a function of its start. Chaining those
     end states in order yields each chunk's real start state, and then all
-    chunks are walked together from their real starts. The draws are read
-    through reshape views, never copied.
+    chunks are walked together from their real starts. The draws' bins are
+    read through reshape views, never copied.
     """
     k = cum_rows.shape[1]
-    edges = np.ascontiguousarray(cum_rows[:, : k - 1])
+    edges = cum_rows[:, : k - 1].ravel()
+    order = np.argsort(edges, kind="stable")
+    member = order[:, None] // (k - 1) == np.arange(k)  # each merged edge's row
+    small = np.min_scalar_type(k)  # holds every count and 1-based state
+    flat = np.concatenate([np.zeros(k, dtype=small),
+                           member.cumsum(axis=0, dtype=small).ravel()])
+    bins = np.searchsorted(edges[order], uniforms, side="right")
+    bins *= k
     n, t = uniforms.shape
     out = np.empty((n, t + 1), dtype=np.int64)
     out[:, 0] = first_states
     n_full = t // CHUNK if t > CHUNK else 0
     body = n_full * CHUNK
-    starts = np.empty((n, n_full + 1), dtype=np.int64)
+    starts = np.empty((n, n_full + 1), dtype=np.intp)
     starts[:, 0] = out[:, 0] - 1
     if n_full:
-        chunks = uniforms[:, :body].reshape(n, n_full, CHUNK)
+        chunks = bins[:, :body].reshape(n, n_full, CHUNK)
         every_start = np.broadcast_to(np.arange(k), (n, n_full, k))
-        ends = _advance(edges, every_start, chunks[:, :, None, :])
+        ends = _advance(flat, every_start, chunks[:, :, None, :])
         rows = np.arange(n)
         for c in range(n_full):
             starts[:, c + 1] = ends[rows, c, starts[:, c]]
-        _advance(edges, starts[:, :n_full], chunks,
+        _advance(flat, starts[:, :n_full], chunks,
                  out[:, 1 : body + 1].reshape(n, n_full, CHUNK))
     # the rest of the walk, or all of a walk of at most CHUNK steps
-    _advance(edges, starts[:, n_full], uniforms[:, body:], out[:, body + 1 :])
+    _advance(flat, starts[:, n_full], bins[:, body:], out[:, body + 1 :])
     return out

@@ -203,16 +203,24 @@ def _columns(cohort):
     return [s.participant_id for s in rows], [s.group for s in rows], states, lengths
 
 
-def _check_states(ids, states, lengths, k):
-    """Reject the first of the flat states (a cohort's, or a prefix of them)
-    that lies outside 1..k, naming its participant and position."""
-    outside = np.flatnonzero((states < 1) | (states > k))
+def _check_rows(ids, states, lengths, k):
+    """Reject the first row, in input order, that has fewer than two
+    responses or a state outside 1..k, naming its participant and, for a
+    bad state, its position."""
+    ends = np.cumsum(lengths)
+    short = np.flatnonzero(lengths < 2)
+    stop = ends[short[0]] - lengths[short[0]] if short.size else states.size
+    outside = np.flatnonzero((states[:stop] < 1) | (states[:stop] > k))
     if outside.size:
-        ends = np.cumsum(lengths)
         row = int(np.searchsorted(ends, outside[0], side="right"))
         raise ValidationError(
             f"participant {ids[row]!r}: state {states[outside[0]]} at position "
             f"{outside[0] - (ends[row] - lengths[row])} is outside 1..{k}"
+        )
+    if short.size:
+        raise ValidationError(
+            f"participant {ids[short[0]]!r}: need at least 2 responses "
+            f"to count transitions, got {lengths[short[0]]}"
         )
 
 
@@ -235,16 +243,8 @@ def count_tensor(sequences, space, order=None):
     n, k = len(lengths), space.size
     if n == 0:
         return np.zeros((0, k, k), dtype=np.int64)
+    _check_rows(ids, states, lengths, k)
     ends = np.cumsum(lengths)
-    short = np.flatnonzero(lengths < 2)
-    if short.size:
-        row = short[0]
-        _check_states(ids, states[:ends[row] - lengths[row]], lengths, k)
-        raise ValidationError(
-            f"participant {ids[row]!r}: need at least 2 responses "
-            f"to count transitions, got {lengths[row]}"
-        )
-    _check_states(ids, states, lengths, k)
     # code of each pair = row * K*K + (from-1) * K + (to-1), with row the
     # sequence's place in order; the code at a sequence's last response is
     # the spare bin past the end, dropped below

@@ -22,15 +22,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ResponseSequence, StateSpace, _check_states, _columns, _readonly
+from .chain import ResponseSequence, StateSpace, _check_rows, _columns, _readonly
 from .errors import ValidationError
 from .models import TheoreticalModelSpec
 
 CSV_HEADER = ("participant_id", "group", "responses")
 CONFIG_ENV_VAR = "RESPCHAIN_CONFIG"
 
-# States write_cohort converts to text at a time within a ';'-joined row.
-WRITE_BLOCK_STATES = 1 << 16
 
 @dataclass(frozen=True)
 class Config:
@@ -122,6 +120,16 @@ def load_config(path=None):
     return Config(models=tuple(models), **raw)
 
 
+def _check_unique(ids):
+    """Reject the first participant id that repeats an earlier one."""
+    if len(set(ids)) < len(ids):
+        seen = set()
+        for pid in ids:
+            if pid in seen:
+                raise ValidationError(f"duplicate participant id {pid!r}")
+            seen.add(pid)
+
+
 @dataclass(frozen=True, eq=False)
 class CohortDataset:
     """A validated cohort on one state space, held in columns.
@@ -154,12 +162,7 @@ class CohortDataset:
                 "cohort columns disagree: one id, group and length per row, "
                 "and the lengths must add up to the number of states"
             )
-        if len(set(ids)) < len(ids):
-            seen = set()
-            for pid in ids:
-                if pid in seen:
-                    raise ValidationError(f"duplicate participant id {pid!r}")
-                seen.add(pid)
+        _check_unique(ids)
         object.__setattr__(self, "participant_ids", ids)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "lengths", lengths)
@@ -351,31 +354,34 @@ def load_cohort(path, config):
                          skipped=tuple((line, str(exc)) for line, exc in problems))
 
 
-def _joined(states):
-    """The states as decimal text joined by ';', converted a block of
-    WRITE_BLOCK_STATES at a time: a long row never holds a Python int and
-    str per state at once."""
-    return ";".join(";".join(map(str, states[i:i + WRITE_BLOCK_STATES].tolist()))
-                    for i in range(0, len(states), WRITE_BLOCK_STATES))
+def _cells(states, lengths, k):
+    """Each row's responses cell, for rows of at least one state: the
+    whole column's text is gathered from a table of each state's text
+    (with ';' after it above 9 points, NUL-padded to one width, the NULs
+    dropped after) and cut into rows less their ';'."""
+    sep = b";" if k > 9 else b""
+    tokens = np.array([b"%d%s" % (state, sep) for state in range(k + 1)])
+    text = tokens.take(states).tobytes().translate(None, b"\0").decode("ascii")
+    row_bytes = np.add.reduceat(np.char.str_len(tokens)[states], np.cumsum(lengths) - lengths)
+    ends = np.cumsum(row_bytes).tolist()
+    cut = len(sep)
+    return [text[start:end - cut] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def write_cohort(cohort, space, path):
     """Write a cohort in the CSV format load_cohort reads.
 
     cohort is a columnar cohort, such as a CohortDataset, or a list of
-    ResponseSequence. A state outside 1..space.size is rejected, naming
-    its participant and position.
+    ResponseSequence. Rows load_cohort would refuse are rejected before
+    the file is opened: a state outside 1..space.size (naming its
+    participant and position), a row of fewer than two responses, or a
+    participant id used twice.
     """
     ids, groups, states, lengths = _columns(cohort)
-    _check_states(ids, states, lengths, space.size)
-    ends = np.cumsum(lengths).tolist()
-    lengths = lengths.tolist()
-    if space.size <= 9:
-        # one digit per state, so each row's cell is a slice of one text
-        text = (states.astype(np.uint8) + 48).tobytes().decode("ascii")
-        cells = [text[end - length:end] for end, length in zip(ends, lengths)]
-    else:
-        cells = [_joined(states[end - length:end]) for end, length in zip(ends, lengths)]
+    _check_rows(ids, states, lengths, space.size)
+    if not isinstance(cohort, CohortDataset):
+        _check_unique(ids)
+    cells = _cells(states, lengths, space.size)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

@@ -256,6 +256,18 @@ class TestByGroup:
             data.by_group("control")
 
 
+def per_state_csv(seqs, k):
+    """The bytes write_cohort should give, written state by state."""
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("participant_id", "group", "responses"))
+    for seq in seqs:
+        sep = "" if k <= 9 else ";"
+        writer.writerow([seq.participant_id, seq.group or "",
+                         sep.join(str(int(s)) for s in seq.states)])
+    return expected.getvalue().encode("utf-8")
+
+
 class TestWriteCohort:
     def test_round_trip(self, tmp_path):
         path = write(tmp_path, "cohort.csv", GOOD_CSV)
@@ -282,22 +294,37 @@ class TestWriteCohort:
         (5, [[5, 1, 5], [1, 1]]),  # both ends of the scale
         (9, [[9, 1], [2, 8, 9]]),
         (12, [[1, 10, 12, 3], [11, 11]]),
-        (12, [[i % 12 + 1 for i in range(2 * dataio.WRITE_BLOCK_STATES + 5)], [4, 4]]),
-        (5, [[i % 5 + 1 for i in range(dataio.WRITE_BLOCK_STATES + 1)]]),
+        (12, [[i % 12 + 1 for i in range(2 * (1 << 16) + 5)], [4, 4]]),
+        (5, [[i % 5 + 1 for i in range((1 << 16) + 1)]]),
     ])
     def test_matches_per_state_writer(self, tmp_path, k, rows):
         seqs = [rc.ResponseSequence(f"p{i}", row, "g" if i % 2 else None)
                 for i, row in enumerate(rows)]
         out = tmp_path / "cohort.csv"
         rc.write_cohort(seqs, rc.StateSpace(k), out)
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(("participant_id", "group", "responses"))
-        for seq in seqs:
-            sep = "" if k <= 9 else ";"
-            writer.writerow([seq.participant_id, seq.group or "",
-                             sep.join(str(int(s)) for s in seq.states)])
-        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        assert out.read_bytes() == per_state_csv(seqs, k)
+
+    @pytest.mark.parametrize("k", [9, 10, 99, 100, 255])
+    def test_token_width_boundaries(self, tmp_path, k):
+        # rows mix 1-, 2- and 3-digit states, including both ends of each
+        # width the scale reaches; the longest stays under the CSV
+        # reader's 131,072-byte field limit so that it loads back
+        rng = np.random.default_rng(k)
+        edges = [s for s in (1, 9, 10, 99, 100, k) if s <= k]
+        rows = [edges, edges[::-1] * 3, [k, 1]]
+        rows += [rng.integers(1, k + 1, size=n).tolist() for n in (2, 17, 20_000)]
+        seqs = [rc.ResponseSequence(f"p{i}", row, "g" if i % 2 else None)
+                for i, row in enumerate(rows)]
+        out = tmp_path / "cohort.csv"
+        rc.write_cohort(seqs, rc.StateSpace(k), out)
+        assert out.read_bytes() == per_state_csv(seqs, k)
+        again = rc.load_cohort(out, rc.Config(states=k))
+        assert again.participant_ids == tuple(seq.participant_id for seq in seqs)
+        assert [s.states.tolist() for s in again.sequences] == rows
+        # a columnar cohort is written the same way
+        copy = tmp_path / "copy.csv"
+        rc.write_cohort(again, again.state_space, copy)
+        assert copy.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("k, rows, message", [
         (5, [[1, 12, 3], [2, 3]], "'p0': state 12 at position 1 is outside 1..5"),
@@ -311,6 +338,29 @@ class TestWriteCohort:
         out = tmp_path / "cohort.csv"
         with pytest.raises(rc.ValidationError, match=re.escape(message)):
             rc.write_cohort(seqs, rc.StateSpace(k), out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ids, rows, message", [
+        (["p0", "p1"], [[1], [2, 3]],
+         "participant 'p0': need at least 2 responses to count transitions, got 1"),
+        # a bad state before the short row is named first, as count_tensor does
+        (["p0", "p1"], [[1, 7], [2]], "'p0': state 7 at position 1 is outside 1..5"),
+        (["a", "b", "a"], [[1, 2], [3, 4], [5, 5]], "duplicate participant id 'a'"),
+    ])
+    def test_rows_load_cohort_refuses_are_rejected(self, tmp_path, ids, rows, message):
+        seqs = [rc.ResponseSequence(pid, row) for pid, row in zip(ids, rows)]
+        out = tmp_path / "cohort.csv"
+        with pytest.raises(rc.ValidationError, match=re.escape(message)):
+            rc.write_cohort(seqs, rc.StateSpace(5), out)
+        assert not out.exists()
+
+    def test_empty_columnar_row_rejected(self, tmp_path):
+        cohort = dataio.CohortDataset(["p0", "p1"], [None, None], np.array([1, 2], dtype=np.uint8),
+                                      [2, 0], rc.StateSpace(5), "test")
+        out = tmp_path / "cohort.csv"
+        message = "participant 'p1': need at least 2 responses to count transitions, got 0"
+        with pytest.raises(rc.ValidationError, match=re.escape(message)):
+            rc.write_cohort(cohort, cohort.state_space, out)
         assert not out.exists()
 
 

@@ -32,7 +32,10 @@ def reference_walk(cum_rows, first_state, uniforms):
 
 
 def assert_rows_match_reference(cum_rows, first_states, uniforms):
+    inputs = cum_rows.copy(), uniforms.copy()
     got = kernels.walk(cum_rows, first_states, uniforms)
+    # the kernel reads its inputs and never writes to them
+    assert np.array_equal(cum_rows, inputs[0]) and np.array_equal(uniforms, inputs[1])
     assert got.shape == (uniforms.shape[0], uniforms.shape[1] + 1)
     assert got.dtype == np.int64
     for row, first, u in zip(got, first_states, uniforms):
@@ -93,7 +96,7 @@ class TestWalk:
         first = rng.integers(1, 6, size=30)
         assert_rows_match_reference(cum_rows, first, u)
 
-    @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("steps", [m * CHUNK + d for m in (1, 2, 3) for d in (-1, 0, 1)])
     def test_chunk_edges(self, cum_rows, steps):
         rng = np.random.default_rng(steps)
         u = rng.random((3, steps))
@@ -105,6 +108,14 @@ class TestWalk:
         cum = np.cumsum(cycle_rows(k, 0.0), axis=1)
         u = rng.random((2, 3 * CHUNK + 7))
         assert_rows_match_reference(cum, np.array([1, k]), u)
+
+    @pytest.mark.parametrize("k", [255, 256])
+    def test_states_at_the_table_type_limit(self, k):
+        # the table's type holds K: a walk through every state reaches K
+        rng = np.random.default_rng(k)
+        cum = np.cumsum(cycle_rows(k, 1e-3), axis=1)
+        u = rng.random((2, CHUNK + 90))
+        assert_rows_match_reference(cum, np.array([1, k - 3]), u)
 
     def test_zero_steps_keeps_first_states(self, cum_rows):
         got = kernels.walk(cum_rows, np.array([2, 4]), np.empty((2, 0)))
@@ -135,11 +146,15 @@ class TestWalk:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        k=st.integers(2, 12),
+        k=st.integers(2, 40),
         n_rows=st.integers(1, 4),
-        steps=st.integers(0, 3 * CHUNK + 1),
+        steps=st.one_of(
+            st.integers(0, 3 * CHUNK + 1),
+            # one step short of, on and one past a chunk boundary
+            st.builds(lambda m, d: m * CHUNK + d, st.integers(1, 3), st.sampled_from([-1, 0, 1])),
+        ),
         seed=st.integers(0, 2**32 - 1),
-        kind=st.sampled_from(["dense", "sparse", "cycle"]),
+        kind=st.sampled_from(["dense", "sparse", "cycle", "tied"]),
     )
     def test_property_matches_reference(self, k, n_rows, steps, seed, kind):
         rng = np.random.default_rng(seed)
@@ -151,6 +166,13 @@ class TestWalk:
             rows[rng.random((k, k)) < 0.4] = 0.0
             rows[np.arange(k), rng.integers(0, k, size=k)] += 1e-3
             rows /= rows.sum(axis=1, keepdims=True)
+        elif kind == "tied":
+            # identical rows, or cells in quarters, so that cumulative
+            # edges tie across rows (and, at zero cells, within a row)
+            if rng.random() < 0.5:
+                rows = np.tile(rows[0], (k, 1))
+            else:
+                rows = rng.multinomial(4, np.ones(k) / k, size=k) / 4
         cum = np.cumsum(rows, axis=1)
         u = rng.random((n_rows, steps))
         if kind != "dense" and steps:

@@ -256,6 +256,18 @@ class TestDigestGuard:
         assert code == 0, capsys.readouterr().err
         assert _sha256_file(out) == DIGESTS["k11_config_walk_csv"]
 
+    def test_k11_long_row_walk_csv(self, tmp_path, capsys):
+        # rows of 200,000 states, so each wide-scale cell is longer than
+        # 65,536 states
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"states": 11, "models": {"walk": K11_WALK}}))
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--config", str(cfg), "--model", "walk",
+                     "--length", "200000", "--count", "2", "--seed", "5",
+                     "--out", str(out), "--output", str(tmp_path / "r.json")])
+        assert code == 0, capsys.readouterr().err
+        assert _sha256_file(out) == DIGESTS["k11_long_row_walk_csv"]
+
     def test_million_step_walk(self):
         params = {k: v for k, v in K11_WALK.items() if k != "kind"}
         matrix = rc.drunkards_walk(rc.StateSpace(11), **params)
@@ -272,6 +284,8 @@ DIGESTS = {
         "5329fb0ba1eccdc787007d219579e8b654b6aee78a91d69b37be2fcb5e097f7b",
     "k11_config_walk_csv":
         "c881dd13a956d58cb3250d8a669a65e966bbe7f6586e7ba241fdf9b93320dd33",
+    "k11_long_row_walk_csv":
+        "a7ba31942291bcc8412f4231ac6f6fec9bcf6ca911f36fb78ee441accad50ccb",
     "million_step_walk":
         "63b80494e29423f410c9b98c703ac5fcc5fb46763bebb86d54e801310bcf195a",
 }
