@@ -30,6 +30,19 @@ def _readonly(a):
     return a
 
 
+def _whole_numbers(values, what):
+    """values as an int64 array; input that is not already an integer array
+    must hold whole numbers within int64's range (not NaN or infinity)."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        real = np.asarray(values, dtype=np.float64)
+        whole = (real == np.round(real)) & (np.abs(real) < 2.0**63)
+        if not whole.all():
+            raise ValidationError(
+                f"{what} must be finite whole numbers within int64, got {real[~whole][0]}")
+    return np.asarray(values, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """The ordered response scale: states 1..size with display labels."""
@@ -67,7 +80,7 @@ class ResponseSequence:
     def __post_init__(self):
         if not self.participant_id:
             raise ValidationError("participant_id must be a non-empty string")
-        states = np.asarray(self.states, dtype=np.int64)
+        states = _whole_numbers(self.states, f"states for {self.participant_id!r}")
         if states.ndim != 1 or states.size == 0:
             raise ValidationError(
                 f"states for {self.participant_id!r} must be a non-empty 1-d sequence"
@@ -91,7 +104,7 @@ class TransitionCounts:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _whole_numbers(self.counts, "counts")
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValidationError(f"counts must be square, got shape {counts.shape}")
         if counts.min() < 0:

@@ -24,6 +24,7 @@ modules.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -106,7 +107,7 @@ def _build_parser():
     p.add_argument("--input", required=True, metavar="CSV")
     p.add_argument("--numerator", metavar="SPEC")
     p.add_argument("--denominator", metavar="SPEC")
-    p.add_argument("--models", metavar="A,B,C",
+    p.add_argument("--models", dest="candidates", metavar="A,B,C",
                    help="comma-separated candidate models (multi-model mode)")
     p.add_argument("--reference", metavar="SPEC",
                    help="reference model for multi-model mode")
@@ -146,23 +147,17 @@ def _build_parser():
 
 
 def _effective_config(args):
-    config = dataio.load_config(args.config)
-    return config.override(
-        states=args.states,
-        tolerance=args.tolerance,
-        max_power=args.max_power,
-        epsilon_floor=args.epsilon_floor,
-        smoothing_alpha=args.smoothing_alpha,
-        cutoff=args.cutoff,
-        mode=args.mode,
-    )
+    """The config file's settings, each overridden by its flag when given."""
+    return dataio.load_config(args.config).override(
+        **{f.name: getattr(args, f.name, None) for f in fields(dataio.Config)})
 
 
 class _Notes:
-    """What a report carries besides a command's results: the rows lenient
-    mode skipped and the warnings, each also printed to stderr."""
+    """What a report carries besides its results: the input read, the rows
+    lenient mode skipped and the warnings, each also printed to stderr."""
 
     def __init__(self):
+        self.input_path = None
         self.skipped_rows = ()
         self.warnings = []
 
@@ -183,7 +178,7 @@ def _load_dataset(args, config, notes):
     dataset = dataio.load_cohort(args.input, config)
     for warning in dataset.warnings:
         print(warning, file=sys.stderr)
-    notes.skipped_rows = dataset.skipped
+    notes.input_path, notes.skipped_rows = args.input, dataset.skipped
     return dataset
 
 
@@ -226,12 +221,9 @@ def _model_registry(config):
 
 
 def _resolve(spec_str, cohort, registry, config):
-    """Turn 'group:X' / 'model:Y' / bare name into (name, matrix)."""
-    groups = cohort.dataset.group_labels if cohort is not None else frozenset()
+    """Turn 'group:X' / 'model:Y' (cohort may be None) / bare name into (name, matrix)."""
     if spec_str.startswith("group:"):
         name = spec_str[len("group:"):]
-        if cohort is None:
-            raise ValidationError(f"{spec_str!r} needs --input")
         return name, cohort.group_matrix(name, config)
     if spec_str.startswith("model:"):
         name = spec_str[len("model:"):]
@@ -240,6 +232,7 @@ def _resolve(spec_str, cohort, registry, config):
                 f"unknown model {name!r}; available: {', '.join(sorted(registry))}"
             )
         return name, registry[name]
+    groups = cohort.dataset.group_labels
     in_groups = spec_str in groups
     in_models = spec_str in registry
     if in_groups and in_models:
@@ -269,15 +262,13 @@ def _log_ratio(args, cohort, registry, config):
 
 
 def _source_matrix(args, config, notes):
-    """The --group or --model matrix, its name, and the input it came from."""
+    """The --group or --model matrix, with its name."""
     if args.group is None:
-        name, matrix = _resolve(f"model:{args.model}", None,
-                                _model_registry(config), config)
-        return name, matrix, None
+        return _resolve(f"model:{args.model}", None, _model_registry(config), config)
     if not args.input:
         raise ValidationError("--group needs --input")
     cohort = _CountedCohort(_load_dataset(args, config, notes))
-    return args.group, cohort.group_matrix(args.group, config), args.input
+    return args.group, cohort.group_matrix(args.group, config)
 
 
 def _estimate_block(counts, n_sequences, config):
@@ -309,11 +300,11 @@ def _cmd_estimate(args, config, notes):
                        "total": counts.sum(axis=(1, 2)).tolist()},
             "matrix": {"probs": probs.tolist(), "defined_rows": defined.tolist()},
         }, keys=cohort.ids)
-    return results, args.input
+    return results
 
 
 def _cmd_stationary(args, config, notes):
-    name, matrix, input_path = _source_matrix(args, config, notes)
+    name, matrix = _source_matrix(args, config, notes)
     # stationary raises StructuralError unless the matrix is both
     result = notes.stationary(matrix, config, repr(name))
     results = {
@@ -323,7 +314,7 @@ def _cmd_stationary(args, config, notes):
         "aperiodic": True,
         "stationary": result,
     }
-    return results, input_path
+    return results
 
 
 def _cmd_compare(args, config, notes):
@@ -361,7 +352,7 @@ def _cmd_compare(args, config, notes):
         "inertia_association": association,
         "stationary_gof": {"n_focal": n_focal, **reporting.outcome_block(gof, labels)},
     }
-    return results, args.input
+    return results
 
 
 def _cmd_score(args, config, notes):
@@ -378,13 +369,13 @@ def _cmd_score(args, config, notes):
         "log_ratio": reporting.log_ratio_block(lr),
         "scores": reporting.Table(rows),
     }
-    return results, args.input
+    return results
 
 
 def _cmd_classify(args, config, notes):
     cohort = _CountedCohort(_load_dataset(args, config, notes))
     binary = args.numerator is not None or args.denominator is not None
-    multi = args.models is not None or args.reference is not None
+    multi = args.candidates is not None or args.reference is not None
     if binary == multi:
         raise ValidationError(
             "classify needs either --numerator/--denominator or "
@@ -405,10 +396,10 @@ def _cmd_classify(args, config, notes):
             "class_counts": {name: labels.count(name)
                              for name in (lr.numerator_name, lr.denominator_name)},
         }
-        return results, args.input
-    if not (args.models and args.reference):
+        return results
+    if not (args.candidates and args.reference):
         raise ValidationError("multi-model mode needs both --models and --reference")
-    candidate_names = [n.strip() for n in args.models.split(",") if n.strip()]
+    candidate_names = [n.strip() for n in args.candidates.split(",") if n.strip()]
     if not candidate_names:
         raise ValidationError("--models lists no usable names")
     registry = _model_registry(config)
@@ -437,7 +428,7 @@ def _cmd_classify(args, config, notes):
         "class_counts": class_counts,
         "equiprobability": equi,
     }
-    return results, args.input
+    return results
 
 
 def _cmd_diagnose(args, config, notes):
@@ -496,11 +487,11 @@ def _cmd_diagnose(args, config, notes):
         files["svg"] = args.svg
     if files:
         results["files"] = files
-    return results, args.input
+    return results
 
 
 def _cmd_simulate(args, config, notes):
-    name, matrix, input_path = _source_matrix(args, config, notes)
+    name, matrix = _source_matrix(args, config, notes)
     spec = simulate.SimulationSpec(
         matrix=matrix, length=args.length, count=args.count, seed=args.seed,
     )
@@ -522,7 +513,7 @@ def _cmd_simulate(args, config, notes):
         "output": args.out,
         "n_transitions": args.count * (args.length - 1),
     }
-    return results, input_path
+    return results
 
 
 _COMMANDS = {
@@ -539,8 +530,8 @@ _COMMANDS = {
 def run_subcommand(command, args, config):
     """Run one subcommand and return its assembled report document."""
     notes = _Notes()
-    results, input_path = _COMMANDS[command](args, config, notes)
-    return reporting.build_report(command, results, config, input_path,
+    results = _COMMANDS[command](args, config, notes)
+    return reporting.build_report(command, results, config, notes.input_path,
                                   skipped_rows=notes.skipped_rows,
                                   warnings=notes.warnings)
 

@@ -273,24 +273,15 @@ def _responses(cells, lines, k, path):
     return states[np.repeat(keep, sizes)].astype(dtype, copy=False), lengths[keep], bad
 
 
-def _decoded(fh, path):
-    """The lines of a text file, with a decoding error as a ValidationError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as exc:
-        raise ValidationError(
-            f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
-        ) from exc
-
-
 def load_cohort(path, config):
     """Read and validate a cohort CSV into a columnar CohortDataset.
 
-    The file is UTF-8, with or without a byte order mark; bytes that are
-    not UTF-8 reject the whole file in either mode. Strict mode rejects the
-    whole file on the first bad row; lenient mode skips bad rows and
-    records each skipped line and its error message on the dataset, in
-    line order.
+    The file is UTF-8, with or without a byte order mark. In both modes a
+    byte that is not UTF-8 rejects the whole file, a csv.Error ends the
+    read and every row read is checked. Strict mode then raises the first
+    fault by line (a bad row before a csv.Error comes first); lenient mode
+    raises any csv.Error, else skips bad rows and records each skipped
+    line and its error message on the dataset, in line order.
 
     One csv pass collects the ids, groups and responses cells with the
     per-row checks, numbering each row by the line its record starts on.
@@ -299,22 +290,22 @@ def load_cohort(path, config):
     arrays, and its row dropped.
     """
     space = config.state_space
-    strict = config.mode == "strict"
     ids, groups, cells, lines = [], [], [], []
     labels = {}  # one shared object per group label
     rejected = []  # (line, ValidationError) of rows the per-row checks turned away
+    stops = []  # the csv.Error that ended the read, if one did
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_decoded(fh, path))
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValidationError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got "
-                f"{','.join(header)!r}"
-            )
-        start = reader.line_num + 1
+        reader = csv.reader(fh)
         try:
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty file")
+            if tuple(h.strip() for h in header) != CSV_HEADER:
+                raise ValidationError(
+                    f"{path}: expected header {','.join(CSV_HEADER)!r}, got "
+                    f"{','.join(header)!r}"
+                )
+            start = reader.line_num + 1
             for row in reader:
                 lineno, start = start, reader.line_num + 1
                 if not row:
@@ -332,18 +323,18 @@ def load_cohort(path, config):
                     continue
                 rejected.append(
                     (lineno, ValidationError(f"{path}, line {lineno}: {problem}")))
-                if strict:
-                    break
-        except (csv.Error, ValidationError):
-            # strict mode reports the first bad line, so a bad row read
-            # before a fault in the file beats the fault
-            if strict and (bad := _responses(cells, lines, space.size, path)[2]):
-                raise bad[0][1] from None
-            raise
+        except csv.Error as exc:
+            stops.append(exc)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+            ) from exc
     states, lengths, bad = _responses(cells, lines, space.size, path)
     problems = sorted([(lines[i], exc) for i, exc in bad] + rejected)  # lines are distinct
-    if problems and strict:
+    if problems and config.mode == "strict":
         raise problems[0][1]
+    if stops:  # popped, so this frame and the traceback form no cycle
+        raise stops.pop()
     if bad:
         drop = {i for i, _ in bad}
         ids = [pid for i, pid in enumerate(ids) if i not in drop]

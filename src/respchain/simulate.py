@@ -55,8 +55,10 @@ class SimulationSpec:
                 raise ValidationError(
                     f"initial distribution needs {self.matrix.size} entries"
                 )
-            if init.min() < 0 or abs(init.sum() - 1.0) > 1e-9:
-                raise ValidationError("initial distribution must sum to 1")
+            if (not np.isfinite(init).all() or init.min() < 0
+                    or abs(init.sum() - 1.0) > 1e-9):
+                raise ValidationError(
+                    "initial distribution must be finite, nonnegative and sum to 1")
             object.__setattr__(self, "initial_distribution", _readonly(init))
 
 

@@ -1,5 +1,6 @@
 """Core chain machinery: counting, normalizing, powers, stationarity."""
 
+import re
 from math import gcd
 
 import numpy as np
@@ -59,6 +60,41 @@ class TestResponseSequence:
         seq = rc.ResponseSequence("p1", [1, 2, 3])
         with pytest.raises(ValueError):
             seq.states[0] = 5
+
+    @pytest.mark.parametrize("states, bad", [
+        ([1.7, 2.2, 3.9], "1.7"), ([1, 2.5], "2.5"), ([1, np.nan], "nan"),
+        ([2, np.inf], "inf"), ([-np.inf, 2], "-inf"), ([1e20, 2], "1e+20"),
+    ])
+    def test_rejects_states_that_are_not_whole_numbers(self, states, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=f"states for 'p1' must be finite whole numbers.*got {re.escape(bad)}$"):
+            rc.ResponseSequence("p1", states)
+
+    @pytest.mark.parametrize("states", [
+        [1.0, 3.0, 2.0], np.array([1.0, 3.0, 2.0]), [1, 3, 2],
+        np.array([1, 3, 2], dtype=np.uint8), np.array([1, 3, 2], dtype=np.int32),
+    ])
+    def test_integer_arrays_and_integral_floats_accepted(self, states):
+        seq = rc.ResponseSequence("p1", states)
+        assert seq.states.dtype == np.int64 and seq.states.tolist() == [1, 3, 2]
+
+
+class TestTransitionCounts:
+    @pytest.mark.parametrize("counts, bad", [
+        ([[1.5, 0], [0, 2.7]], "1.5"), ([[1, 0], [0, np.nan]], "nan"),
+        ([[np.inf, 0], [0, 1]], "inf"),
+    ])
+    def test_rejects_counts_that_are_not_whole_numbers(self, counts, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=f"counts must be finite whole numbers.*got {re.escape(bad)}$"):
+            rc.TransitionCounts(counts)
+
+    @pytest.mark.parametrize("counts", [
+        [[1.0, 0.0], [0.0, 2.0]], [[1, 0], [0, 2]], np.array([[1, 0], [0, 2]]),
+    ])
+    def test_integer_arrays_and_integral_floats_accepted(self, counts):
+        table = rc.TransitionCounts(counts)
+        assert table.counts.dtype == np.int64 and table.counts.tolist() == [[1, 0], [0, 2]]
 
 
 class TestCountTransitions:

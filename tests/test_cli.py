@@ -117,6 +117,19 @@ class TestEstimate:
         assert stdout == ""
         assert json.loads(out.read_text())["header"]["command"] == "estimate"
 
+    def test_ungrouped_rows_make_one_all_block(self, capsys, tmp_path):
+        path = tmp_path / "ungrouped.csv"
+        path.write_text("participant_id,group,responses\nA,,3323\nB, ,1123\n")
+        results = run_report(capsys, "estimate", "--input", str(path))["payload"]["results"]
+        assert list(results["groups"]) == ["all"] and results["n_sequences"] == 2
+        block = results["groups"]["all"]
+        assert block["n_sequences"] == 2 and block["counts"]["total"] == 6
+        # 3323 gives 3>3, 3>2, 2>3; 1123 gives 1>1, 1>2, 2>3
+        expected = np.zeros((5, 5), dtype=int)
+        for a, b in [(3, 3), (3, 2), (2, 3), (1, 1), (1, 2), (2, 3)]:
+            expected[a - 1, b - 1] += 1
+        assert block["counts"]["counts"] == expected.tolist()
+
     def test_unknown_group(self, capsys, cohort_csv):
         code, _, err = run(
             capsys, "estimate", "--input", cohort_csv, "--group", "control",
@@ -235,6 +248,24 @@ class TestScore:
         assert "MEM" in message
 
 
+    def test_zero_ratio_cell_without_a_floor_is_a_validation_error(self, capsys,
+                                                                    tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("participant_id,group,responses\nA,g,1212\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"states": 2, "models": {
+            "sticky": {"kind": "explicit", "rows": [[1, 0], [0.5, 0.5]]},
+            "flat": {"kind": "explicit", "rows": [[0.5, 0.5], [0.5, 0.5]]},
+        }}))
+        error = only_validation_error(*run(
+            capsys, "score", "--input", str(path), "--config", str(cfg),
+            "--epsilon-floor", "0", "--numerator", "sticky", "--denominator", "flat",
+        ))
+        assert error["message"] == (
+            "ratio cell (1,2) = 0 is not positive; log2 needs strictly positive "
+            "ratios (was flooring skipped?)")
+
+
 class TestClassify:
     def test_binary_mode(self, capsys, cohort_csv):
         doc = run_report(
@@ -264,6 +295,16 @@ class TestClassify:
         equi = results["equiprobability"]
         assert equi["df"] == 4
         assert 0.0 <= equi["p_value"] <= 1.0
+
+    def test_models_flag_leaves_config_models_alone(self, capsys, cohort_csv,
+                                                   published_config):
+        doc = run_report(
+            capsys, "classify", "--input", cohort_csv, "--config", published_config,
+            "--models", "ocd_pub", "--reference", "adhd_pub",
+        )
+        assert doc["payload"]["results"]["candidates"] == ["ocd_pub"]
+        config_models = doc["payload"]["provenance"]["config"]["models"]
+        assert sorted(config_models) == ["adhd_pub", "ocd_pub"]
 
     def test_mixed_flags_rejected(self, capsys, cohort_csv):
         code, _, err = run(
@@ -541,6 +582,22 @@ class TestErrorHandling:
         )
         assert doc["payload"]["results"]["cutoff"] == 1.5
         assert doc["payload"]["provenance"]["config"]["cutoff"] == 1.5
+
+    @pytest.mark.parametrize("flag, field, file_value, flag_value", [
+        ("--states", "states", 6, 7), ("--tolerance", "tolerance", 1e-3, 2e-3),
+        ("--max-power", "max_power", 32, 48),
+        ("--epsilon-floor", "epsilon_floor", 0.02, 0.03),
+        ("--smoothing-alpha", "smoothing_alpha", 0.5, 1.0),
+        ("--cutoff", "cutoff", 0.5, 1.5), ("--mode", "mode", "lenient", "strict"),
+    ])
+    def test_each_setting_flag_overrides_the_config_file(
+            self, capsys, tmp_path, cohort_csv, flag, field, file_value, flag_value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: file_value}))
+        argv = ["estimate", "--input", cohort_csv, "--config", str(cfg)]
+        for extra, want in (([], file_value), ([flag, str(flag_value)], flag_value)):
+            doc = run_report(capsys, *argv, *extra)
+            assert doc["payload"]["provenance"]["config"][field] == want
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

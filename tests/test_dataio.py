@@ -243,6 +243,21 @@ class TestColumns:
             rc.load_cohort(path, rc.Config(mode="lenient"))
 
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("good_rows", [0, 1000])
+    def test_non_utf8_byte_beats_an_earlier_bad_row_at_any_size(self, tmp_path, mode,
+                                                               good_rows):
+        # 1000 good rows put the bad byte past the decoder's first 8 KB chunk
+        body = "".join(f"P{i:04d},g,3243232443244333\n" for i in range(good_rows))
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"participant_id,group,responses\nA01,g,3x3\n"
+                         + body.encode() + b"B01,\xff,333\n")
+        assert path.stat().st_size > 8192 or not good_rows
+        message = f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+        with pytest.raises(rc.ValidationError, match=f"^{re.escape(message)}$"):
+            rc.load_cohort(path, rc.Config(mode=mode))
+
+
 class TestByGroup:
     def test_filters(self, tmp_path):
         path = write(tmp_path, "cohort.csv", GOOD_CSV)

@@ -43,6 +43,12 @@ class TestSpecValidation:
                 adhd_matrix, length=10, initial_distribution=[0.5, 0.5],
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_must_be_finite(self, bad):
+        matrix = rc.TransitionMatrix(np.full((3, 3), 1 / 3), np.ones(3, bool))
+        with pytest.raises(rc.ValidationError, match="initial distribution must be finite"):
+            rc.SimulationSpec(matrix, length=10, initial_distribution=[bad, 0.5, 0.5])
+
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, True, "3", None])
     def test_seed_must_be_a_non_negative_integer(self, adhd_matrix, seed):
