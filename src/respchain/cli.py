@@ -18,14 +18,18 @@ Model/group references on the command line take three forms: ``group:X``
 theoretical model), or a bare name, which must be unambiguous.
 
 The CLI orchestrates; every number in a report is produced by the library
-modules.
+modules. Each subcommand gets one run object holding its args, the effective
+config, the model registry, the cohort (loaded and counted once, on first
+use) and the report's notes. Faults are found in a fixed order: the flags,
+the config file, the config's models, the input file, then the command's own
+flag checks and name resolution.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
-from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _build_parser():
     common = _ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -152,11 +157,19 @@ def _effective_config(args):
         **{f.name: getattr(args, f.name, None) for f in fields(dataio.Config)})
 
 
-class _Notes:
-    """What a report carries besides its results: the input read, the rows
-    lenient mode skipped and the warnings, each also printed to stderr."""
+class _Run:
+    """One subcommand's run: its args, effective config and model registry, the
+    --input cohort (loaded, put in participant_id order and counted into one
+    (N, K, K) tensor on first use) and the report's notes: the input read, the
+    rows lenient mode skipped and the warnings, each also printed to stderr.
+    Commands whose --input is required read it before any check of their own."""
 
-    def __init__(self):
+    def __init__(self, args, config):
+        self.args = args
+        self.config = config
+        self.registry = models.builtin_models(config.state_space)
+        for spec in config.models:
+            self.registry[spec.name] = spec.build(config.state_space)
         self.input_path = None
         self.skipped_rows = ()
         self.warnings = []
@@ -165,39 +178,40 @@ class _Notes:
         print(message, file=sys.stderr)
         self.warnings.append(message)
 
-    def stationary(self, matrix, config, source):
+    def stationary(self, matrix, source):
         """chain.stationary, with a warning when the search did not converge."""
+        config = self.config
         result = chain.stationary(matrix, config.tolerance, config.max_power)
         if not result.converged:
             self.warn(f"stationary search for {source} did not converge within "
                       f"max_power {config.max_power} (tolerance {config.tolerance})")
         return result
 
+    @functools.cached_property
+    def dataset(self):
+        """The --input cohort, loaded on first use."""
+        dataset = dataio.load_cohort(self.args.input, self.config)
+        for warning in dataset.warnings:
+            print(warning, file=sys.stderr)
+        self.input_path, self.skipped_rows = self.args.input, dataset.skipped
+        return dataset
 
-def _load_dataset(args, config, notes):
-    dataset = dataio.load_cohort(args.input, config)
-    for warning in dataset.warnings:
-        print(warning, file=sys.stderr)
-    notes.input_path, notes.skipped_rows = args.input, dataset.skipped
-    return dataset
+    @functools.cached_property
+    def order(self):
+        """The cohort's row indices in participant_id order."""
+        ids = self.dataset.participant_ids
+        return sorted(range(len(ids)), key=ids.__getitem__)
 
+    @functools.cached_property
+    def ids(self):
+        ids = self.dataset.participant_ids
+        return [ids[i] for i in self.order]
 
-class _CountedCohort:
-    """A cohort in participant_id order with its (N, K, K) count tensor.
+    @functools.cached_property
+    def groups(self):
+        return np.array(self.dataset.groups, dtype=object)[self.order]
 
-    Reads the dataset's columns; counted at most once per command, on
-    first use, straight into that order. Group pools and scores are read
-    from the tensor.
-    """
-
-    def __init__(self, dataset):
-        self.dataset = dataset
-        ids = dataset.participant_ids
-        self.order = sorted(range(len(ids)), key=ids.__getitem__)
-        self.ids = [ids[i] for i in self.order]
-        self.groups = np.array(dataset.groups, dtype=object)[self.order]
-
-    @cached_property
+    @functools.cached_property
     def counts(self):
         return chain.count_tensor(self.dataset, self.dataset.state_space, self.order)
 
@@ -208,67 +222,60 @@ class _CountedCohort:
             raise self.dataset.missing_group(group)
         return chain.TransitionCounts(self.counts[rows].sum(axis=0)), int(rows.sum())
 
-    def group_matrix(self, group, config):
+    def group_matrix(self, group):
         """The transition matrix estimated from a group's pooled counts."""
-        return chain.normalize_rows(self.pool(group)[0], config.smoothing_alpha)
+        return chain.normalize_rows(self.pool(group)[0], self.config.smoothing_alpha)
 
-
-def _model_registry(config):
-    registry = models.builtin_models(config.state_space)
-    for spec in config.models:
-        registry[spec.name] = spec.build(config.state_space)
-    return registry
-
-
-def _resolve(spec_str, cohort, registry, config):
-    """Turn 'group:X' / 'model:Y' (cohort may be None) / bare name into (name, matrix)."""
-    if spec_str.startswith("group:"):
-        name = spec_str[len("group:"):]
-        return name, cohort.group_matrix(name, config)
-    if spec_str.startswith("model:"):
-        name = spec_str[len("model:"):]
-        if name not in registry:
+    def resolve(self, spec):
+        """Turn 'group:X' / 'model:Y' / a bare name into (name, matrix)."""
+        if spec.startswith("group:"):
+            name = spec[len("group:"):]
+            return name, self.group_matrix(name)
+        if spec.startswith("model:"):
+            name = spec[len("model:"):]
+            if name not in self.registry:
+                raise ValidationError(
+                    f"unknown model {name!r}; available: {', '.join(sorted(self.registry))}"
+                )
+            return name, self.registry[name]
+        groups = self.dataset.group_labels
+        in_groups = spec in groups
+        in_models = spec in self.registry
+        if in_groups and in_models:
             raise ValidationError(
-                f"unknown model {name!r}; available: {', '.join(sorted(registry))}"
+                f"{spec!r} names both a group and a model; use "
+                f"'group:{spec}' or 'model:{spec}'"
             )
-        return name, registry[name]
-    groups = cohort.dataset.group_labels
-    in_groups = spec_str in groups
-    in_models = spec_str in registry
-    if in_groups and in_models:
+        if in_groups:
+            return spec, self.group_matrix(spec)
+        if in_models:
+            return spec, self.registry[spec]
+        known = sorted(groups) + sorted(self.registry)
         raise ValidationError(
-            f"{spec_str!r} names both a group and a model; use "
-            f"'group:{spec_str}' or 'model:{spec_str}'"
+            f"{spec!r} is neither a group nor a model; known names: "
+            f"{', '.join(known)}"
         )
-    if in_groups:
-        return spec_str, cohort.group_matrix(spec_str, config)
-    if in_models:
-        return spec_str, registry[spec_str]
-    known = sorted(groups) + sorted(registry)
-    raise ValidationError(
-        f"{spec_str!r} is neither a group nor a model; known names: "
-        f"{', '.join(known)}"
-    )
 
+    @functools.cached_property
+    def ratio_terms(self):
+        """The resolved --numerator and --denominator, each (name, matrix)."""
+        return self.resolve(self.args.numerator), self.resolve(self.args.denominator)
 
-def _log_ratio(args, cohort, registry, config):
-    """The --numerator/--denominator log-ratio matrix."""
-    num_name, num = _resolve(args.numerator, cohort, registry, config)
-    den_name, den = _resolve(args.denominator, cohort, registry, config)
-    return scoring.log_likelihood_matrix(
-        num, den, config.epsilon_floor,
-        numerator_name=num_name, denominator_name=den_name,
-    )
+    def log_ratio(self):
+        """The --numerator/--denominator log-ratio matrix."""
+        (num_name, num), (den_name, den) = self.ratio_terms
+        return scoring.log_likelihood_matrix(
+            num, den, self.config.epsilon_floor,
+            numerator_name=num_name, denominator_name=den_name,
+        )
 
-
-def _source_matrix(args, config, notes):
-    """The --group or --model matrix, with its name."""
-    if args.group is None:
-        return _resolve(f"model:{args.model}", None, _model_registry(config), config)
-    if not args.input:
-        raise ValidationError("--group needs --input")
-    cohort = _CountedCohort(_load_dataset(args, config, notes))
-    return args.group, cohort.group_matrix(args.group, config)
+    def source(self):
+        """The --group or --model matrix, with its name."""
+        if self.args.group is None:
+            return self.resolve(f"model:{self.args.model}")
+        if not self.args.input:
+            raise ValidationError("--group needs --input")
+        return self.args.group, self.group_matrix(self.args.group)
 
 
 def _estimate_block(counts, n_sequences, config):
@@ -280,100 +287,87 @@ def _estimate_block(counts, n_sequences, config):
     }
 
 
-def _cmd_estimate(args, config, notes):
-    dataset = _load_dataset(args, config, notes)
-    cohort = _CountedCohort(dataset)
+def _cmd_estimate(run):
+    args, config, dataset = run.args, run.config, run.dataset
     groups = args.group or sorted(dataset.group_labels)
-    blocks = {
-        name: _estimate_block(*cohort.pool(name), config) for name in groups
-    }
+    blocks = {name: _estimate_block(*run.pool(name), config) for name in groups}
     if not groups:
-        counts = chain.TransitionCounts(cohort.counts.sum(axis=0))
+        counts = chain.TransitionCounts(run.counts.sum(axis=0))
         blocks["all"] = _estimate_block(counts, len(dataset), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
-        counts = cohort.counts
+        counts = run.counts
         probs, defined = chain._row_probabilities(counts, config.smoothing_alpha)
         results["participants"] = reporting.Table({
-            "group": cohort.groups.tolist(),
+            "group": run.groups.tolist(),
             "counts": {"counts": counts.tolist(), "row_totals": counts.sum(axis=2).tolist(),
                        "total": counts.sum(axis=(1, 2)).tolist()},
             "matrix": {"probs": probs.tolist(), "defined_rows": defined.tolist()},
-        }, keys=cohort.ids)
+        }, keys=run.ids)
     return results
 
 
-def _cmd_stationary(args, config, notes):
-    name, matrix = _source_matrix(args, config, notes)
+def _cmd_stationary(run):
+    name, matrix = run.source()
     # stationary raises StructuralError unless the matrix is both
-    result = notes.stationary(matrix, config, repr(name))
-    results = {
+    result = run.stationary(matrix, repr(name))
+    return {
         "source": name,
         "matrix": matrix,
         "irreducible": True,
         "aperiodic": True,
         "stationary": result,
     }
-    return results
 
 
-def _cmd_compare(args, config, notes):
-    dataset = _load_dataset(args, config, notes)
-    cohort = _CountedCohort(dataset)
+def _cmd_compare(run):
     blocks = {}
-    summaries = {}
-    points = {}
-    for role, group in (("focal", args.focal), ("reference", args.reference)):
-        counts, n_sequences = cohort.pool(group)
-        matrix = chain.normalize_rows(counts, config.smoothing_alpha)
-        summaries[role] = chain.inertia(counts)
-        stat_result = notes.stationary(matrix, config, f"the {role} group {group!r}")
-        points[role] = (counts, stat_result)
+    for role, group in (("focal", run.args.focal), ("reference", run.args.reference)):
+        counts, n_sequences = run.pool(group)
+        matrix = chain.normalize_rows(counts, run.config.smoothing_alpha)
         blocks[role] = {
             "group": group,
             "n_sequences": n_sequences,
             "n_transitions": counts.total,
-            "inertia": reporting.inertia_block(summaries[role]),
-            "stationary": stat_result,
+            "inertia": chain.inertia(counts),
+            "stationary": run.stationary(matrix, f"the {role} group {group!r}"),
         }
-    association = stats.inertia_association_test(
-        summaries["focal"], summaries["reference"]
-    )
-    n_focal = points["focal"][0].total
+    focal, reference = blocks["focal"], blocks["reference"]
+    association = stats.inertia_association_test(focal["inertia"], reference["inertia"])
     gof = stats.stationary_gof(
-        points["focal"][1].distribution,
-        points["reference"][1].distribution,
-        n_focal,
+        focal["stationary"].distribution,
+        reference["stationary"].distribution,
+        focal["n_transitions"],
     )
-    labels = dataset.state_space.labels
+    labels = run.dataset.state_space.labels
     results = {
-        "focal": blocks["focal"],
-        "reference": blocks["reference"],
-        "inertia_association": association,
-        "stationary_gof": {"n_focal": n_focal, **reporting.outcome_block(gof, labels)},
+        role: {**block, "inertia": reporting.inertia_block(block["inertia"])}
+        for role, block in blocks.items()
     }
+    results["inertia_association"] = association
+    results["stationary_gof"] = {"n_focal": focal["n_transitions"],
+                                 **reporting.outcome_block(gof, labels)}
     return results
 
 
-def _cmd_score(args, config, notes):
-    cohort = _CountedCohort(_load_dataset(args, config, notes))
-    lr = _log_ratio(args, cohort, _model_registry(config), config)
+def _cmd_score(run):
+    ids, groups = run.ids, run.groups.tolist()
+    lr = run.log_ratio()
     rows = {
-        "participant_id": cohort.ids,
-        "group": cohort.groups.tolist(),
-        "score": scoring.score_counts(cohort.counts, lr.values).tolist(),
+        "participant_id": ids,
+        "group": groups,
+        "score": scoring.score_counts(run.counts, lr.values).tolist(),
     }
-    if args.breakdown:
-        rows["terms"] = scoring.score_terms(cohort.counts, lr.values)
-    results = {
+    if run.args.breakdown:
+        rows["terms"] = scoring.score_terms(run.counts, lr.values)
+    return {
         "log_ratio": reporting.log_ratio_block(lr),
         "scores": reporting.Table(rows),
     }
-    return results
 
 
-def _cmd_classify(args, config, notes):
-    cohort = _CountedCohort(_load_dataset(args, config, notes))
+def _cmd_classify(run):
+    args, config, ids = run.args, run.config, run.ids
     binary = args.numerator is not None or args.denominator is not None
     multi = args.candidates is not None or args.reference is not None
     if binary == multi:
@@ -384,31 +378,27 @@ def _cmd_classify(args, config, notes):
     if binary:
         if not (args.numerator and args.denominator):
             raise ValidationError("binary mode needs both --numerator and --denominator")
-        lr = _log_ratio(args, cohort, _model_registry(config), config)
-        scores = scoring.score_counts(cohort.counts, lr.values).tolist()
+        lr = run.log_ratio()
+        scores = scoring.score_counts(run.counts, lr.values).tolist()
         labels = scoring.binary_labels(scores, lr.numerator_name,
                                        lr.denominator_name, config.cutoff)
-        results = {
+        return {
             "mode": "binary",
             "cutoff": config.cutoff,
             "assignments": reporting.Table(
-                {"participant_id": cohort.ids, "score": scores, "assigned": labels}),
+                {"participant_id": ids, "score": scores, "assigned": labels}),
             "class_counts": {name: labels.count(name)
                              for name in (lr.numerator_name, lr.denominator_name)},
         }
-        return results
     if not (args.candidates and args.reference):
         raise ValidationError("multi-model mode needs both --models and --reference")
     candidate_names = [n.strip() for n in args.candidates.split(",") if n.strip()]
     if not candidate_names:
         raise ValidationError("--models lists no usable names")
-    registry = _model_registry(config)
-    candidates = [
-        _resolve(name, cohort, registry, config) for name in candidate_names
-    ]
-    ref_name, ref = _resolve(args.reference, cohort, registry, config)
+    candidates = [run.resolve(name) for name in candidate_names]
+    ref_name, ref = run.resolve(args.reference)
     verdicts = scoring.classify_counts(
-        cohort.counts, cohort.ids, candidates, ref, reference_name=ref_name,
+        run.counts, ids, candidates, ref, reference_name=ref_name,
         epsilon_floor=config.epsilon_floor,
     )
     class_counts = {name: verdicts.assigned.count(name)
@@ -420,7 +410,7 @@ def _cmd_classify(args, config, notes):
         "assigned": verdicts.assigned,
         "tie": verdicts.tie,
     }
-    results = {
+    return {
         "mode": "multimodel",
         "reference": ref_name,
         "candidates": verdicts.names,
@@ -428,17 +418,12 @@ def _cmd_classify(args, config, notes):
         "class_counts": class_counts,
         "equiprobability": equi,
     }
-    return results
 
 
-def _cmd_diagnose(args, config, notes):
-    dataset = _load_dataset(args, config, notes)
-    cohort = _CountedCohort(dataset)
-    registry = _model_registry(config)
-    num_name, num = _resolve(args.numerator, cohort, registry, config)
-    den_name, den = _resolve(args.denominator, cohort, registry, config)
-    groups = sorted(dataset.group_labels)
-    labels = cohort.groups.tolist()
+def _cmd_diagnose(run):
+    args, config, labels = run.args, run.config, run.groups.tolist()
+    (num_name, _), (den_name, _) = run.ratio_terms
+    groups = sorted(run.dataset.group_labels)
     if len(groups) != 2 or None in labels:
         raise ValidationError(
             "diagnose needs every participant in one of exactly two groups"
@@ -453,11 +438,7 @@ def _cmd_diagnose(args, config, notes):
             f"positive group {positive!r} not in data (groups: {', '.join(groups)})"
         )
     negative = groups[0] if groups[1] == positive else groups[1]
-    lr = scoring.log_likelihood_matrix(
-        num, den, config.epsilon_floor,
-        numerator_name=num_name, denominator_name=den_name,
-    )
-    scores = scoring.score_counts(cohort.counts, lr.values).tolist()
+    scores = scoring.score_counts(run.counts, run.log_ratio().values).tolist()
     predictions = scoring.binary_labels(scores, positive, negative, config.cutoff)
     table = diagnostics.confusion(labels, predictions, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
@@ -471,8 +452,9 @@ def _cmd_diagnose(args, config, notes):
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:
+        dataset = run.dataset
         sums = np.add.reduceat(dataset.states, dataset.starts, dtype=np.int64)
-        sums = sums[cohort.order].astype(np.float64)
+        sums = sums[run.order].astype(np.float64)
         sum_curve = diagnostics.roc_curve(sums, labels, positive)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)
@@ -490,19 +472,20 @@ def _cmd_diagnose(args, config, notes):
     return results
 
 
-def _cmd_simulate(args, config, notes):
-    name, matrix = _source_matrix(args, config, notes)
+def _cmd_simulate(run):
+    args, config = run.args, run.config
+    name, matrix = run.source()
     spec = simulate.SimulationSpec(
         matrix=matrix, length=args.length, count=args.count, seed=args.seed,
     )
     init, init_source = simulate.resolve_initial(spec)
     if init_source == "uniform":
-        notes.warn(f"no stationary distribution found for {name!r} (periodic, reducible "
-                   f"or not converged); simulated sequences start from the uniform "
-                   f"distribution")
+        run.warn(f"no stationary distribution found for {name!r} (periodic, reducible "
+                 f"or not converged); simulated sequences start from the uniform "
+                 f"distribution")
     cohort = simulate.draw_cohort(spec, init, args.group_label, args.id_prefix)
     dataio.write_cohort(cohort, config.state_space, args.out)
-    results = {
+    return {
         "source": name,
         "length": args.length,
         "count": args.count,
@@ -513,7 +496,6 @@ def _cmd_simulate(args, config, notes):
         "output": args.out,
         "n_transitions": args.count * (args.length - 1),
     }
-    return results
 
 
 _COMMANDS = {
@@ -529,11 +511,11 @@ _COMMANDS = {
 
 def run_subcommand(command, args, config):
     """Run one subcommand and return its assembled report document."""
-    notes = _Notes()
-    results = _COMMANDS[command](args, config, notes)
-    return reporting.build_report(command, results, config, notes.input_path,
-                                  skipped_rows=notes.skipped_rows,
-                                  warnings=notes.warnings)
+    run = _Run(args, config)
+    results = _COMMANDS[command](run)
+    return reporting.build_report(command, results, config, run.input_path,
+                                  skipped_rows=run.skipped_rows,
+                                  warnings=run.warnings)
 
 
 def main(argv=None):

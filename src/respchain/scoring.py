@@ -259,6 +259,7 @@ def score_value(states, lr_values):
     gives. Fewer than two states score 0.
     """
     states = np.asarray(states, dtype=np.int64)
+    lr_values = np.asarray(lr_values, dtype=np.float64)
     k = lr_values.shape[0]
     if states.size and (states.min() < 1 or states.max() > k):
         raise ValidationError(f"states must lie in 1..{k}")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import respchain as rc
-from respchain.cli import main
+from respchain.cli import _build_parser, main
 from conftest import ADHD_ROWS, OCD_ROWS, O05_SEQUENCE
 
 
@@ -736,6 +736,32 @@ class TestInputEncodingAndTypes:
         assert "model 'mine'" in error["message"]
 
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "from_stationary_vector"},
+        {"kind": "explicit", "rows": [[0.5, 0.5], [1.0]]},
+        {"kind": "explicit", "rows": [[1]]},
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["estimate"],
+        ["stationary", "--group", "ocd"],
+        ["compare", "--focal", "ocd", "--reference", "adhd"],
+        ["score", "--numerator", "group:ocd", "--denominator", "group:adhd"],
+        ["classify", "--numerator", "group:ocd", "--denominator", "group:adhd"],
+        ["diagnose", "--numerator", "group:ocd", "--denominator", "group:adhd"],
+        ["simulate", "--group", "ocd", "--length", "5", "--out", "{tmp}/sim.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_every_subcommand_rejects_a_bad_config_model(self, capsys, tmp_path,
+                                                        cohort_csv, argv, model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"models": {"mine": model}}))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        error = only_validation_error(*run(
+            capsys, *argv, "--input", cohort_csv, "--config", str(cfg),
+        ))
+        assert "model 'mine'" in error["message"]
+        assert not (tmp_path / "sim.csv").exists()
+
+
 class TestNonFiniteModels:
     @pytest.fixture
     def nan_config(self, tmp_path):
@@ -757,6 +783,82 @@ class TestNonFiniteModels:
         ))
         assert "model 'w'" in error["message"] and "finite" in error["message"]
         assert not out.exists()
+
+
+class TestErrorPrecedence:
+    """Where two faults meet, the one found first is reported: the flags, the
+    config file, the input file, then the command's own checks and names."""
+
+    @pytest.fixture
+    def bad_row_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("participant_id,group,responses\nA,g,333\nB,g,3x3\n")
+        return str(path)
+
+    @pytest.fixture
+    def three_groups_csv(self, tmp_path):
+        # group a never leaves states 1-2, so a ratio over it is a
+        # structural error; diagnose must reject the three groups first
+        path = tmp_path / "three.csv"
+        path.write_text("participant_id,group,responses\n"
+                        "A,a,1212\nB,b,12345\nC,c,54321\nD,b,33333\n")
+        return str(path)
+
+    def test_classify_without_mode_reads_a_missing_file_first(self, capsys, tmp_path):
+        code, out, err = run(capsys, "classify", "--input", str(tmp_path / "absent.csv"))
+        assert code == 3 and out == ""
+        assert error_of(err)["type"] == "io"
+
+    def test_classify_without_mode_reports_a_bad_row_first(self, capsys, bad_row_csv):
+        error = only_validation_error(*run(capsys, "classify", "--input", bad_row_csv))
+        assert "line 3" in error["message"]
+
+    def test_diagnose_reads_a_missing_file_before_names(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "diagnose", "--input", str(tmp_path / "absent.csv"),
+            "--numerator", "nope", "--denominator", "model:MEM",
+        )
+        assert code == 3
+        assert error_of(err)["type"] == "io"
+
+    def test_diagnose_checks_groups_before_the_ratio(self, capsys, three_groups_csv):
+        error = only_validation_error(*run(
+            capsys, "diagnose", "--input", three_groups_csv,
+            "--numerator", "group:a", "--denominator", "group:b",
+        ))
+        assert error["message"] == \
+            "diagnose needs every participant in one of exactly two groups"
+
+    def test_stationary_model_never_reads_the_input(self, capsys, tmp_path):
+        error = only_validation_error(*run(
+            capsys, "stationary", "--model", "nope",
+            "--input", str(tmp_path / "missing.csv"),
+        ))
+        assert error["message"].startswith("unknown model 'nope'")
+
+    def test_simulate_group_reads_a_missing_file_first(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "simulate", "--group", "x", "--input", str(tmp_path / "missing.csv"),
+            "--length", "5", "--out", str(tmp_path / "sim.csv"),
+        )
+        assert code == 3
+        assert error_of(err)["type"] == "io"
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_score_resolves_the_numerator_first(self, capsys, cohort_csv):
+        error = only_validation_error(*run(
+            capsys, "score", "--input", cohort_csv,
+            "--numerator", "group:nope", "--denominator", "model:nope",
+        ))
+        assert error["message"].startswith("no sequences in group 'nope'")
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, cohort_csv):
+    assert _build_parser() is _build_parser()
+    one = run_report(capsys, "estimate", "--input", cohort_csv, "--group", "ocd")
+    both = run_report(capsys, "estimate", "--input", cohort_csv)
+    assert set(one["payload"]["results"]["groups"]) == {"ocd"}
+    assert set(both["payload"]["results"]["groups"]) == {"adhd", "ocd"}
 
 
 def test_stationary_names_itself_for_an_undefined_row(capsys, tmp_path):

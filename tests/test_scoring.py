@@ -164,6 +164,13 @@ class TestScoreValue:
         with pytest.raises(rc.ValidationError, match="1..5"):
             rc.score_value(states, published_lr.values)
 
+    def test_array_like_betas(self):
+        assert rc.score_value([1, 2, 1], [[0.0, 1.0], [2.0, 0.0]]) == 3.0
+
+    def test_betas_of_the_wrong_shape(self):
+        with pytest.raises(rc.ValidationError, match="do not fit a beta matrix"):
+            rc.score_value([1, 2, 1], [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+
 
 def scored(value):
     return rc.SequenceScore("p", value, (), "OCD", "ADHD")
