@@ -12,7 +12,9 @@ rows carry a real distribution, and operations that need the whole matrix
 refuse to run until the gaps are closed by pooling or smoothing.
 """
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +43,18 @@ def _whole_numbers(values, what):
             raise ValidationError(
                 f"{what} must be finite whole numbers within int64, got {real[~whole][0]}")
     return np.asarray(values, dtype=np.int64)
+
+
+def _number(value, what, positive=False, whole=False):
+    """value if it is a finite real number of at least 0 (above 0 when
+    positive, whole when whole), not a bool; else a ValidationError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)
+            or (whole and value != math.floor(value))):
+        sign = "positive" if positive else "nonnegative"
+        kind = "integer" if whole else "number"
+        raise ValidationError(f"{what} must be a finite {sign} {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -99,9 +113,12 @@ class ResponseSequence:
 
 @dataclass(frozen=True)
 class TransitionCounts:
-    """Raw (from, to) pair counts on a K x K grid."""
+    """Raw (from, to) pair counts on a K x K grid, with each row's total and
+    the grand total stored alongside (not compared)."""
 
     counts: np.ndarray
+    row_totals: np.ndarray = field(init=False, compare=False)
+    total: int = field(init=False, compare=False)
 
     def __post_init__(self):
         counts = _whole_numbers(self.counts, "counts")
@@ -110,18 +127,12 @@ class TransitionCounts:
         if counts.min() < 0:
             raise ValidationError("counts must be nonnegative")
         object.__setattr__(self, "counts", _readonly(counts))
+        object.__setattr__(self, "row_totals", _readonly(counts.sum(axis=1)))
+        object.__setattr__(self, "total", int(counts.sum()))
 
     @property
     def size(self):
         return self.counts.shape[0]
-
-    @property
-    def total(self):
-        return int(self.counts.sum())
-
-    @property
-    def row_totals(self):
-        return self.counts.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -191,18 +202,22 @@ class StationaryResult:
 
 @dataclass(frozen=True)
 class InertiaSummary:
-    """How often a sequence stays put: diagonal vs off-diagonal transitions."""
+    """How often a sequence stays put: diagonal vs off-diagonal transitions,
+    with their total and the diagonal share stored alongside (not compared).
+    The share is NaN when there are no transitions."""
 
     on_diagonal: int
     off_diagonal: int
+    total: int = field(init=False, compare=False)
+    proportion: float = field(init=False, compare=False)
 
-    @property
-    def total(self):
-        return self.on_diagonal + self.off_diagonal
-
-    @property
-    def proportion(self):
-        return self.on_diagonal / self.total
+    def __post_init__(self):
+        on = int(_number(self.on_diagonal, "on_diagonal", whole=True))
+        off = int(_number(self.off_diagonal, "off_diagonal", whole=True))
+        object.__setattr__(self, "on_diagonal", on)
+        object.__setattr__(self, "off_diagonal", off)
+        object.__setattr__(self, "total", on + off)
+        object.__setattr__(self, "proportion", on / (on + off) if on + off else math.nan)
 
 
 def _columns(cohort):
@@ -288,8 +303,7 @@ def normalize_rows(counts, smoothing_alpha=0.0):
     rows. A positive alpha is added to every cell first, so every row gets
     a proper distribution.
     """
-    if smoothing_alpha < 0:
-        raise ValidationError(f"smoothing_alpha must be >= 0, got {smoothing_alpha}")
+    _number(smoothing_alpha, "smoothing_alpha")
     return TransitionMatrix(*_row_probabilities(counts.counts, smoothing_alpha))
 
 
@@ -398,10 +412,8 @@ def stationary(matrix, tolerance=DEFAULT_TOLERANCE, max_power=DEFAULT_MAX_POWER)
     Reducible or periodic matrices have no such limit, so they are
     rejected up front rather than reported as slow convergence.
     """
-    if tolerance <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
-    if max_power < 1:
-        raise ValidationError(f"max_power must be >= 1, got {max_power}")
+    _number(tolerance, "tolerance", positive=True)
+    max_power = int(_number(max_power, "max_power", positive=True, whole=True))
     _require_fully_defined(matrix, "stationary")
     reach, period = _structure(matrix)
     if not reach.all():

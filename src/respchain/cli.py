@@ -281,9 +281,9 @@ class _Run:
 def _estimate_block(counts, n_sequences, config):
     return {
         "n_sequences": n_sequences,
-        "counts": reporting.counts_block(counts),
+        "counts": counts,
         "matrix": chain.normalize_rows(counts, config.smoothing_alpha),
-        "inertia": reporting.inertia_block(chain.inertia(counts)),
+        "inertia": chain.inertia(counts),
     }
 
 
@@ -292,8 +292,7 @@ def _cmd_estimate(run):
     groups = args.group or sorted(dataset.group_labels)
     blocks = {name: _estimate_block(*run.pool(name), config) for name in groups}
     if not groups:
-        counts = chain.TransitionCounts(run.counts.sum(axis=0))
-        blocks["all"] = _estimate_block(counts, len(dataset), config)
+        blocks["all"] = _estimate_block(*run.pool(None), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
         counts = run.counts
@@ -333,21 +332,17 @@ def _cmd_compare(run):
             "stationary": run.stationary(matrix, f"the {role} group {group!r}"),
         }
     focal, reference = blocks["focal"], blocks["reference"]
-    association = stats.inertia_association_test(focal["inertia"], reference["inertia"])
+    blocks["inertia_association"] = stats.inertia_association_test(
+        focal["inertia"], reference["inertia"])
     gof = stats.stationary_gof(
         focal["stationary"].distribution,
         reference["stationary"].distribution,
         focal["n_transitions"],
     )
     labels = run.dataset.state_space.labels
-    results = {
-        role: {**block, "inertia": reporting.inertia_block(block["inertia"])}
-        for role, block in blocks.items()
-    }
-    results["inertia_association"] = association
-    results["stationary_gof"] = {"n_focal": focal["n_transitions"],
-                                 **reporting.outcome_block(gof, labels)}
-    return results
+    blocks["stationary_gof"] = {"n_focal": focal["n_transitions"],
+                                **reporting.outcome_block(gof, labels)}
+    return blocks
 
 
 def _cmd_score(run):

@@ -8,9 +8,12 @@ division errors.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 
 import numpy as np
 
+from .chain import _number
 from .errors import ValidationError
 
 
@@ -26,9 +29,8 @@ class ConfusionTable:
 
     def __post_init__(self):
         for name in ("tp", "fn", "tn", "fp"):
-            v = getattr(self, name)
-            if v < 0 or int(v) != v:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            count = int(_number(getattr(self, name), name, whole=True))
+            object.__setattr__(self, name, count)
 
     @property
     def positives(self):
@@ -78,18 +80,11 @@ def confusion(labels, predictions, positive_label):
         raise ValidationError(
             f"positive label {positive_label!r} absent from labels"
         )
-    tp = fn = tn = fp = 0
-    for truth, pred in zip(labels, predictions):
-        if truth == positive_label:
-            if pred == positive_label:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == positive_label:
-                fp += 1
-            else:
-                tn += 1
+    def is_positive(values):
+        return np.fromiter(map(eq, values, repeat(positive_label)), bool, len(values))
+
+    cells = 2 * is_positive(labels) + is_positive(predictions)
+    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
     return ConfusionTable(tp, fn, tn, fp, positive_label)
 
 

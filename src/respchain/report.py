@@ -263,23 +263,6 @@ def write_report(report, fh):
     fh.write("\n")
 
 
-def counts_block(counts):
-    return {
-        "counts": counts.counts,
-        "row_totals": counts.row_totals,
-        "total": counts.total,
-    }
-
-
-def inertia_block(summary):
-    return {
-        "on_diagonal": summary.on_diagonal,
-        "off_diagonal": summary.off_diagonal,
-        "total": summary.total,
-        "proportion": summary.proportion,
-    }
-
-
 def outcome_block(outcome, state_labels):
     """A one-dimensional outcome's fields plus the labels of its flagged states."""
     return {**_sanitize(outcome),

@@ -22,8 +22,10 @@ from . import _kernels
 from .chain import (
     ResponseSequence,
     StateSpace,
+    _number,
     _readonly,
     _require_fully_defined,
+    _whole_numbers,
     count_tensor,
 )
 from .errors import ValidationError
@@ -140,8 +142,7 @@ def _floored_pair(num, den, epsilon_floor):
 
     Returns the two floored probability arrays and the floor records.
     """
-    if epsilon_floor < 0:
-        raise ValidationError(f"epsilon_floor must be >= 0, got {epsilon_floor}")
+    _number(epsilon_floor, "epsilon_floor")
     if num.size != den.size:
         raise ValidationError(
             f"matrices disagree on state count: {num.size} vs {den.size}"
@@ -193,6 +194,19 @@ def log_likelihood_matrix(num, den, epsilon_floor=0.01,
     return log2_matrix(p_num / p_den, numerator_name, denominator_name, records)
 
 
+def _fitted(counts, values):
+    """counts as an (N, K, K) array and values as the K x K float64 beta
+    matrix they are scored against; a ValidationError if the shapes differ."""
+    counts = np.asarray(counts)
+    values = np.asarray(values, dtype=np.float64)
+    if counts.ndim != 3 or values.ndim != 2 or counts.shape[1:] != values.shape:
+        raise ValidationError(
+            f"counts of shape {counts.shape} do not fit a beta matrix of "
+            f"shape {values.shape}"
+        )
+    return counts, values
+
+
 def score_counts(counts, values):
     """Scores of many sequences from their (N, K, K) transition counts.
 
@@ -202,13 +216,7 @@ def score_counts(counts, values):
     visited add an exact zero, however extreme (even infinite) their beta.
     Rows are scored SCORE_BLOCK_ROWS at a time.
     """
-    counts = np.asarray(counts)
-    values = np.asarray(values, dtype=np.float64)
-    if counts.ndim != 3 or values.ndim != 2 or counts.shape[1:] != values.shape:
-        raise ValidationError(
-            f"counts of shape {counts.shape} do not fit a beta matrix of "
-            f"shape {values.shape}"
-        )
+    counts, values = _fitted(counts, values)
     n = counts.shape[0]
     flat = counts.reshape(n, values.size)
     betas = values.reshape(-1)
@@ -228,11 +236,11 @@ def score_terms(counts, values):
     per visited cell in row-major order; the contributions are count *
     beta and fsum to score_counts' score for that row.
     """
-    counts = np.asarray(counts)
+    counts, values = _fitted(counts, values)
     rows, i, j = np.nonzero(counts)
     c = counts[rows, i, j]
     terms = list(zip((i + 1).tolist(), (j + 1).tolist(), c.tolist(),
-                     (c * np.asarray(values, dtype=np.float64)[i, j]).tolist()))
+                     (c * values[i, j]).tolist()))
     bounds = np.searchsorted(rows, np.arange(counts.shape[0] + 1)).tolist()
     return [tuple(terms[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
@@ -258,8 +266,13 @@ def score_value(states, lr_values):
     No dataclass wrapping, no breakdown; the same number score_sequence
     gives. Fewer than two states score 0.
     """
-    states = np.asarray(states, dtype=np.int64)
+    states = _whole_numbers(states, "states")
     lr_values = np.asarray(lr_values, dtype=np.float64)
+    if states.ndim != 1:
+        raise ValidationError(f"states must be a 1-d sequence, got shape {states.shape}")
+    if lr_values.ndim != 2 or lr_values.shape[0] != lr_values.shape[1]:
+        raise ValidationError(
+            f"states do not fit a beta matrix of shape {lr_values.shape}: it must be square")
     k = lr_values.shape[0]
     if states.size and (states.min() < 1 or states.max() > k):
         raise ValidationError(f"states must lie in 1..{k}")

@@ -1,6 +1,7 @@
 """Core chain machinery: counting, normalizing, powers, stationarity."""
 
 import re
+from dataclasses import fields
 from math import gcd
 
 import numpy as np
@@ -672,3 +673,85 @@ class TestTransitionMatrixValidation:
     def test_probs_read_only(self, adhd_matrix):
         with pytest.raises(ValueError):
             adhd_matrix.probs[0, 0] = 0.9
+
+
+class TestStoredTotals:
+    def test_counts_totals_are_fields_set_at_construction(self, o05, space):
+        counts = rc.count_transitions(o05, space)
+        assert {"row_totals", "total"} <= {f.name for f in fields(counts)}
+        assert counts.row_totals.dtype == np.int64
+        assert not counts.row_totals.flags.writeable
+        with pytest.raises(AttributeError):
+            counts.total = 0
+
+    def test_totals_take_no_part_in_equality(self):
+        a = rc.InertiaSummary(3, 4)
+        assert a == rc.InertiaSummary(3.0, 4)
+        assert hash(a) == hash(rc.InertiaSummary(3, 4))
+        with pytest.raises(TypeError):
+            rc.InertiaSummary(3, 4, total=7)
+
+    def test_empty_summary_has_nan_proportion(self):
+        summary = rc.InertiaSummary(0, 0)
+        assert summary.total == 0
+        assert np.isnan(summary.proportion)
+
+    @pytest.mark.parametrize("bad", [1.5, -1, float("nan"), float("inf"), "3", True])
+    def test_inertia_entries_must_be_counts(self, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^on_diagonal must be a finite nonnegative integer"):
+            rc.InertiaSummary(bad, 2)
+
+
+class TestUnreachedChecks:
+    def test_counts_must_be_square(self):
+        with pytest.raises(rc.ValidationError, match=r"counts must be square, got shape \(2, 3\)"):
+            rc.TransitionCounts(np.zeros((2, 3), dtype=int))
+
+    def test_counts_must_be_nonnegative(self):
+        with pytest.raises(rc.ValidationError, match="^counts must be nonnegative$"):
+            rc.TransitionCounts([[1, -1], [0, 2]])
+
+    def test_probs_must_be_square(self):
+        with pytest.raises(rc.ValidationError, match=r"probs must be square, got shape \(2, 3\)"):
+            rc.TransitionMatrix(np.full((2, 3), 1 / 3), [True, True])
+
+    def test_defined_rows_need_one_flag_per_row(self):
+        with pytest.raises(rc.ValidationError,
+                           match="^defined_rows must have one flag per row$"):
+            rc.TransitionMatrix(np.eye(2), [True, True, True])
+
+    def test_sequence_probability_needs_two_responses(self, adhd_matrix):
+        with pytest.raises(rc.ValidationError,
+                           match="need at least 2 responses for a sequence probability"):
+            rc.sequence_log2_prob(rc.ResponseSequence("x", [3]), adhd_matrix)
+
+    def test_sequence_probability_rejects_state_above_k(self, adhd_matrix):
+        with pytest.raises(rc.ValidationError, match=r"^state 6 outside 1\.\.5$"):
+            rc.sequence_log2_prob(rc.ResponseSequence("x", [1, 6, 2]), adhd_matrix)
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("bad", [0, -1e-3, float("nan"), float("inf"), "1e-3", True])
+    def test_stationary_tolerance(self, adhd_matrix, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^tolerance must be a finite positive number, got "):
+            rc.stationary(adhd_matrix, tolerance=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, float("nan"), float("inf"), True])
+    def test_stationary_max_power(self, adhd_matrix, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^max_power must be a finite positive integer, got "):
+            rc.stationary(adhd_matrix, max_power=bad)
+
+    def test_stationary_takes_a_whole_float_max_power(self, adhd_matrix):
+        whole, default = rc.stationary(adhd_matrix, max_power=64.0), rc.stationary(adhd_matrix)
+        assert whole.power_at_convergence == default.power_at_convergence
+        assert np.array_equal(whole.distribution, default.distribution)
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf"), None])
+    def test_smoothing_alpha(self, o05, space, bad):
+        counts = rc.count_transitions(o05, space)
+        with pytest.raises(rc.ValidationError,
+                           match=r"^smoothing_alpha must be a finite nonnegative number"):
+            rc.normalize_rows(counts, bad)

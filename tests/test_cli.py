@@ -942,3 +942,38 @@ class TestReportNotes:
         payload = json.loads(out)["payload"]
         assert payload["results"]["initial_source"] == "stationary"
         assert "warnings" not in payload
+
+
+class TestUnreachedFlagChecks:
+    @pytest.mark.parametrize("flags, message", [
+        (["--numerator", "group:ocd"],
+         "binary mode needs both --numerator and --denominator"),
+        (["--denominator", "group:adhd"],
+         "binary mode needs both --numerator and --denominator"),
+        (["--models", "DWM"], "multi-model mode needs both --models and --reference"),
+        (["--reference", "MEM"], "multi-model mode needs both --models and --reference"),
+        (["--models", ",", "--reference", "MEM"], "--models lists no usable names"),
+    ])
+    def test_classify_flag_pairs(self, capsys, cohort_csv, flags, message):
+        code, _, err = run(capsys, "classify", "--input", cohort_csv, *flags)
+        assert code == 1
+        assert error_of(err) == {"type": "validation", "message": message, "exit_code": 1}
+
+    def test_diagnose_positive_group_not_in_data(self, capsys, cohort_csv):
+        code, _, err = run(capsys, "diagnose", "--input", cohort_csv,
+                           "--numerator", "group:ocd", "--denominator", "group:adhd",
+                           "--positive-group", "zzz")
+        assert code == 1
+        assert error_of(err)["message"] == \
+            "positive group 'zzz' not in data (groups: adhd, ocd)"
+
+
+def test_ungrouped_estimate_pools_every_row(capsys, tmp_path):
+    path = tmp_path / "ungrouped.csv"
+    path.write_text("participant_id,group,responses\nA,,1122\nB,,212\n")
+    block = run_report(capsys, "estimate", "--input", str(path))["payload"]["results"]
+    assert block["n_sequences"] == 2
+    assert block["groups"]["all"]["n_sequences"] == 2
+    assert block["groups"]["all"]["counts"]["total"] == 5
+    assert block["groups"]["all"]["inertia"] == {
+        "on_diagonal": 2, "off_diagonal": 3, "total": 5, "proportion": 0.4}

@@ -668,3 +668,19 @@ class TestAgainstPerRowLoader:
         assert_loads_like_reference(path, rc.Config(states=k, mode=mode))
         if mode == "lenient":
             assert len(rc.load_cohort(path, rc.Config(states=k, mode=mode)).skipped) > 40
+
+
+class TestUnreachedConfigChecks:
+    def test_tolerance_must_be_positive(self):
+        with pytest.raises(rc.ValidationError, match="^tolerance must be positive$"):
+            rc.Config(tolerance=0)
+
+    def test_max_power_at_least_one(self):
+        with pytest.raises(rc.ValidationError, match="^max_power must be >= 1$"):
+            rc.Config(max_power=0)
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = write(tmp_path, "cfg.json", "[1, 2]")
+        with pytest.raises(rc.ValidationError,
+                           match=f"^config {re.escape(str(path))}: expected a JSON object$"):
+            rc.load_config(path)

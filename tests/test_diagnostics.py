@@ -47,6 +47,23 @@ def reference_roc_curve(scores, labels, positive_label):
     return tuple(points), float(np.trapezoid(tprs, fprs))
 
 
+def reference_confusion(labels, predictions, positive_label):
+    """The per-label loop that confusion replaced, kept as its oracle."""
+    tp = fn = tn = fp = 0
+    for truth, pred in zip(labels, predictions):
+        if truth == positive_label:
+            if pred == positive_label:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == positive_label:
+                fp += 1
+            else:
+                tn += 1
+    return tp, fn, tn, fp
+
+
 # Scores rounded to halves, so most of them tie, with both signed zeros
 tied_score = st.one_of(
     st.integers(-6, 6).map(lambda x: x / 2),
@@ -210,3 +227,46 @@ class TestRocCurve:
         )
         cutoffs = [p[2] for p in curve.points]
         assert cutoffs == [float("inf"), 0.9, 0.7, 0.3]
+
+
+# Labels of several types: confusion only ever compares them to the positive one
+any_label = st.one_of(st.sampled_from(["a", "b"]), st.integers(0, 2), st.none(),
+                      st.tuples(st.integers(0, 1)))
+
+
+class TestConfusionAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_loop(self, data):
+        classes = data.draw(st.lists(any_label, min_size=1, max_size=2, unique=True))
+        labels = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=60))
+        predictions = data.draw(st.lists(any_label, min_size=len(labels),
+                                         max_size=len(labels)))
+        positive = data.draw(st.sampled_from(sorted(set(labels), key=repr)))
+        t = rc.confusion(labels, predictions, positive)
+        assert (t.tp, t.fn, t.tn, t.fp) == reference_confusion(labels, predictions, positive)
+        assert all(type(v) is int for v in (t.tp, t.fn, t.tn, t.fp))
+
+    def test_one_class_labels(self):
+        t = rc.confusion(["a"] * 3, ["a", "b", "a"], "a")
+        assert (t.tp, t.fn, t.tn, t.fp) == (2, 1, 0, 0)
+
+
+class TestConfusionTableCells:
+    @pytest.mark.parametrize("bad", [float("nan"), "1", True, 1.5, float("inf")])
+    def test_non_count_cell_rejected(self, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^tn must be a finite nonnegative integer, got "):
+            rc.ConfusionTable(tp=1, fn=0, tn=bad, fp=0, positive_label="a")
+
+    def test_whole_float_cells_are_stored_as_ints(self):
+        t = rc.ConfusionTable(tp=2.0, fn=np.int64(1), tn=0, fp=3, positive_label="a")
+        assert (t.tp, t.fn) == (2, 1)
+        assert type(t.tp) is int and type(t.fn) is int
+
+
+class TestRocCurveInputs:
+    def test_lengths_must_match(self):
+        with pytest.raises(rc.ValidationError,
+                           match="scores and labels must be 1-d and equal length"):
+            rc.roc_curve([0.1, 0.2, 0.3], ["p", "n"], positive_label="p")

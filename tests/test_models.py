@@ -151,3 +151,17 @@ class TestBuiltinModels:
     def test_profiles_sum_to_one(self):
         for vec in (SYMMETRIC_VECTOR, SKEW_POS_VECTOR, SKEW_NEG_VECTOR):
             assert vec.sum() == pytest.approx(1.0)
+
+
+class TestUnreachedChecks:
+    @pytest.mark.parametrize("params", [{"stay": 0}, {"step": -0.1}, {"epsilon_floor": 0}])
+    def test_walk_parameters_must_be_positive(self, params):
+        with pytest.raises(rc.ValidationError,
+                           match="^stay, step and epsilon_floor must all be positive$"):
+            rc.drunkards_walk(rc.StateSpace(5), **params)
+
+    @pytest.mark.parametrize("vector", [[[0.5, 0.5], [0.5, 0.5]], [1.0]])
+    def test_stationary_vector_shape(self, vector):
+        with pytest.raises(rc.ValidationError,
+                           match="^need a 1-d probability vector of length >= 2$"):
+            rc.from_stationary_vector(vector)

@@ -268,3 +268,41 @@ class TestClassifyMultimodel:
                 rc.max_entropy(space),
                 reference_name="MEM",
             )
+
+
+class TestScoringInputChecks:
+    def test_score_value_rejects_scalar_betas(self):
+        with pytest.raises(rc.ValidationError,
+                           match=r"do not fit a beta matrix of shape \(\): it must be square"):
+            rc.score_value([1, 2], 5.0)
+
+    def test_score_value_rejects_two_dimensional_states(self):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^states must be a 1-d sequence, got shape \(2, 2\)$"):
+            rc.score_value([[1, 2], [2, 1]], np.zeros((2, 2)))
+
+    def test_score_value_rejects_fractional_states(self):
+        with pytest.raises(rc.ValidationError,
+                           match="^states must be finite whole numbers within int64, got 1.9$"):
+            rc.score_value([1.9, 2.2], [[1.0, 2.0], [4.0, 8.0]])
+
+    @pytest.mark.parametrize("states", [[], [2], [2.0]])
+    def test_score_value_of_fewer_than_two_states_is_zero(self, states):
+        assert rc.score_value(states, [[1.0, 2.0], [4.0, 8.0]]) == 0.0
+
+    def test_score_terms_rejects_a_beta_matrix_of_another_size(self):
+        with pytest.raises(rc.ValidationError,
+                           match=r"counts of shape \(1, 2, 2\) do not fit a beta matrix "
+                                 r"of shape \(3, 3\)"):
+            rc.score_terms(np.array([[[0, 1], [0, 0]]]), np.arange(9.0).reshape(3, 3))
+
+    def test_log_ratio_values_must_be_square(self):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^values must be square, got shape \(2, 3\)$"):
+            rc.LogRatioMatrix(np.zeros((2, 3)), "a", "b")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, "0.01"])
+    def test_ratio_epsilon_floor(self, adhd_matrix, ocd_matrix, bad):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^epsilon_floor must be a finite nonnegative number, got "):
+            rc.ratio_matrix(ocd_matrix, adhd_matrix, bad)

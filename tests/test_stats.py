@@ -215,3 +215,37 @@ class TestStationaryGof:
             OCD_STATIONARY, ADHD_STATIONARY, 10
         )
         assert outcome.warnings
+
+
+class TestUnreachedChecks:
+    def test_fractional_inertia_never_reaches_the_test(self):
+        with pytest.raises(rc.ValidationError, match="on_diagonal must be a finite"):
+            rc.inertia_association_test(rc.InertiaSummary(1.5, 2), rc.InertiaSummary(3, 4))
+
+    def test_empty_table(self):
+        with pytest.raises(rc.ValidationError,
+                           match="^empty tables have no chi-square statistic$"):
+            rc.chi_square_statistic([], [])
+
+    def test_negative_observed_counts(self):
+        with pytest.raises(rc.ValidationError, match="^observed counts must be nonnegative$"):
+            rc.chi_square_statistic([3, -1], [1, 1])
+
+    def test_contingency_needs_two_dimensions(self):
+        with pytest.raises(rc.ValidationError,
+                           match="^contingency layout needs a 2-d table$"):
+            rc.chi_square_statistic([3, 1], [2, 2], layout="contingency")
+
+    def test_layout_without_degrees_of_freedom(self):
+        with pytest.raises(rc.ValidationError,
+                           match=r"^layout leaves no degrees of freedom \(df=0\)$"):
+            rc.chi_square_statistic([5], [5])
+
+    def test_equiprobability_needs_a_positive_total(self):
+        with pytest.raises(rc.ValidationError, match="^total count must be positive$"):
+            rc.equiprobability_test([0, 0])
+
+    def test_gof_shapes_must_match(self):
+        with pytest.raises(rc.ValidationError,
+                           match="^focal and reference must be 1-d of equal length$"):
+            rc.stationary_gof([0.5, 0.5], [0.2, 0.3, 0.5], 10)
