@@ -32,8 +32,12 @@ from .errors import ValidationError
 
 TIE_TOLERANCE = 1e-12
 
-# Rows score_counts scores at a time; bounds its temporary term lists.
+# Rows scored at a time; bounds each block's rows x M x K^2 term arrays.
 SCORE_BLOCK_ROWS = 4096
+
+# Sums with a term larger than this go to fsum: no partial sum of up to
+# 2**60 smaller terms, in the lockstep pass or in fsum, can overflow.
+_HUGE = 2.0 ** 960
 
 
 @dataclass(frozen=True)
@@ -207,26 +211,88 @@ def _fitted(counts, values):
     return counts, values
 
 
+def _two_sum(a, b):
+    """fl(a + b) and its error: a + b == s + e exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _column_fsums(terms):
+    """math.fsum of each column of a (J, R) float64 array, bit for bit.
+
+    The columns are summed in lockstep, row by row, with two levels of
+    error-free transforms (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", 2005): s, e = TwoSum(s, t), then tau, e2 = TwoSum(tau, e),
+    adding |e2| into mag, and at the end r, rho = TwoSum(s, tau). So a
+    column's exact sum is r + rho + E with |E| <= sum |e2|, and the
+    recursive sum mag times 1 + 2*J*2**-53 bounds sum |e2| from above.
+
+    fsum returns the exact sum rounded to nearest, ties to even. When
+    mag == 0 the exact sum is s + tau and r = fl(s + tau) is that rounding.
+    Otherwise r is it when |rho| + |E| is under half the gap from r to
+    either neighbour, gap = spacing(|r|), halved below a power of two. That
+    test is made in floating point, but its right side is a power of two,
+    so a rounded left side below it means the exact one is too. A certified
+    zero is written +0.0, as fsum writes it. Columns with a non-finite or
+    huge term, and columns that fail the test, go to fsum itself in their
+    given order, so overflow and inf - inf raise as fsum raises.
+    """
+    j, n = terms.shape
+    bad = ~((terms.max(axis=0) <= _HUGE) & (terms.min(axis=0) >= -_HUGE))
+    safe = np.where(bad, 0.0, terms) if bad.any() else terms
+    s, tau, mag = safe[0], np.zeros(n), np.zeros(n)
+    for t in safe[1:]:
+        s, e = _two_sum(s, t)
+        tau, e2 = _two_sum(tau, e)
+        mag += np.abs(e2)
+    r, rho = _two_sum(s, tau)
+    # underflow is harmless: a half gap under the least subnormal rounds to
+    # 0 and fails the test, and a subnormal mag is an exact sum
+    with np.errstate(under="ignore"):
+        a = np.abs(r)
+        half_gap = np.spacing(a) * np.where(np.frexp(a)[0] == 0.5, 0.25, 0.5)
+        ok = ~bad & ((mag == 0) | (np.abs(rho) + mag * (1 + 2 * j * 2.0 ** -53)
+                                   < half_gap))
+    out = r + 0.0
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = fsum(terms[:, i].tolist())
+    return out
+
+
+def _scores(counts, betas):
+    """(N, M) scores of an (N, K, K) count tensor against (M, K*K) beta rows.
+
+    Score (n, m) is math.fsum of counts[n] * betas[m] over the cells row n
+    visits. Each block of SCORE_BLOCK_ROWS rows builds its terms for all M
+    rows of betas at once, laid out cell by cell, and sums them in one pass.
+    """
+    n, (m, cells) = counts.shape[0], betas.shape
+    flat = counts.reshape(n, cells)
+    by_cell = betas.T[:, :, None]
+    out = np.empty((n, m))
+    for start in range(0, n, SCORE_BLOCK_ROWS):
+        block = flat[start:start + SCORE_BLOCK_ROWS].T[:, None, :]
+        # unvisited cells stay exact zeros, even where a beta is infinite
+        terms = np.multiply(block, by_cell, out=np.zeros((cells, m, block.shape[2])),
+                            where=block != 0)
+        sums = _column_fsums(terms.reshape(cells, -1))
+        del terms  # freed before the next block's terms are made
+        out[start:start + SCORE_BLOCK_ROWS] = sums.reshape(m, -1).T
+    return out
+
+
 def score_counts(counts, values):
     """Scores of many sequences from their (N, K, K) transition counts.
 
     values is the K x K beta matrix, e.g. LogRatioMatrix.values. Row n's
-    score is math.fsum of count * beta over the cells that row visits,
-    exactly the number score_sequence gives for that sequence. Cells never
+    score is exactly math.fsum of count * beta over the cells that row
+    visits, the number score_sequence gives for that sequence, computed by
+    a certified double-double sum with an fsum fallback. Cells never
     visited add an exact zero, however extreme (even infinite) their beta.
-    Rows are scored SCORE_BLOCK_ROWS at a time.
     """
     counts, values = _fitted(counts, values)
-    n = counts.shape[0]
-    flat = counts.reshape(n, values.size)
-    betas = values.reshape(-1)
-    out = np.empty(n)
-    for start in range(0, n, SCORE_BLOCK_ROWS):
-        block = flat[start:start + SCORE_BLOCK_ROWS]
-        terms = np.multiply(block, betas, out=np.zeros(block.shape),
-                            where=block != 0)
-        out[start:start + SCORE_BLOCK_ROWS] = [fsum(row) for row in terms.tolist()]
-    return out
+    return _scores(counts, values.reshape(1, -1))[:, 0]
 
 
 def score_terms(counts, values):
@@ -333,12 +399,13 @@ def classify_counts(counts, participant_ids, candidates, reference,
         raise ValidationError(
             f"{len(participant_ids)} participant ids for {len(counts)} count tables"
         )
-    betas = [
+    betas = np.stack([
         log_likelihood_matrix(matrix, reference, epsilon_floor, numerator_name=name,
                               denominator_name=reference_name).values
         for name, matrix in candidates
-    ]
-    scores = np.column_stack([score_counts(counts, values) for values in betas])
+    ])
+    counts, _ = _fitted(counts, betas[0])
+    scores = _scores(counts, betas.reshape(len(names), -1))
     reject = (scores < 0).all(axis=1)
     # first candidate on an exact tie; a row with every score negative goes
     # to the reference, never as a tie

@@ -2,21 +2,26 @@
 
 count_tensor must equal the per-row pair counts stacked, and score_counts
 must equal, bit for bit, the per-row loop it replaced (kept below as
-``reference_score``). The digest guard pins whole report payloads of the
-subcommands that read the tensor.
+``reference_score``). The certified column sum under it is checked
+against math.fsum directly. The digest guard pins whole report payloads
+of the subcommands that read the tensor.
 """
 
 import hashlib
 import json
+import math
+import sys
+import tracemalloc
 from math import fsum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import respchain as rc
 import respchain._kernels as kernels
+import respchain.scoring as scoring
 from respchain.cli import main
 
 
@@ -160,6 +165,137 @@ class TestScoreCounts:
         assert rc.score_sequence(o05, lr).score == batch
         assert rc.score_value(o05.states, lr.values) == batch
         assert batch == reference_score(o05.states, lr.values)
+
+
+# An exact half-ulp tie: the plain float sum gives 1.6438561897747246, fsum
+# (the exact sum rounded half-even) 1.6438561897747248.
+TIE_ROW = [math.log2(1.25), 2.0, 1.0, -2.0, math.log2(1.25)]
+# s + tau is the tie 1 - 2**-54, which rounds up to the power of two 1.0,
+# but the second-level errors put the exact sum just below it, so fsum
+# gives 1 - 2**-53 and no certificate may accept 1.0.
+BELOW_POWER_ROW = [1.0, -2.0 ** -54, 2.0 ** -120, -2.0 ** -119]
+OVERFLOW_ROW = [sys.float_info.max, sys.float_info.max, -sys.float_info.max]
+
+
+@st.composite
+def hard_rows(draw):
+    """A row of terms built to be hard to sum: half-ulp ties, dust far below
+    them, pairs that cancel, anywhere from subnormal to near overflow."""
+    kind = draw(st.sampled_from(["tie", "floats", "huge", "special"]))
+    if kind == "floats":
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=12))
+    if kind == "special":
+        picks = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0])
+        return draw(st.lists(picks | st.floats(-1e3, 1e3), min_size=1, max_size=6))
+    if kind == "huge":
+        big = st.builds(math.ldexp, st.floats(-2, 2), st.integers(1010, 1022))
+        return draw(st.lists(big | st.floats(-1e300, 1e300), min_size=1, max_size=6))
+    exponent = draw(st.integers(-1070, 900))
+    head = math.ldexp(draw(st.sampled_from([1.0, 1.5]) | st.floats(1, 2)), exponent)
+    ulp = math.ulp(head)
+    # a tie with the neighbour below (half as far below a power of two) or above
+    row = [head, draw(st.sampled_from([math.nextafter(head, 0) - head, ulp])) / 2]
+    # dust 50 or more binades down lands in the second-level errors
+    for _ in range(draw(st.integers(0, 4))):
+        row.append(math.ldexp(draw(st.sampled_from([-1.0, 1.0, -1.5, 1.5])) * ulp,
+                              -draw(st.integers(1, 40) | st.integers(50, 110))))
+    for _ in range(draw(st.integers(0, 2))):
+        big = math.ldexp(draw(st.floats(1, 2)), exponent + draw(st.integers(0, 60)))
+        row += [big, -big]
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    return draw(st.permutations([sign * x for x in row]))
+
+
+def _outcome(total, row):
+    """repr of the sum (so the sign of zero counts), or the exception type."""
+    try:
+        return repr(total(row))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _column_fsum(row):
+    return float(scoring._column_fsums(np.array([row]).T)[0])
+
+
+class TestCertifiedSum:
+    """scoring._column_fsums against math.fsum, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(hard_rows(), min_size=1, max_size=6))
+    @example([TIE_ROW, BELOW_POWER_ROW])
+    @example([OVERFLOW_ROW, [math.inf, -math.inf]])
+    def test_equals_fsum(self, rows):
+        width = max(map(len, rows))
+        rows = [row + [0.0] * (width - len(row)) for row in rows]
+        expected = [_outcome(fsum, row) for row in rows]
+        summed = [i for i, want in enumerate(expected) if isinstance(want, str)]
+        with np.errstate(all="raise"):
+            assert [_outcome(_column_fsum, row) for row in rows] == expected
+            if summed:  # all columns at once, as the scorer calls it
+                together = scoring._column_fsums(np.array([rows[i] for i in summed]).T)
+                assert [repr(x) for x in together.tolist()] == [expected[i] for i in summed]
+
+    def test_known_rows(self):
+        assert repr(_column_fsum(TIE_ROW)) == repr(fsum(TIE_ROW)) != repr(sum(TIE_ROW))
+        assert _column_fsum(BELOW_POWER_ROW) == 1 - 2.0 ** -53
+        with pytest.raises(OverflowError):
+            _column_fsum(OVERFLOW_ROW)
+        with pytest.raises(ValueError):
+            _column_fsum([math.inf, 1.0, -math.inf])
+
+
+class TestFallbackAndMemory:
+    @pytest.fixture
+    def fsum_calls(self, monkeypatch):
+        calls = []
+
+        def counted(terms):
+            calls.append(len(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(scoring, "fsum", counted)
+        return calls
+
+    def test_certified_rows_never_call_fsum(self, fsum_calls, ocd_matrix):
+        """A broken certificate would still give fsum's bits, through fsum;
+        only this count shows the fast path is taken."""
+        registry = rc.builtin_models(rc.StateSpace(5))
+        candidates = [(n, registry[n]) for n in ("symmetric", "skewed+", "skewed-")]
+        cohort = rc.generate_cohort(
+            rc.SimulationSpec(registry["DWM"], length=6, count=300, seed=4),
+            id_prefix="dwm") + rc.generate_cohort(
+            rc.SimulationSpec(ocd_matrix, length=5, count=300, seed=5),
+            id_prefix="ocd")
+        rc.classify_multimodel(cohort, candidates, registry["MEM"])
+        assert fsum_calls == []
+
+    def test_an_uncertified_row_calls_fsum_once(self, fsum_calls):
+        ones = np.ones((1, 2, 2), dtype=np.int64)
+        below = np.reshape(BELOW_POWER_ROW, (2, 2))
+        assert rc.score_counts(ones, below).tolist() == [1 - 2.0 ** -53]
+        assert fsum_calls == [4]
+        fsum_calls.clear()
+        with pytest.raises(OverflowError):
+            rc.score_counts(ones, np.reshape(OVERFLOW_ROW + [0.0], (2, 2)))
+        assert fsum_calls == [4]
+
+    def test_classify_counts_works_in_blocks(self):
+        """All candidates of a block are summed at once, never the whole
+        (N, M, K*K) term array: that alone would be 22.9 MiB here."""
+        rng = np.random.default_rng(8)
+        counts = rng.multinomial(15, np.full(25, 1 / 25), size=40_000).reshape(-1, 5, 5)
+        ids = [f"p{i}" for i in range(len(counts))]
+        registry = rc.builtin_models(rc.StateSpace(5))
+        candidates = [(n, registry[n]) for n in ("symmetric", "skewed+", "skewed-")]
+        tracemalloc.start()
+        try:
+            rc.classify_counts(counts, ids, candidates, registry["MEM"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
 
 
 def reference_verdict(seq, candidates, reference, reference_name="MEM"):

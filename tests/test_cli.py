@@ -5,6 +5,7 @@ so argument wiring, config layering, exit codes and report structure are
 all exercised together.
 """
 
+import dataclasses
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -107,6 +108,22 @@ class TestEstimate:
         ids = list(results["participants"])
         assert len(ids) == 100
         assert ids == sorted(ids)
+
+    def test_participant_rows_match_one_participant_groups(self, capsys, tmp_path):
+        """A participant's counts and matrix are written with the fields of
+        TransitionCounts and TransitionMatrix, as a group block is."""
+        path = tmp_path / "solo.csv"
+        path.write_text("participant_id,group,responses\nA,g,33231\nB,h,1123\n")
+        results = run_report(capsys, "estimate", "--input", str(path),
+                             "--per-participant")["payload"]["results"]
+        for pid, group in (("A", "g"), ("B", "h")):
+            row, block = results["participants"][pid], results["groups"][group]
+            assert row["counts"] == block["counts"]
+            assert row["matrix"] == block["matrix"]
+        assert sorted(row["counts"]) == sorted(
+            f.name for f in dataclasses.fields(rc.TransitionCounts))
+        assert sorted(row["matrix"]) == sorted(
+            f.name for f in dataclasses.fields(rc.TransitionMatrix))
 
     def test_output_file(self, capsys, tmp_path, cohort_csv):
         out = tmp_path / "report.json"
