@@ -11,13 +11,18 @@ the same states.
 K(K-1) edges of all rows, merged in sorted order, reaches exactly the
 first b of them; so the row-s edges it reaches are the row-s edges among
 those b, whether edges tie within a row or across rows, and a (b, s)
-table of those counts gives every step.
+table of those counts gives every step. Each draw's b is itself read
+from a table over a grid of GRID cells on [0, 1) (see _bins); only draws
+that share a cell with an edge are placed among the edges by search.
 """
 
 import numpy as np
 
 # Walks longer than this are cut into chunks of this many steps (see walk).
 CHUNK = 512
+# Cells of the bin table on [0, 1) (see _bins): a power of two, so that a
+# draw's cell floor(u * GRID) is exact.
+GRID = 1 << 16
 
 
 def pair_counts(states, n_states):
@@ -45,6 +50,42 @@ def _advance(flat, states, base, out=None):
     return states
 
 
+def _table(edges, scale):
+    """The bin table of sorted edges over GRID cells: table[c] is scale
+    times the number of edges below cell c, or -1 where cell c holds an
+    edge (floor(e * GRID) == c)."""
+    cells = np.floor(np.clip(edges, -1.0, 1.0) * GRID)
+    table = np.searchsorted(cells, np.arange(GRID)) * scale
+    table[cells[(cells >= 0) & (cells < GRID)].astype(np.intp)] = -1
+    return table
+
+
+def _bins(edges, uniforms, scale=1):
+    """np.searchsorted(edges, uniforms, side="right") * scale for sorted
+    edges, as a new intp array, by one read of _table per draw.
+
+    A draw u in [0, 1) lies in cell c = floor(u * GRID). If no edge lies in
+    that cell, every edge of a lower cell is below c/GRID <= u and every
+    edge of a higher cell is at or above (c+1)/GRID > u, so table[c] is its
+    count. Draws in a cell that holds an edge, draws outside [0, 1) and NaN
+    are placed by searchsorted. The cell indices are computed into the
+    output array and looked up in place.
+    """
+    out = np.empty(uniforms.shape, dtype=np.intp)
+    stray = None
+    u = uniforms
+    if u.size and not (u.min() >= 0 and u.max() < 1):  # a NaN fails both
+        stray = ~((u >= 0) & (u < 1))
+        u = np.where(stray, 0.0, u)
+    np.multiply(u, GRID, out=out, casting="unsafe")  # truncation is floor here
+    _table(edges, scale).take(out, out=out, mode="clip")  # "clip" works in place
+    if stray is not None:
+        out[stray] = -1
+    hit = out < 0
+    out[hit] = np.searchsorted(edges, uniforms[hit], side="right") * scale
+    return out
+
+
 def walk(cum_rows, first_states, uniforms):
     """Walk one chain per row of `uniforms`, all rows in lockstep.
 
@@ -56,8 +97,8 @@ def walk(cum_rows, first_states, uniforms):
     The first K-1 edges of every row are merged by a stable sort, and
     flat[b*K + s] counts the row-s edges among the first b merged ones.
     Each draw is mapped once to b*K, b the number of merged edges it
-    reaches, and a step from 0-based state s reads flat[b*K + s]. The
-    table has K(K(K-1)+1) cells of the smallest type that holds K.
+    reaches (_bins), and a step from 0-based state s reads flat[b*K + s].
+    The table has K(K(K-1)+1) cells of the smallest type that holds K.
 
     A walk longer than CHUNK steps is cut into chunks of CHUNK steps. Every
     full chunk is first walked from every possible start state at once,
@@ -73,8 +114,7 @@ def walk(cum_rows, first_states, uniforms):
     small = np.min_scalar_type(k)  # holds every count and 1-based state
     flat = np.concatenate([np.zeros(k, dtype=small),
                            member.cumsum(axis=0, dtype=small).ravel()])
-    bins = np.searchsorted(edges[order], uniforms, side="right")
-    bins *= k
+    bins = _bins(edges[order], uniforms, k)
     n, t = uniforms.shape
     out = np.empty((n, t + 1), dtype=np.int64)
     out[:, 0] = first_states

@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -349,14 +350,37 @@ def _cells(states, lengths, k):
     """Each row's responses cell, for rows of at least one state: the
     whole column's text is gathered from a table of each state's text
     (with ';' after it above 9 points, NUL-padded to one width, the NULs
-    dropped after) and cut into rows less their ';'."""
+    dropped after) and cut into rows less their ';'. Up to 9 points every
+    state is one digit, so there are no NULs and a row is as long in
+    bytes as in states."""
     sep = b";" if k > 9 else b""
     tokens = np.array([b"%d%s" % (state, sep) for state in range(k + 1)])
-    text = tokens.take(states).tobytes().translate(None, b"\0").decode("ascii")
-    row_bytes = np.add.reduceat(np.char.str_len(tokens)[states], np.cumsum(lengths) - lengths)
+    text = tokens.take(states).tobytes()
+    row_bytes = lengths
+    if sep:
+        text = text.translate(None, b"\0")
+        row_bytes = np.add.reduceat(np.char.str_len(tokens)[states], np.cumsum(lengths) - lengths)
+    text = text.decode("ascii")
     ends = np.cumsum(row_bytes).tolist()
     cut = len(sep)
     return [text[start:end - cut] for start, end in zip([0] + ends[:-1], ends)]
+
+
+# A field holding one of these is quoted by csv.writer (QUOTE_MINIMAL,
+# excel dialect).
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _fields(column):
+    """An id or group column as csv.writer writes it: None as an empty
+    field, a field that holds ',', '"', CR or LF in quotes with its quotes
+    doubled. One search of the joined column skips the per-field test
+    when no field needs quotes."""
+    texts = ["" if value is None else str(value) for value in column]
+    if not _NEEDS_QUOTES.search("".join(texts)):
+        return texts
+    return ['"%s"' % text.replace('"', '""') if _NEEDS_QUOTES.search(text) else text
+            for text in texts]
 
 
 def write_cohort(cohort, space, path):
@@ -366,15 +390,16 @@ def write_cohort(cohort, space, path):
     ResponseSequence. Rows load_cohort would refuse are rejected before
     the file is opened: a state outside 1..space.size (naming its
     participant and position), a row of fewer than two responses, or a
-    participant id used twice.
+    participant id used twice. Fields are quoted as csv.writer quotes
+    them and every record ends with CRLF.
     """
     ids, groups, states, lengths = _columns(cohort)
     _check_rows(ids, states, lengths, space.size)
     if not isinstance(cohort, CohortDataset):
         _check_unique(ids)
     cells = _cells(states, lengths, space.size)
+    rows = zip(_fields(ids), _fields(groups), cells)
+    text = "%s,%s,%s\r\n" * len(cells) % tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows((pid, group or "", cell)
-                         for pid, group, cell in zip(ids, groups, cells))
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        fh.write(text)

@@ -5,6 +5,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,7 +273,8 @@ class TestByGroup:
 
 
 def per_state_csv(seqs, k):
-    """The bytes write_cohort should give, written state by state."""
+    """The bytes write_cohort should give, written state by state with
+    csv.writer."""
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow(("participant_id", "group", "responses"))
@@ -281,6 +283,70 @@ def per_state_csv(seqs, k):
         writer.writerow([seq.participant_id, seq.group or "",
                          sep.join(str(int(s)) for s in seq.states)])
     return expected.getvalue().encode("utf-8")
+
+
+def columnar(seqs, k):
+    """The same cohort as a CohortDataset."""
+    return dataio.CohortDataset(*dataio._columns(seqs), rc.StateSpace(k), "test")
+
+
+# every scale width: one digit, and two and three ';'-separated digits
+SCALES = [2, 5, 9, 10, 42, 99, 100, 255]
+# characters csv.writer quotes a field for, and some it leaves alone
+FIELD_CHARS = st.sampled_from(list(',"\r\n') + [" ", "\t", "\0", ";", "\u00e9", "\u4e2d"]) \
+    | st.characters(blacklist_categories=("Cs",))
+
+
+@st.composite
+def labelled_cohorts(draw, text, groups):
+    """(K, rows) with ids and groups drawn from text and groups."""
+    k = draw(st.sampled_from(SCALES))
+    ids = draw(st.lists(text, max_size=6, unique=True))
+    return k, [rc.ResponseSequence(pid, draw(st.lists(st.integers(1, k), min_size=2, max_size=9)),
+                                   draw(groups))
+               for pid in ids]
+
+
+class TestWriterQuoting:
+    @settings(max_examples=150, deadline=None)
+    @given(case=labelled_cohorts(st.text(FIELD_CHARS, min_size=1, max_size=6),
+                                 st.none() | st.just("") | st.text(FIELD_CHARS, max_size=6)))
+    def test_same_bytes_as_csv_writer(self, tmp_path_factory, case):
+        k, seqs = case
+        path = tmp_path_factory.getbasetemp() / "quoted.csv"
+        rc.write_cohort(seqs, rc.StateSpace(k), path)
+        assert path.read_bytes() == per_state_csv(seqs, k)
+        cohort = columnar(seqs, k)
+        rc.write_cohort(cohort, cohort.state_space, path)
+        assert path.read_bytes() == per_state_csv(seqs, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=labelled_cohorts(
+        # the reader strips each field, so no surrounding whitespace
+        st.text(FIELD_CHARS, min_size=1, max_size=6).filter(lambda t: t == t.strip()),
+        st.none() | st.text(FIELD_CHARS, min_size=1, max_size=6).filter(
+            lambda t: t == t.strip())))
+    def test_round_trip(self, tmp_path_factory, case):
+        k, seqs = case
+        cohort = columnar(seqs, k)
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        rc.write_cohort(cohort, cohort.state_space, path)
+        if not seqs:  # the reader refuses a file without rows
+            with pytest.raises(rc.ValidationError, match="no usable data rows"):
+                rc.load_cohort(path, rc.Config(states=k))
+            return
+        again = rc.load_cohort(path, rc.Config(states=k))
+        assert again.participant_ids == cohort.participant_ids
+        assert again.groups == cohort.groups
+        assert again.lengths.tolist() == cohort.lengths.tolist()
+        assert again.states.tolist() == cohort.states.tolist()
+
+    def test_quoted_fields(self, tmp_path):
+        seqs = [rc.ResponseSequence('a,"b"', [1, 2], "x\ny"), rc.ResponseSequence("c", [2, 1], "")]
+        path = tmp_path / "quoted.csv"
+        rc.write_cohort(seqs, rc.StateSpace(5), path)
+        assert path.read_bytes() == (b'participant_id,group,responses\r\n'
+                                     b'"a,""b""","x\ny",12\r\nc,,21\r\n')
 
 
 class TestWriteCohort:
@@ -377,6 +443,20 @@ class TestWriteCohort:
         with pytest.raises(rc.ValidationError, match=re.escape(message)):
             rc.write_cohort(cohort, cohort.state_space, out)
         assert not out.exists()
+
+    def test_million_state_row_memory(self, tmp_path):
+        # about the row's text a few times over (2.2 MB of characters):
+        # no encoder buffer of 4 bytes per character
+        states = np.random.default_rng(3).integers(1, 12, size=1_000_000).astype(np.uint8)
+        cohort = dataio.CohortDataset(["sim0000"], ["sim"], states, [states.size],
+                                      rc.StateSpace(11), "test")
+        tracemalloc.start()
+        try:
+            rc.write_cohort(cohort, cohort.state_space, tmp_path / "long.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
 
 
 class TestConfig:

@@ -1,10 +1,13 @@
 """The walk and pair-count kernels against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import respchain as rc
 import respchain._kernels as kernels
 
 CHUNK = kernels.CHUNK
@@ -183,3 +186,80 @@ class TestWalk:
             u = np.minimum(u, np.nextafter(1.0, 0.0))
         first = rng.integers(1, k + 1, size=n_rows)
         assert_rows_match_reference(cum, first, u)
+
+
+GRID = kernels.GRID
+# values where the bin table's cells meet, and their float neighbours
+CELL_EDGES = [j / GRID for j in (0, 1, 2, 3, GRID // 3, GRID // 2, GRID - 2, GRID - 1, GRID)]
+NEAR_CELL_EDGES = CELL_EDGES + [float(np.nextafter(x, d)) for x in CELL_EDGES for d in (-1.0, 2.0)]
+
+
+@st.composite
+def merged_edges(draw):
+    """The sorted first K-1 cumulative edges of K rows, as walk merges
+    them: rows may repeat each other and a row may repeat an edge (zero
+    cells), edges may sit on or beside a cell boundary and the sums may
+    run past 1."""
+    k = draw(st.integers(2, 12))
+    parts = st.one_of(st.sampled_from([0.0, 2.0**-16, 0.25, 0.5, 1 / 3]),
+                      st.floats(0.0, 0.6))
+    rows = [draw(st.lists(parts, min_size=k - 1, max_size=k - 1)) for _ in range(k)]
+    if draw(st.booleans()):
+        rows[1:] = [rows[0]] * (k - 1)
+    cum = np.cumsum(np.array(rows), axis=1)
+    if draw(st.booleans()):
+        cum[draw(st.integers(0, k - 1)), :] = draw(st.sampled_from(NEAR_CELL_EDGES))
+    return np.sort(cum.ravel())
+
+
+class TestBins:
+    @settings(max_examples=200, deadline=None)
+    @given(edges=merged_edges(), data=st.data(), scale=st.sampled_from([1, 11]),
+           shape=st.sampled_from(["flat", "rows", "strided"]))
+    def test_property_matches_searchsorted(self, edges, data, scale, shape):
+        draws = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(NEAR_CELL_EDGES + [-0.0, 5e-324, -5e-324, 1.0, 2.0]),
+            st.sampled_from(edges.tolist()),
+        )
+        u = np.array(data.draw(st.lists(draws, min_size=1, max_size=60)), dtype=np.float64)
+        if shape == "rows":
+            u = np.resize(u, (3, u.size))
+        elif shape == "strided":  # as walk is passed u[:, 1:]
+            u = np.resize(u, (2, u.size + 1))[:, 1:]
+        before = u.copy()
+        got = kernels._bins(edges, u, scale)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, np.searchsorted(edges, u, side="right") * scale)
+        assert np.array_equal(u, before, equal_nan=True)
+
+    def test_no_draws(self):
+        got = kernels._bins(np.array([0.5]), np.empty((2, 0)))
+        assert got.shape == (2, 0)
+
+    def test_few_draws_are_searched(self):
+        # a table that sent many draws to the search would stay exact but
+        # lose its speed; in the K=11 walk of the benchmark few draws
+        # share a cell with one of its 110 edges
+        matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
+        edges = np.sort(np.cumsum(matrix.probs, axis=1)[:, :10].ravel())
+        u = np.random.default_rng(7).random(1_000_000)
+        searched = kernels._table(edges, 1)[(u * GRID).astype(np.intp)] < 0
+        assert searched.mean() < 0.01
+
+
+class TestWalkMemory:
+    def test_million_step_walk(self):
+        # the walk's output and one intp bin per draw, the bins looked up
+        # in place; a second array of cell indices would add 7.6 MiB
+        matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
+        cum = np.cumsum(matrix.probs, axis=1)
+        u = np.random.default_rng(8).random((1, 1_000_000))
+        tracemalloc.start()
+        try:
+            kernels.walk(cum, np.array([6]), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.6 * 2**20
