@@ -23,6 +23,8 @@ CHUNK = 512
 # Cells of the bin table on [0, 1) (see _bins): a power of two, so that a
 # draw's cell floor(u * GRID) is exact.
 GRID = 1 << 16
+# Draws whose cells _bins computes in one numpy call (see _bins).
+BLOCK = 1 << 15
 
 
 def pair_counts(states, n_states):
@@ -35,18 +37,18 @@ def pair_counts(states, n_states):
     return np.bincount(codes, minlength=n_states * n_states).reshape(n_states, n_states)
 
 
-def _advance(flat, states, base, out=None):
-    """Step 0-based `states` through the last axis of `base` in lockstep.
+def _advance(flat, states, steps, visit=False):
+    """Step 0-based `states` through the rows of `steps` in lockstep.
 
-    flat is the transition table and base the draws' scaled bins (see
-    walk); base[..., t] must broadcast against states. Each visited state
-    is written 1-based to out[..., t] when out is given; the final states
-    are returned.
+    flat is the transition table and steps[j] the scaled bins of step j's
+    draws (see walk), which must broadcast against states. When visit is
+    set, each step's 0-based states are written in place over its bins,
+    which are read only once. The final states are returned.
     """
-    for t in range(base.shape[-1]):
-        states = flat.take(base[..., t] + states)
-        if out is not None:
-            out[..., t] = states + 1
+    for row in steps:
+        states = flat.take(row + states)
+        if visit:
+            row[...] = states
     return states
 
 
@@ -60,16 +62,19 @@ def _table(edges, scale):
     return table
 
 
-def _bins(edges, uniforms, scale=1):
+def _bins(edges, uniforms, scale=1, table=None):
     """np.searchsorted(edges, uniforms, side="right") * scale for sorted
-    edges, as a new intp array, by one read of _table per draw.
+    edges, as a new intp array, by one read of table = _table(edges, scale)
+    per draw; the table is built here unless given.
 
     A draw u in [0, 1) lies in cell c = floor(u * GRID). If no edge lies in
     that cell, every edge of a lower cell is below c/GRID <= u and every
     edge of a higher cell is at or above (c+1)/GRID > u, so table[c] is its
     count. Draws in a cell that holds an edge, draws outside [0, 1) and NaN
     are placed by searchsorted. The cell indices are computed into the
-    output array and looked up in place.
+    output array, BLOCK draws and whole columns of it at a time, and looked
+    up in place. When the draws are a transposed view (walk's step-major
+    bins), a block reads few pages of them.
     """
     out = np.empty(uniforms.shape, dtype=np.intp)
     stray = None
@@ -77,8 +82,13 @@ def _bins(edges, uniforms, scale=1):
     if u.size and not (u.min() >= 0 and u.max() < 1):  # a NaN fails both
         stray = ~((u >= 0) & (u < 1))
         u = np.where(stray, 0.0, u)
-    np.multiply(u, GRID, out=out, casting="unsafe")  # truncation is floor here
-    _table(edges, scale).take(out, out=out, mode="clip")  # "clip" works in place
+    cols = out.shape[-1]
+    width = max(1, BLOCK * cols // max(out.size, 1))
+    for c in range(0, cols, width):  # truncation is floor here
+        np.multiply(u[..., c : c + width], GRID, out=out[..., c : c + width], casting="unsafe")
+    if table is None:
+        table = _table(edges, scale)
+    table.take(out, out=out, mode="clip")  # "clip" works in place
     if stray is not None:
         out[stray] = -1
     hit = out < 0
@@ -100,12 +110,16 @@ def walk(cum_rows, first_states, uniforms):
     reaches (_bins), and a step from 0-based state s reads flat[b*K + s].
     The table has K(K(K-1)+1) cells of the smallest type that holds K.
 
-    A walk longer than CHUNK steps is cut into chunks of CHUNK steps. Every
-    full chunk is first walked from every possible start state at once,
-    which gives its end state as a function of its start. Chaining those
-    end states in order yields each chunk's real start state, and then all
-    chunks are walked together from their real starts. The draws' bins are
-    read through reshape views, never copied.
+    A walk longer than CHUNK steps is cut into full chunks of CHUNK steps
+    and a shorter tail. The bins are laid out step-major, so that each step
+    reads one contiguous row: step j of every chunk of every walk, or step
+    j of the tail of every walk. Every full chunk is first walked from
+    every possible start state at once, which gives its end state as a
+    function of its start. Composing those maps by doubling (a prefix scan
+    over the chunks) gives each chunk's real start state, and then all
+    chunks are walked together from their real starts, each step's states
+    written over its bins. The output is filled from those states last, so
+    the walk needs the output and one intp per draw.
     """
     k = cum_rows.shape[1]
     edges = cum_rows[:, : k - 1].ravel()
@@ -114,23 +128,34 @@ def walk(cum_rows, first_states, uniforms):
     small = np.min_scalar_type(k)  # holds every count and 1-based state
     flat = np.concatenate([np.zeros(k, dtype=small),
                            member.cumsum(axis=0, dtype=small).ravel()])
-    bins = _bins(edges[order], uniforms, k)
+    edges = edges[order]
     n, t = uniforms.shape
-    out = np.empty((n, t + 1), dtype=np.int64)
-    out[:, 0] = first_states
     n_full = t // CHUNK if t > CHUNK else 0
     body = n_full * CHUNK
-    starts = np.empty((n, n_full + 1), dtype=np.intp)
-    starts[:, 0] = out[:, 0] - 1
+    starts = np.asarray(first_states) - 1
+    # step-major bins: row j of tail is step j of the rest of every walk,
+    # and row j of steps, (N, n_full), step j of every full chunk
+    table = _table(edges, k)
+    tail = _bins(edges, uniforms[:, body:].T, k, table)
     if n_full:
-        chunks = bins[:, :body].reshape(n, n_full, CHUNK)
-        every_start = np.broadcast_to(np.arange(k), (n, n_full, k))
-        ends = _advance(flat, every_start, chunks[:, :, None, :])
-        rows = np.arange(n)
-        for c in range(n_full):
-            starts[:, c + 1] = ends[rows, c, starts[:, c]]
-        _advance(flat, starts[:, :n_full], chunks,
-                 out[:, 1 : body + 1].reshape(n, n_full, CHUNK))
+        steps = _bins(edges, uniforms[:, :body].reshape(n, n_full, CHUNK).transpose(2, 0, 1),
+                      k, table)
+    del table  # not held while the output is allocated
+    if n_full:
+        # ends[s, :, c] is chunk c's end state when it starts from state s
+        ends = _advance(flat, np.arange(k)[:, None, None], steps)
+        span = 1  # a prefix scan: ends[:, :, c] becomes chunks 0..c composed
+        while span < n_full:
+            ends[:, :, span:] = np.take_along_axis(ends[:, :, span:], ends[:, :, :-span], 0)
+            span *= 2
+        ends = ends[starts, np.arange(n)]  # (N, n_full): each chunk's real end state
+        _advance(flat, np.column_stack([starts, ends[:, :-1]]), steps, visit=True)
+        starts = ends[:, -1]
     # the rest of the walk, or all of a walk of at most CHUNK steps
-    _advance(flat, starts[:, n_full], bins[:, body:], out[:, body + 1 :])
+    _advance(flat, starts, tail, visit=True)
+    out = np.empty((n, t + 1), dtype=np.int64)
+    out[:, 0] = first_states
+    if n_full:
+        np.add(steps.transpose(1, 2, 0), 1, out=out[:, 1 : body + 1].reshape(n, n_full, CHUNK))
+    np.add(tail.T, 1, out=out[:, body + 1 :])
     return out

@@ -238,6 +238,8 @@ def _vectorise(count, length):
 def draw_cohort(spec, initial, group=None, id_prefix="sim"):
     """The cohort the spec describes, started from the distribution
     `initial`, as a columnar CohortDataset with ids id_prefix0000, ...
+    Its states have the smallest unsigned type that holds K, as a loaded
+    cohort's do.
 
     The uniforms for every sequence are drawn first, by the vectorised pass
     or one Generator per sequence as _vectorise chooses; both give the same
@@ -250,7 +252,8 @@ def draw_cohort(spec, initial, group=None, id_prefix="sim"):
     first = np.minimum(first, spec.matrix.size - 1) + 1
     states = _kernels.walk(np.cumsum(spec.matrix.probs, axis=1), first, u[:, 1:])
     return CohortDataset([f"{id_prefix}{i:04d}" for i in range(count)], (group,) * count,
-                         states.ravel(), np.full(count, length),
+                         states.ravel().astype(np.min_scalar_type(spec.matrix.size)),
+                         np.full(count, length),
                          StateSpace(spec.matrix.size), "simulation")
 
 

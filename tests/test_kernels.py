@@ -112,6 +112,20 @@ class TestWalk:
         u = rng.random((2, 3 * CHUNK + 7))
         assert_rows_match_reference(cum, np.array([1, k]), u)
 
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("n_full", [4, 5, 7, 8, 9, 16, 17])
+    def test_chunk_ends_composed_by_doubling(self, n_full, noise):
+        # walk composes the chunks' end maps over spans 1, 2, 4, ...; these
+        # chunk counts lie on and beside powers of two. Without noise every
+        # end map is a rotation, so a scan that stops a span short shifts
+        # the later chunks; with noise some maps merge starts and others do
+        # not, so maps composed in the wrong order disagree.
+        k = 5
+        rng = np.random.default_rng(n_full)
+        cum = np.cumsum(cycle_rows(k, noise), axis=1)
+        u = rng.random((3, n_full * CHUNK + 7))
+        assert_rows_match_reference(cum, np.array([1, 3, k]), u)
+
     @pytest.mark.parametrize("k", [255, 256])
     def test_states_at_the_table_type_limit(self, k):
         # the table's type holds K: a walk through every state reaches K
@@ -259,6 +273,20 @@ class TestWalkMemory:
         tracemalloc.start()
         try:
             kernels.walk(cum, np.array([6]), u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15.6 * 2**20
+
+    def test_four_row_walk(self):
+        # a million draws over four rows: the chunked path with N > 1,
+        # where the output is allocated only after the bins are walked
+        matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
+        cum = np.cumsum(matrix.probs, axis=1)
+        u = np.random.default_rng(9).random((4, 250_000))
+        tracemalloc.start()
+        try:
+            kernels.walk(cum, np.array([1, 4, 6, 11]), u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

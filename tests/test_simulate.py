@@ -150,6 +150,20 @@ class TestOutputShape:
             assert seq.states.min() >= 1
             assert seq.states.max() <= 5
 
+    @pytest.mark.parametrize("k", [5, 11, 256])
+    def test_states_have_the_loaded_type(self, tmp_path, k):
+        # one cohort representation: a simulated cohort holds its states in
+        # the type load_cohort gives them, the smallest that holds K
+        rows = np.random.default_rng(k).dirichlet(np.ones(k), size=k)
+        spec = rc.SimulationSpec(rc.TransitionMatrix(rows, np.ones(k, dtype=bool)),
+                                 length=600, count=3, seed=k)
+        cohort = simulate.draw_cohort(spec, np.full(k, 1.0 / k), group="sim")
+        path = tmp_path / "sim.csv"
+        rc.write_cohort(cohort, rc.StateSpace(k), path)
+        loaded = rc.load_cohort(path, rc.Config(states=k))
+        assert cohort.states.dtype == loaded.states.dtype == np.min_scalar_type(k)
+        assert np.array_equal(cohort.states, loaded.states)
+
 
 class TestStatisticalBehavior:
     def test_walk_recovers_the_matrix(self, adhd_matrix, space):
