@@ -45,15 +45,20 @@ def _whole_numbers(values, what):
     return np.asarray(values, dtype=np.int64)
 
 
-def _number(value, what, positive=False, whole=False):
-    """value if it is a finite real number of at least 0 (above 0 when
-    positive, whole when whole), not a bool; else a ValidationError naming it."""
+def _is_int(value):
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _number(value, what, positive=False, whole=False, signed=False):
+    """value if it is a finite real number and not a bool, else a ValidationError
+    naming it. The number must be at least 0, or above 0 when positive; signed
+    admits either sign. whole asks for a whole number."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value < 0 or (positive and value == 0)
-            or (whole and value != math.floor(value))):
-        sign = "positive" if positive else "nonnegative"
+            or not math.isfinite(value) or (value < 0 and not signed)
+            or (positive and value == 0) or (whole and value != math.floor(value))):
+        sign = "" if signed else "positive " if positive else "nonnegative "
         kind = "integer" if whole else "number"
-        raise ValidationError(f"{what} must be a finite {sign} {kind}, got {value!r}")
+        raise ValidationError(f"{what} must be a finite {sign}{kind}, got {value!r}")
     return value
 
 
@@ -65,7 +70,7 @@ class StateSpace:
     labels: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.size, (int, np.integer)) or self.size < 2:
+        if not _is_int(self.size) or self.size < 2:
             raise ValidationError(f"state space needs at least 2 states, got {self.size!r}")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(str(i) for i in range(1, self.size + 1)))
@@ -174,7 +179,7 @@ class TransitionMatrix:
     def from_rows(cls, rows):
         """Build a matrix from fully specified rows, all marked defined."""
         rows = np.asarray(rows, dtype=np.float64)
-        return cls(rows, np.ones(rows.shape[0], dtype=bool))
+        return cls(rows, np.ones(rows.shape[:1], dtype=bool))
 
     @property
     def size(self):
@@ -355,8 +360,7 @@ def _require_fully_defined(matrix, what):
 
 def matrix_power(matrix, n):
     """Return the n-step transition matrix P^n (n >= 1)."""
-    if n < 1:
-        raise ValidationError(f"matrix power must be >= 1, got {n}")
+    n = int(_number(n, "n", positive=True, whole=True))
     _require_fully_defined(matrix, "matrix_power")
     out = np.linalg.matrix_power(matrix.probs, n)
     return TransitionMatrix(out, np.ones(matrix.size, dtype=bool))

@@ -14,7 +14,6 @@ given.
 import csv
 import itertools
 import json
-import math
 import numbers
 import os
 import re
@@ -23,7 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ResponseSequence, StateSpace, _check_rows, _columns, _readonly
+from .chain import (
+    ResponseSequence, StateSpace, _check_rows, _columns, _is_int, _number, _readonly,
+)
 from .errors import ValidationError
 from .models import TheoreticalModelSpec
 
@@ -47,14 +48,10 @@ class Config:
 
     def __post_init__(self):
         for name in ("tolerance", "epsilon_floor", "smoothing_alpha", "cutoff"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            _number(getattr(self, name), name, signed=True)
         for name in ("states", "max_power"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if not _is_int(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.states < 2:
             raise ValidationError(f"states must be >= 2, got {self.states}")
         if self.tolerance <= 0:

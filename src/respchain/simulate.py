@@ -14,21 +14,16 @@ that have none; ``resolve_initial`` reports which was chosen so output
 metadata can say so.
 """
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _kernels
 from .chain import (
-    StateSpace, TransitionMatrix, _readonly, _require_fully_defined, stationary,
+    StateSpace, TransitionMatrix, _is_int, _readonly, _require_fully_defined, stationary,
 )
 from .dataio import CohortDataset
 from .errors import StructuralError, ValidationError
-
-
-def _is_int(value):
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
 @dataclass(frozen=True)

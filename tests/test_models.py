@@ -89,6 +89,10 @@ class TestFromStationaryVector:
         with pytest.raises(rc.ValidationError):
             rc.from_stationary_vector([1.2, -0.2])
 
+    def test_rejects_nan(self):
+        with pytest.raises(rc.ValidationError, match="must be finite"):
+            rc.from_stationary_vector([np.nan, 0.5, 0.5])
+
 
 class TestModelSpec:
     def test_max_entropy_kind(self, space):
@@ -118,6 +122,13 @@ class TestModelSpec:
             "bad", "explicit", {"rows": [[0.5, 0.5], [0.5, 0.5]]},
         )
         with pytest.raises(rc.ValidationError):
+            spec.build(space)
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_explicit_rows_that_are_not_a_table(self, space, rows):
+        spec = rc.TheoreticalModelSpec("x", "explicit", {"rows": rows})
+        with pytest.raises(rc.ValidationError,
+                           match=r"^model 'x': probs must be square, got shape \(\)$"):
             spec.build(space)
 
     def test_unknown_kind(self, space):

@@ -50,6 +50,22 @@ class TestChiSquareP:
         with pytest.raises(rc.ValidationError):
             rc.chi_square_p(statistic, df)
 
+    @pytest.mark.parametrize("df", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("q", [0.01, 0.5, 0.99])
+    def test_large_df_against_scipy(self, df, q):
+        # the series needs thousands of terms here; a short cap once
+        # returned 0.7393 for the median at df = 10**6
+        x = scipy.stats.chi2.isf(q, df)
+        assert rc.chi_square_p(x, df) == pytest.approx(scipy.stats.chi2.sf(x, df), rel=1e-8)
+
+    @pytest.mark.parametrize("x, loop", [(999_999.33, "series"),
+                                         (1_000_004.0, "continued fraction")])
+    def test_iteration_cap_is_an_error(self, monkeypatch, x, loop):
+        monkeypatch.setattr("respchain.stats._MAX_ITER", 50)
+        with pytest.raises(rc.ValidationError,
+                           match=f"^chi-square {loop} did not converge at df=1e\\+06$"):
+            rc.chi_square_p(x, 10**6)
+
 
 class TestChiSquareStatistic:
     @pytest.mark.parametrize("observed, expected", [
@@ -175,6 +191,12 @@ class TestEquiprobability:
         with pytest.raises(rc.ValidationError):
             rc.equiprobability_test(counts)
 
+    def test_small_expected_cells_warn(self):
+        outcome = rc.equiprobability_test([0, 1])
+        assert outcome.warnings == (
+            "smallest expected cell is 0.500 (< 1); "
+            "the chi-square approximation is unreliable here",)
+
 
 class TestStationaryGof:
     def test_group_comparison_pipeline(self):
@@ -215,6 +237,12 @@ class TestStationaryGof:
             OCD_STATIONARY, ADHD_STATIONARY, 10
         )
         assert outcome.warnings
+
+    def test_small_n_warning_text(self):
+        outcome = rc.stationary_gof(OCD_STATIONARY, ADHD_STATIONARY, 10)
+        assert outcome.warnings == (
+            "smallest expected cell is 0.280 (< 1); "
+            "the chi-square approximation is unreliable here",)
 
 
 class TestUnreachedChecks:
