@@ -159,10 +159,12 @@ def _effective_config(args):
 
 class _Run:
     """One subcommand's run: its args, effective config and model registry, the
-    --input cohort (loaded, put in participant_id order and counted into one
-    (N, K, K) tensor on first use) and the report's notes: the input read, the
-    rows lenient mode skipped and the warnings, each also printed to stderr.
-    Commands whose --input is required read it before any check of their own."""
+    --input cohort (loaded and counted into one (N, K, K) tensor on first use)
+    and the report's notes: the input read, the rows lenient mode skipped and
+    the warnings, each also printed to stderr. Commands whose --input is
+    required read it before any check of their own. counts, groups and every
+    score and ROC keep the rows in file order; order and ids serve only the
+    per-participant tables, which are written in participant_id order."""
 
     def __init__(self, args, config):
         self.args = args
@@ -198,22 +200,25 @@ class _Run:
 
     @functools.cached_property
     def order(self):
-        """The cohort's row indices in participant_id order."""
+        """The row indices in participant_id order, as an intp array."""
         ids = self.dataset.participant_ids
-        return sorted(range(len(ids)), key=ids.__getitem__)
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
     @functools.cached_property
     def ids(self):
-        ids = self.dataset.participant_ids
-        return [ids[i] for i in self.order]
+        return self.by_id(np.array(self.dataset.participant_ids, dtype=object))
 
     @functools.cached_property
     def groups(self):
-        return np.array(self.dataset.groups, dtype=object)[self.order]
+        return np.array(self.dataset.groups, dtype=object)
 
     @functools.cached_property
     def counts(self):
-        return chain.count_tensor(self.dataset, self.dataset.state_space, self.order)
+        return chain.count_tensor(self.dataset, self.dataset.state_space)
+
+    def by_id(self, column):
+        """A file-order (N, ...) result array as a list in participant_id order."""
+        return column[self.order].tolist()
 
     def pool(self, group):
         """A group's pooled TransitionCounts and its number of sequences."""
@@ -295,10 +300,10 @@ def _cmd_estimate(run):
         blocks["all"] = _estimate_block(*run.pool(None), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
-        counts = run.counts
+        counts = run.counts[run.order]
         probs, defined = chain._row_probabilities(counts, config.smoothing_alpha)
         results["participants"] = reporting.Table({
-            "group": run.groups.tolist(),
+            "group": run.by_id(run.groups),
             "counts": {"counts": counts.tolist(), "row_totals": counts.sum(axis=2).tolist(),
                        "total": counts.sum(axis=(1, 2)).tolist()},
             "matrix": {"probs": probs.tolist(), "defined_rows": defined.tolist()},
@@ -346,15 +351,15 @@ def _cmd_compare(run):
 
 
 def _cmd_score(run):
-    ids, groups = run.ids, run.groups.tolist()
+    ids = run.ids
     lr = run.log_ratio()
     rows = {
         "participant_id": ids,
-        "group": groups,
-        "score": scoring.score_counts(run.counts, lr.values).tolist(),
+        "group": run.by_id(run.groups),
+        "score": run.by_id(scoring.score_counts(run.counts, lr.values)),
     }
     if run.args.breakdown:
-        rows["terms"] = scoring.score_terms(run.counts, lr.values)
+        rows["terms"] = scoring.score_terms(run.counts[run.order], lr.values)
     return {
         "log_ratio": reporting.log_ratio_block(lr),
         "scores": reporting.Table(rows),
@@ -374,7 +379,7 @@ def _cmd_classify(run):
         if not (args.numerator and args.denominator):
             raise ValidationError("binary mode needs both --numerator and --denominator")
         lr = run.log_ratio()
-        scores = scoring.score_counts(run.counts, lr.values).tolist()
+        scores = run.by_id(scoring.score_counts(run.counts, lr.values))
         labels = scoring.binary_labels(scores, lr.numerator_name,
                                        lr.denominator_name, config.cutoff)
         return {
@@ -393,17 +398,17 @@ def _cmd_classify(run):
     candidates = [run.resolve(name) for name in candidate_names]
     ref_name, ref = run.resolve(args.reference)
     verdicts = scoring.classify_counts(
-        run.counts, ids, candidates, ref, reference_name=ref_name,
-        epsilon_floor=config.epsilon_floor,
+        run.counts, run.dataset.participant_ids, candidates, ref,
+        reference_name=ref_name, epsilon_floor=config.epsilon_floor,
     )
     class_counts = {name: verdicts.assigned.count(name)
                     for name in [*verdicts.names, ref_name]}
     equi = stats.equiprobability_test(list(class_counts.values()))
     rows = {
-        "participant_id": verdicts.participant_ids,
-        "scores": dict(zip(verdicts.names, verdicts.scores.T.tolist())),
-        "assigned": verdicts.assigned,
-        "tie": verdicts.tie,
+        "participant_id": ids,
+        "scores": dict(zip(verdicts.names, verdicts.scores[run.order].T.tolist())),
+        "assigned": run.by_id(np.array(verdicts.assigned, dtype=object)),
+        "tie": run.by_id(np.array(verdicts.tie)),
     }
     return {
         "mode": "multimodel",
@@ -416,10 +421,10 @@ def _cmd_classify(run):
 
 
 def _cmd_diagnose(run):
-    args, config, labels = run.args, run.config, run.groups.tolist()
+    args, config, dataset = run.args, run.config, run.dataset
     (num_name, _), (den_name, _) = run.ratio_terms
-    groups = sorted(run.dataset.group_labels)
-    if len(groups) != 2 or None in labels:
+    groups = sorted(dataset.group_labels)
+    if len(groups) != 2 or None in dataset.groups:
         raise ValidationError(
             "diagnose needs every participant in one of exactly two groups"
         )
@@ -432,12 +437,14 @@ def _cmd_diagnose(run):
         raise ValidationError(
             f"positive group {positive!r} not in data (groups: {', '.join(groups)})"
         )
-    negative = groups[0] if groups[1] == positive else groups[1]
-    scores = scoring.score_counts(run.counts, run.log_ratio().values).tolist()
-    predictions = scoring.binary_labels(scores, positive, negative, config.cutoff)
-    table = diagnostics.confusion(labels, predictions, positive)
+    # In file order: ties cross a cutoff together, so row order could only pick
+    # -0.0 or +0.0 as a tied group's cutoff, and no score here is -0.0
+    # (score_counts writes a zero sum as +0.0; sum scores are integers).
+    scores = scoring.score_counts(run.counts, run.log_ratio().values)
+    table = diagnostics._confusion_cells(run.groups == positive,
+                                         scores >= config.cutoff, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
-    curve = diagnostics.roc_curve(scores, labels, positive)
+    curve = diagnostics.roc_curve(scores, run.groups, positive)
     curves = [(f"score {num_name}/{den_name}", curve)]
     results = {
         "positive_group": positive,
@@ -447,10 +454,8 @@ def _cmd_diagnose(run):
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:
-        dataset = run.dataset
         sums = np.add.reduceat(dataset.states, dataset.starts, dtype=np.int64)
-        sums = sums[run.order].astype(np.float64)
-        sum_curve = diagnostics.roc_curve(sums, labels, positive)
+        sum_curve = diagnostics.roc_curve(sums, run.groups, positive)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)
     files = {}

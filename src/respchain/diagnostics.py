@@ -52,17 +52,43 @@ class DiagnosticMetrics:
     cutoff: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """ROC points ordered from strictest to loosest cutoff, plus the AUC.
 
-    points is a tuple of (false_positive_rate, true_positive_rate, cutoff);
-    the first point is (0, 0) at an infinite cutoff and the last is (1, 1)
-    at the minimum score.
+    fpr, tpr and cutoff are read-only float64 arrays with one entry per
+    point: its false positive rate, true positive rate and cutoff. The
+    first point is (0, 0) at an infinite cutoff and the last is (1, 1) at
+    the minimum score. points gives the same curve as a tuple of
+    (fpr, tpr, cutoff) float triples, derived from the arrays on each use;
+    two curves are equal when their points and AUCs are.
     """
 
-    points: tuple
+    fpr: np.ndarray
+    tpr: np.ndarray
+    cutoff: np.ndarray
     auc: float
+
+    @property
+    def points(self):
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist(), self.cutoff.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, RocCurve):
+            return (self.points, self.auc) == (other.points, other.auc)
+        return NotImplemented
+
+
+def _matches(values, label):
+    """Whether each value equals label, as a bool array."""
+    return np.fromiter(map(eq, values, repeat(label)), bool, len(values))
+
+
+def _confusion_cells(truth, predicted, positive_label):
+    """The ConfusionTable of two bool arrays: the true and the predicted
+    positives."""
+    tn, fp, fn, tp = np.bincount(2 * truth + predicted, minlength=4).tolist()
+    return ConfusionTable(tp, fn, tn, fp, positive_label)
 
 
 def confusion(labels, predictions, positive_label):
@@ -80,12 +106,8 @@ def confusion(labels, predictions, positive_label):
         raise ValidationError(
             f"positive label {positive_label!r} absent from labels"
         )
-    def is_positive(values):
-        return np.fromiter(map(eq, values, repeat(positive_label)), bool, len(values))
-
-    cells = 2 * is_positive(labels) + is_positive(predictions)
-    tn, fp, fn, tp = np.bincount(cells, minlength=4).tolist()
-    return ConfusionTable(tp, fn, tn, fp, positive_label)
+    return _confusion_cells(_matches(labels, positive_label),
+                            _matches(predictions, positive_label), positive_label)
 
 
 def metrics(table, cutoff=float("nan")):
@@ -121,7 +143,7 @@ def roc_curve(scores, labels, positive_label):
         raise ValidationError("scores and labels must be 1-d and equal length")
     if np.isnan(scores).any():
         raise ValidationError("scores must not be NaN")
-    truth = np.array([lab == positive_label for lab in labels])
+    truth = _matches(labels, positive_label)
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())
     if n_pos == 0 or n_neg == 0:
@@ -133,9 +155,9 @@ def roc_curve(scores, labels, positive_label):
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     tp = np.cumsum(np.add.reduceat(truth[order].astype(np.int64), starts))
     fp = np.r_[starts[1:], scores.size] - tp
-    fprs = np.r_[0.0, fp / n_neg]
-    tprs = np.r_[0.0, tp / n_pos]
-    cutoffs = np.r_[np.inf, sorted_scores[starts]]
-    points = tuple(zip(fprs.tolist(), tprs.tolist(), cutoffs.tolist()))
-    auc = float(np.trapezoid(tprs, fprs))
-    return RocCurve(points, auc)
+    fpr = np.r_[0.0, fp / n_neg]
+    tpr = np.r_[0.0, tp / n_pos]
+    cutoff = np.r_[np.inf, sorted_scores[starts]]
+    for column in (fpr, tpr, cutoff):
+        column.flags.writeable = False
+    return RocCurve(fpr, tpr, cutoff, float(np.trapezoid(tpr, fpr)))

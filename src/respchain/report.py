@@ -279,15 +279,13 @@ def log_ratio_block(lr):
 
 
 def roc_block(curve):
-    return {"auc": curve.auc, "n_points": len(curve.points)}
+    return {"auc": curve.auc, "n_points": curve.fpr.size}
 
 
 def roc_points_csv(curve):
     """ROC points as plain CSV with the fixed fpr,tpr,cutoff header."""
-    lines = ["fpr,tpr,cutoff"]
-    for fpr, tpr, cutoff in curve.points:
-        lines.append(f"{fpr!r},{tpr!r},{cutoff!r}")
-    return "\n".join(lines) + "\n"
+    cells = np.column_stack((curve.fpr, curve.tpr, curve.cutoff)).ravel().tolist()
+    return "fpr,tpr,cutoff\n" + ("%r,%r,%r\n" * curve.fpr.size) % tuple(cells)
 
 
 def roc_svg(curves, title="ROC comparison"):
@@ -295,7 +293,10 @@ def roc_svg(curves, title="ROC comparison"):
 
     curves is a list of (name, RocCurve). Layout: unit square with tick
     marks every 0.2, a dashed no-discrimination diagonal, one polyline
-    per curve, and a legend carrying each curve's AUC.
+    per curve, and a legend carrying each curve's AUC. A curve's polyline
+    coordinates are computed on its fpr/tpr arrays by sx/sy, the same
+    IEEE arithmetic as for a single tick mark, and written with one "%.2f"
+    format.
     """
     width, height = 560, 440
     ml, mt, mr, mb = 70, 40, 30, 60
@@ -313,62 +314,44 @@ def roc_svg(curves, title="ROC comparison"):
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
-    ]
-    # axes box
-    parts.append(
+        # axes box
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="black" stroke-width="1"/>'
-    )
-    for i in range(6):
-        v = i / 5.0
-        parts.append(
+        f'stroke="black" stroke-width="1"/>',
+    ]
+    for v in (i / 5.0 for i in range(6)):
+        parts += [
             f'<line x1="{sx(v):.1f}" y1="{sy(0) + 5:.1f}" x2="{sx(v):.1f}" '
-            f'y2="{sy(0):.1f}" stroke="black"/>'
-        )
-        parts.append(
+            f'y2="{sy(0):.1f}" stroke="black"/>',
             f'<text x="{sx(v):.1f}" y="{sy(0) + 20:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{v:.1f}</text>'
-        )
-        parts.append(
+            f'font-family="sans-serif" font-size="11">{v:.1f}</text>',
             f'<line x1="{ml - 5}" y1="{sy(v):.1f}" x2="{ml}" y2="{sy(v):.1f}" '
-            f'stroke="black"/>'
-        )
-        parts.append(
+            f'stroke="black"/>',
             f'<text x="{ml - 9}" y="{sy(v) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{v:.1f}</text>'
-        )
-    parts.append(
+            f'font-family="sans-serif" font-size="11">{v:.1f}</text>',
+        ]
+    parts += [
         f'<text x="{ml + pw / 2:.1f}" y="{height - 16}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13">1 - specificity '
-        f'(false positive rate)</text>'
-    )
-    parts.append(
+        f'(false positive rate)</text>',
         f'<text x="20" y="{mt + ph / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 20 {mt + ph / 2:.1f})">sensitivity '
-        f'(true positive rate)</text>'
-    )
-    parts.append(
+        f'(true positive rate)</text>',
         f'<line x1="{sx(0):.1f}" y1="{sy(0):.1f}" x2="{sx(1):.1f}" '
-        f'y2="{sy(1):.1f}" stroke="#888" stroke-dasharray="6,4"/>'
-    )
+        f'y2="{sy(1):.1f}" stroke="#888" stroke-dasharray="6,4"/>',
+    ]
     for idx, (name, curve) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(
-            f"{sx(fpr):.2f},{sy(tpr):.2f}" for fpr, tpr, _ in curve.points
-        )
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
+        xy = np.column_stack((sx(curve.fpr), sy(curve.tpr))).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * curve.fpr.size) % tuple(xy)
         ly = mt + 20 + idx * 18
-        parts.append(
+        parts += [
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="2"/>',
             f'<line x1="{ml + 12}" y1="{ly - 4}" x2="{ml + 40}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{ml + 46}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(name, quote=False)} (AUC = {curve.auc:.3f})</text>'
-        )
+            f'font-size="12">{escape(name, quote=False)} (AUC = {curve.auc:.3f})</text>',
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

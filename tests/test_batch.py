@@ -442,3 +442,19 @@ PAYLOAD_DIGESTS = {
     "score_breakdown":
         "8ae8e26dff966f9ca06ba468760177719c7b0fe07e2e81c651f748678fe67123",
 }
+
+
+class TestRocExportDigests:
+    """diagnose's --roc-csv and --svg files pinned byte for byte, with the
+    score and sum-score curves, as the per-point writers wrote them."""
+
+    def test_exports(self, digest_cohort, tmp_path, capsys):
+        csv_path, svg_path = tmp_path / "roc.csv", tmp_path / "roc.svg"
+        code = main(DIGEST_RUNS["diagnose"] + [
+            "--input", digest_cohort, "--output", str(tmp_path / "report.json"),
+            "--roc-csv", str(csv_path), "--svg", str(svg_path)])
+        assert code == 0, capsys.readouterr().err
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+            "ae4ebba60199dd3f9f420aa464f04149552d634c13cd6d4f25567880d560eb2c"
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == \
+            "3f63d1d26290336d81cd8aec1298f8eca94ccee623a8d6e70477c495e806d83e"
