@@ -9,6 +9,8 @@ reproducibly.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .chain import (
     DEFAULT_MAX_POWER,
     DEFAULT_TOLERANCE,
@@ -83,72 +85,9 @@ from .stats import (
     stationary_gof,
 )
 
-__all__ = [
-    "__version__",
-    "CONFIG_ENV_VAR",
-    "CSV_HEADER",
-    "DEFAULT_MAX_POWER",
-    "DEFAULT_TOLERANCE",
-    "ChiSquareOutcome",
-    "CohortDataset",
-    "Config",
-    "ConfusionTable",
-    "DiagnosticMetrics",
-    "FloorRecord",
-    "InertiaSummary",
-    "LogRatioMatrix",
-    "MultiModelVerdict",
-    "ResponseSequence",
-    "RespchainError",
-    "RocCurve",
-    "SequenceScore",
-    "SimulationSpec",
-    "StateSpace",
-    "StationaryResult",
-    "StructuralError",
-    "TheoreticalModelSpec",
-    "TransitionCounts",
-    "TransitionMatrix",
-    "ValidationError",
-    "VerdictColumns",
-    "builtin_models",
-    "chi_square_p",
-    "chi_square_statistic",
-    "classify_binary",
-    "classify_counts",
-    "classify_multimodel",
-    "confusion",
-    "count_tensor",
-    "count_transitions",
-    "drunkards_walk",
-    "equiprobability_test",
-    "expected_inertia",
-    "from_stationary_vector",
-    "generate_cohort",
-    "generate_sequence",
-    "inertia",
-    "inertia_association_test",
-    "is_aperiodic",
-    "is_irreducible",
-    "load_cohort",
-    "load_config",
-    "log2_matrix",
-    "log_likelihood_matrix",
-    "matrix_power",
-    "max_entropy",
-    "metrics",
-    "normalize_rows",
-    "pool_counts",
-    "ratio_matrix",
-    "resolve_initial",
-    "roc_curve",
-    "score_counts",
-    "score_sequence",
-    "score_terms",
-    "score_value",
-    "sequence_log2_prob",
-    "standardized_residuals",
-    "stationary",
-    "stationary_gof",
-    "write_cohort",
+# The public API is what the imports above bind, less the submodules
+# (chain, dataio, ...) that they also bind as attributes of the package.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -257,18 +257,16 @@ def _check_rows(ids, states, lengths, k):
         )
 
 
-def count_tensor(sequences, space, order=None):
+def count_tensor(sequences, space):
     """Count adjacent (from, to) pairs of many sequences at once.
 
     sequences is a list of ResponseSequence or a columnar cohort: an
     object with participant_ids, groups, one flat array of 1-based states
     and each sequence's length (lengths), such as a dataio.CohortDataset.
     Returns an (N, K, K) int64 array whose row r is the count table of
-    sequence order[r]; order is a permutation of range(N), by default the
-    identity.
-    One bincount runs over all the states; pairs that would join one
-    sequence's last response to the next one's first are left out. Every
-    sequence needs at least two responses, and states outside
+    sequence r. One bincount runs over all the states; pairs that would
+    join one sequence's last response to the next one's first are left
+    out. Every sequence needs at least two responses, and states outside
     1..space.size are rejected; the first offending sequence in input
     order is named, with the position of its bad state.
     """
@@ -278,14 +276,10 @@ def count_tensor(sequences, space, order=None):
         return np.zeros((0, k, k), dtype=np.int64)
     _check_rows(ids, states, lengths, k)
     ends = np.cumsum(lengths)
-    # code of each pair = row * K*K + (from-1) * K + (to-1), with row the
-    # sequence's place in order; the code at a sequence's last response is
-    # the spare bin past the end, dropped below
-    rows = np.arange(n)
-    if order is not None:
-        rows[np.asarray(order)] = np.arange(n)
+    # code of each pair = row * K*K + (from-1) * K + (to-1); the code at a
+    # sequence's last response is the spare bin past the end, dropped below
     size = n * k * k
-    codes = np.repeat(rows * (k * k) - (k + 1), lengths)
+    codes = np.repeat(np.arange(n) * (k * k) - (k + 1), lengths)
     states = states.astype(np.intp, copy=False)
     codes[:-1] += states[:-1] * k + states[1:]
     codes[ends - 1] = size

@@ -28,6 +28,8 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
+from . import __version__
+
 SCHEMA = "respchain-report/1"
 
 # Table rows write_report encodes and writes at a time.
@@ -213,7 +215,7 @@ def build_report(command, results, config, input_path=None, skipped_rows=(),
     input row that was skipped and warnings one message per warning; each
     appears in the payload only when non-empty.
     """
-    provenance = {"tool_version": _tool_version(), "config": config_block(config)}
+    provenance = {"tool_version": __version__, "config": config_block(config)}
     if input_path is not None:
         provenance["input"] = str(input_path)
         provenance["input_sha256"] = file_sha256(input_path)
@@ -233,12 +235,6 @@ def build_report(command, results, config, input_path=None, skipped_rows=(),
         },
         "payload": _sanitize(payload),
     }
-
-
-def _tool_version():
-    from . import __version__
-
-    return __version__
 
 
 def payload_json(report):
