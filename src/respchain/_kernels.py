@@ -14,12 +14,20 @@ those b, whether edges tie within a row or across rows, and a (b, s)
 table of those counts gives every step. Each draw's b is itself read
 from a table over a grid of GRID cells on [0, 1) (see _bins); only draws
 that share a cell with an edge are placed among the edges by search.
+
+A long walk is cut into chunks, each first walked from every start state
+on its own draws. Once those walks have met they stay together, so the
+rest of the chunk no longer depends on its start (the coupling of Propp &
+Wilson 1996, "Exact sampling with coupled Markov chains and applications
+to statistical mechanics", Random Structures & Algorithms 9; see walk).
 """
 
 import numpy as np
 
 # Walks longer than this are cut into chunks of this many steps (see walk).
 CHUNK = 512
+# Steps between _meet's checks for whether every start's walks have met.
+MEET_EVERY = 16
 # Cells of the bin table on [0, 1) (see _bins): a power of two, so that a
 # draw's cell floor(u * GRID) is exact.
 GRID = 1 << 16
@@ -50,6 +58,19 @@ def _advance(flat, states, steps, visit=False):
         if visit:
             row[...] = states
     return states
+
+
+def _meet(flat, k, steps):
+    """Walk the chunks of `steps` from every start state at once, checking
+    every MEET_EVERY steps, up to CHUNK - MEET_EVERY, whether each chunk's
+    K walks are in one state. Returns the first step at which they all
+    are and the (K, N, n_full) states there, or CHUNK and the end states."""
+    states = np.arange(k)[:, None, None]
+    for meet in range(MEET_EVERY, CHUNK, MEET_EVERY):
+        states = _advance(flat, states, steps[meet - MEET_EVERY : meet])
+        if (states == states[0]).all():
+            return meet, states
+    return CHUNK, _advance(flat, states, steps[CHUNK - MEET_EVERY :])
 
 
 def _table(edges, scale):
@@ -114,12 +135,17 @@ def walk(cum_rows, first_states, uniforms):
     and a shorter tail. The bins are laid out step-major, so that each step
     reads one contiguous row: step j of every chunk of every walk, or step
     j of the tail of every walk. Every full chunk is first walked from
-    every possible start state at once, which gives its end state as a
-    function of its start. Composing those maps by doubling (a prefix scan
-    over the chunks) gives each chunk's real start state, and then all
-    chunks are walked together from their real starts, each step's states
-    written over its bins. The output is filled from those states last, so
-    the walk needs the output and one intp per draw.
+    every possible start state at once (_meet). If at some check step
+    m < CHUNK each chunk's K walks are in one state, that state no longer
+    depends on the chunk's start (Propp & Wilson's coupling), and walking
+    it once through steps m..CHUNK gives the chunk's real end state.
+    Otherwise the pass ends with each chunk's end state as a function of
+    its start, and composing those maps by doubling (a prefix scan over
+    the chunks) gives each chunk's real end. All chunks are then walked
+    together from their real starts through the steps before m (all of
+    them after the scan), each step's states written over its bins. The
+    output is filled from those states last, so the walk needs the output
+    and one intp per draw.
     """
     k = cum_rows.shape[1]
     edges = cum_rows[:, : k - 1].ravel()
@@ -142,14 +168,18 @@ def walk(cum_rows, first_states, uniforms):
                       k, table)
     del table  # not held while the output is allocated
     if n_full:
-        # ends[s, :, c] is chunk c's end state when it starts from state s
-        ends = _advance(flat, np.arange(k)[:, None, None], steps)
-        span = 1  # a prefix scan: ends[:, :, c] becomes chunks 0..c composed
-        while span < n_full:
-            ends[:, :, span:] = np.take_along_axis(ends[:, :, span:], ends[:, :, :-span], 0)
-            span *= 2
-        ends = ends[starts, np.arange(n)]  # (N, n_full): each chunk's real end state
-        _advance(flat, np.column_stack([starts, ends[:, :-1]]), steps, visit=True)
+        # ends[s, :, c] is chunk c's state at step meet when it starts from s
+        meet, ends = _meet(flat, k, steps)
+        if meet < CHUNK:  # every start has met: walk the rest once, from one
+            ends = _advance(flat, ends[0], steps[meet:], visit=True)
+        else:
+            span = 1  # a prefix scan: ends[:, :, c] becomes chunks 0..c composed
+            while span < n_full:
+                ends[:, :, span:] = np.take_along_axis(ends[:, :, span:], ends[:, :, :-span], 0)
+                span *= 2
+            ends = ends[starts, np.arange(n)]
+        # ends is (N, n_full): each chunk's real end state
+        _advance(flat, np.column_stack([starts, ends[:, :-1]]), steps[:meet], visit=True)
         starts = ends[:, -1]
     # the rest of the walk, or all of a walk of at most CHUNK steps
     _advance(flat, starts, tail, visit=True)

@@ -1,6 +1,8 @@
 """The walk and pair-count kernels against brute-force oracles."""
 
+import contextlib
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import respchain as rc
 import respchain._kernels as kernels
 
 CHUNK = kernels.CHUNK
+MEET_EVERY = kernels.MEET_EVERY
+_meet = kernels._meet
 
 
 def brute_force_counts(states, k):
@@ -52,6 +56,48 @@ def cycle_rows(k, noise):
     rows = np.full((k, k), noise / k)
     rows[np.arange(k), (np.arange(k) + 1) % k] += 1.0 - noise
     return rows
+
+
+def reset_rows(k):
+    """From state s a draw u < 0.5 moves to state 1 and u >= 0.5 to s+1
+    (mod k). On draws of 0.75 the walks from different starts rotate and
+    never meet; one draw of 0.25 sends them all to state 1."""
+    rows = np.zeros((k, k))
+    rows[:, 0] = 0.5
+    rows[np.arange(k), (np.arange(k) + 1) % k] += 0.5
+    return rows
+
+
+def reset_draws(meet_at, tail):
+    """Draws of 0.75 for full chunks whose walks from every start meet
+    after meet_at[r, c] steps (0: never), then the draws of the tail."""
+    n_rows, n_full = meet_at.shape
+    u = np.full((n_rows, n_full, CHUNK), 0.75)
+    r, c = np.nonzero(meet_at)
+    u[r, c, meet_at[r, c] - 1] = 0.25
+    return np.hstack([u.reshape(n_rows, -1), tail])
+
+
+@contextlib.contextmanager
+def recorded_meets():
+    """Record the step _meet returns in each walk: the first check at which
+    every chunk's walks from every start had met, or CHUNK when walk fell
+    back to composing the chunks' end maps by doubling."""
+    found = []
+
+    def spy(*args):
+        meet, states = _meet(*args)
+        found.append(meet)
+        return meet, states
+
+    with mock.patch.object(kernels, "_meet", spy):
+        yield found
+
+
+def first_check(meet):
+    """The step _meet returns for walks whose last chunk meets at `meet`."""
+    check = -(-meet // MEET_EVERY) * MEET_EVERY
+    return check if check <= CHUNK - MEET_EVERY else CHUNK
 
 
 @pytest.fixture
@@ -119,12 +165,72 @@ class TestWalk:
         # chunk counts lie on and beside powers of two. Without noise every
         # end map is a rotation, so a scan that stops a span short shifts
         # the later chunks; with noise some maps merge starts and others do
-        # not, so maps composed in the wrong order disagree.
+        # not, so maps composed in the wrong order disagree. A draw of 0.5
+        # is always a rotation, so the last row's chunks never meet and the
+        # whole walk takes the scan.
         k = 5
         rng = np.random.default_rng(n_full)
         cum = np.cumsum(cycle_rows(k, noise), axis=1)
-        u = rng.random((3, n_full * CHUNK + 7))
-        assert_rows_match_reference(cum, np.array([1, 3, k]), u)
+        u = rng.random((4, n_full * CHUNK + 7))
+        u[3] = 0.5
+        with recorded_meets() as meets:
+            assert_rows_match_reference(cum, np.array([1, 3, k, 2]), u)
+        assert meets == [CHUNK]
+
+    @pytest.mark.parametrize("meet", [1, MEET_EVERY, MEET_EVERY + 1,
+                                      CHUNK - MEET_EVERY, CHUNK - MEET_EVERY + 1, CHUNK])
+    def test_chunks_meet_at_a_check(self, meet):
+        # the last chunk to meet decides the step; past the last check
+        # the walk takes the doubling scan
+        k = 4
+        meet_at = np.array([[1, meet, 5]])
+        u = reset_draws(meet_at, np.full((1, 7), 0.75))
+        with recorded_meets() as meets:
+            assert_rows_match_reference(np.cumsum(reset_rows(k), axis=1), np.array([2]), u)
+        assert meets == [first_check(meet)]
+
+    def test_one_chunk_never_meets(self):
+        # the other chunks met by the first check, but the pass is one
+        # array: the whole walk takes the doubling scan
+        meet_at = np.full((2, 5), 3)
+        meet_at[1, 3] = 0
+        u = reset_draws(meet_at, np.full((2, 9), 0.75))
+        with recorded_meets() as meets:
+            assert_rows_match_reference(np.cumsum(reset_rows(3), axis=1), np.array([1, 3]), u)
+        assert meets == [CHUNK]
+
+    def test_rows_with_a_tail_meet(self):
+        rng = np.random.default_rng(12)
+        meet_at = rng.integers(1, 60, size=(3, 4))
+        u = reset_draws(meet_at, rng.random((3, 101)))
+        with recorded_meets() as meets:
+            assert_rows_match_reference(np.cumsum(reset_rows(5), axis=1), np.array([1, 5, 2]), u)
+        assert meets == [first_check(meet_at.max())]
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(2, 6), n_rows=st.integers(1, 3), n_full=st.integers(1, 5),
+           meet=st.integers(1, CHUNK), tail=st.integers(0, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_meet_step(self, k, n_rows, n_full, meet, tail, seed):
+        # the chunks meet at or before `meet`, one of them at it; a walk of
+        # at most CHUNK steps has no full chunk and never calls _meet
+        rng = np.random.default_rng(seed)
+        meet_at = rng.integers(1, meet + 1, size=(n_rows, n_full))
+        meet_at.flat[rng.integers(meet_at.size)] = meet
+        u = reset_draws(meet_at, rng.random((n_rows, tail)))
+        first = rng.integers(1, k + 1, size=n_rows)
+        with recorded_meets() as meets:
+            assert_rows_match_reference(np.cumsum(reset_rows(k), axis=1), first, u)
+        assert meets == ([first_check(meet)] if u.shape[1] > CHUNK else [])
+
+    @pytest.mark.parametrize("count, length", [(1, 1_000_000), (4, 250_000)])
+    def test_benchmark_walk_meets_early(self, count, length):
+        # on the K=11 walk the long-walk benchmark simulates (seed 1),
+        # every chunk's walks from every start have met by step 129
+        matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
+        with recorded_meets() as meets:
+            rc.generate_cohort(rc.SimulationSpec(matrix, length=length, count=count, seed=1))
+        assert len(meets) == 1 and meets[0] <= 144
 
     @pytest.mark.parametrize("k", [255, 256])
     def test_states_at_the_table_type_limit(self, k):

@@ -298,6 +298,18 @@ class TestDigestGuard:
         digest = hashlib.sha256(states.tobytes()).hexdigest()
         assert digest == DIGESTS["million_step_walk"]
 
+    def test_four_row_walk(self):
+        """Four rows of 250,000 states, walked together: the chunked walk
+        with N > 1 rows, whose chunks' walks from every start meet. The
+        digest was taken from the kernel that composed every chunk's end
+        map by doubling, before the meet check was added."""
+        params = {k: v for k, v in K11_WALK.items() if k != "kind"}
+        matrix = rc.drunkards_walk(rc.StateSpace(11), **params)
+        seqs = rc.generate_cohort(rc.SimulationSpec(matrix, length=250_000, count=4, seed=3))
+        states = np.concatenate([np.asarray(seq.states, dtype="<i8") for seq in seqs])
+        digest = hashlib.sha256(states.tobytes()).hexdigest()
+        assert digest == DIGESTS["four_row_walk"]
+
 
 DIGESTS = {
     "dwm_cohort_csv":
@@ -308,4 +320,6 @@ DIGESTS = {
         "a7ba31942291bcc8412f4231ac6f6fec9bcf6ca911f36fb78ee441accad50ccb",
     "million_step_walk":
         "63b80494e29423f410c9b98c703ac5fcc5fb46763bebb86d54e801310bcf195a",
+    "four_row_walk":
+        "1afffb6c894991a9a3cd1d30e53c985de0dbe6b8ce62af10b495296779aca527",
 }
