@@ -401,14 +401,15 @@ def _cmd_classify(run):
         run.counts, run.dataset.participant_ids, candidates, ref,
         reference_name=ref_name, epsilon_floor=config.epsilon_floor,
     )
-    class_counts = {name: verdicts.assigned.count(name)
-                    for name in [*verdicts.names, ref_name]}
+    labels = verdicts.labels
+    class_counts = dict(zip(labels, np.bincount(verdicts.choice,
+                                                minlength=len(labels)).tolist()))
     equi = stats.equiprobability_test(list(class_counts.values()))
     rows = {
         "participant_id": ids,
-        "scores": dict(zip(verdicts.names, verdicts.scores[run.order].T.tolist())),
-        "assigned": run.by_id(np.array(verdicts.assigned, dtype=object)),
-        "tie": run.by_id(np.array(verdicts.tie)),
+        "scores": dict(zip(verdicts.names, verdicts.scores[run.order].T)),
+        "assigned": np.array(labels, dtype=object)[verdicts.choice[run.order]].tolist(),
+        "tie": verdicts.tie_mask[run.order],
     }
     return {
         "mode": "multimodel",

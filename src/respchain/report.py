@@ -46,15 +46,17 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 class Table:
     """Per-participant results held as columns, one JSON object per row.
 
-    columns maps each key of a row to a list with one cell per row, or to
-    a dict of such lists, which every row holds as a nested object with
-    those keys. Without keys the table is written as a list of row
-    objects; with keys (one string per row, in sorted order) as an object
-    that maps each key to its row. Keys within a row are written sorted.
-    A cell is a str, int, bool, None, float or a list of such cells; a
-    non-finite float is written as the string "inf", "-inf" or "nan", the
-    rule the rest of the payload follows. A Table is written only as a dict
-    value, never as a list item.
+    columns maps each key of a row to a list or 1-d numpy array with one
+    cell per row, or to a dict of such columns, which every row holds as a
+    nested object with those keys. Without keys the table is written as a
+    list of row objects; with keys (one string per row, in sorted order) as
+    an object that maps each key to its row. Keys within a row are written
+    sorted. A cell is a str, int, bool, None, float or a list of such cells;
+    a non-finite float is written as the string "inf", "-inf" or "nan", the
+    rule the rest of the payload follows. An int, float or bool array is
+    written through one text per distinct value, the text its tolist()
+    cells get; any other array as its tolist(). A Table is written only as
+    a dict value, never as a list item.
     """
 
     def __init__(self, columns, keys=None):
@@ -132,6 +134,25 @@ def _texts(values, level):
     return [_json(_sanitize(value), level) for value in values]
 
 
+def _cells(column, level):
+    """A table column as (cells, level) for _texts, or as (texts, None).
+
+    A 1-d int, float or bool array gets its texts here: _texts writes each
+    distinct value once, non-finite rule included, and every row reads its
+    text by index. Floats are keyed on their bits, so -0.0 keeps its sign
+    and every NaN is written "nan". Any other array becomes its tolist().
+    """
+    if not isinstance(column, np.ndarray):
+        return column, level
+    if column.ndim != 1 or column.dtype.kind not in "biuf":
+        return column.tolist(), level
+    floats = column.dtype.kind == "f"
+    keys = np.asarray(column, dtype=np.float64).view(np.uint64) if floats else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    values = distinct.view(np.float64) if floats else distinct
+    return np.array(_texts(values.tolist(), level), dtype=object)[inverse].tolist(), None
+
+
 def _chunks(value, level):
     """The JSON text of a value in pieces; a Table's rows come a block at a time."""
     if isinstance(value, Table):
@@ -180,9 +201,11 @@ def _table_chunks(table, level):
         yield brackets
         return
     row = _newline(level + 1) + row
+    fields = [_cells(column, cell_level) for column, cell_level in fields]
     yield brackets[0]
     for start in range(0, n, WRITE_BLOCK_ROWS):
-        texts = [_texts(column[start:start + WRITE_BLOCK_ROWS], cell_level)
+        block = slice(start, start + WRITE_BLOCK_ROWS)
+        texts = [column[block] if cell_level is None else _texts(column[block], cell_level)
                  for column, cell_level in fields]
         yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
     yield _newline(level) + brackets[1]

@@ -104,27 +104,42 @@ class MultiModelVerdict:
 class VerdictColumns(Sequence):
     """Multi-model verdicts of many sequences, held as columns.
 
-    scores is the (N, M) score matrix, one column per name in `names`;
-    assigned and tie are lists with one entry per row. Indexing and
-    iteration give MultiModelVerdicts, and it equals any sequence of the
-    same verdicts.
+    scores is the (N, M) score matrix, one column per name in `names`.
+    choice is the intp index of each row's model in labels (the names,
+    then the reference's) and tie_mask its bool tie flag; assigned and tie
+    read them as lists. Indexing and iteration give MultiModelVerdicts, and
+    it equals any sequence of the same verdicts.
     """
 
     participant_ids: list
     names: list
     scores: np.ndarray
-    assigned: list
-    tie: list
+    reference_name: str
+    choice: np.ndarray
+    tie_mask: np.ndarray
+
+    @property
+    def labels(self):
+        return [*self.names, self.reference_name]
+
+    @property
+    def assigned(self):
+        return list(map(self.labels.__getitem__, self.choice.tolist()))
+
+    @property
+    def tie(self):
+        return self.tie_mask.tolist()
 
     def __len__(self):
-        return len(self.assigned)
+        return len(self.choice)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         return MultiModelVerdict(self.participant_ids[index],
                                  dict(zip(self.names, self.scores[index].tolist())),
-                                 self.assigned[index], self.tie[index])
+                                 self.labels[self.choice[index]],
+                                 bool(self.tie_mask[index]))
 
     def __eq__(self, other):
         if isinstance(other, Sequence) and not isinstance(other, str):
@@ -409,12 +424,11 @@ def classify_counts(counts, participant_ids, candidates, reference,
     reject = (scores < 0).all(axis=1)
     # first candidate on an exact tie; a row with every score negative goes
     # to the reference, never as a tie
-    choice = np.where(reject, len(names), scores.argmax(axis=1)).tolist()
-    labels = [*names, reference_name]
+    choice = np.where(reject, len(names), scores.argmax(axis=1))
     if len(names) > 1:
         ordered = np.sort(scores, axis=1)
         tie = (ordered[:, -1] - ordered[:, -2] <= TIE_TOLERANCE) & ~reject
     else:
         tie = np.zeros(len(choice), dtype=bool)
-    return VerdictColumns(list(participant_ids), names, scores,
-                          list(map(labels.__getitem__, choice)), tie.tolist())
+    return VerdictColumns(list(participant_ids), names, scores, reference_name,
+                          choice, tie)

@@ -363,6 +363,20 @@ class TestClassifyMultimodelBatch:
         assert columns[-1] == verdicts[-1] and columns[10:3:-2] == verdicts[10:3:-2]
         assert columns != verdicts[:-1] and columns != "not verdicts"
 
+    def test_choice_and_tie_mask_are_arrays(self, ocd_matrix):
+        space = rc.StateSpace(5)
+        registry = rc.builtin_models(space)
+        candidates = [("DWM", registry["DWM"]), ("ocd", ocd_matrix)]
+        cohort = rc.generate_cohort(
+            rc.SimulationSpec(ocd_matrix, length=8, count=60, seed=4), id_prefix="c")
+        columns = rc.classify_counts(rc.count_tensor(cohort, space),
+                                     [s.participant_id for s in cohort],
+                                     candidates, registry["MEM"], "flat")
+        assert columns.choice.dtype == np.intp and columns.tie_mask.dtype == bool
+        assert columns.labels == ["DWM", "ocd", "flat"]
+        assert columns.assigned == [columns.labels[c] for c in columns.choice.tolist()]
+        assert columns.tie == columns.tie_mask.tolist()
+
     def test_empty_list_gets_no_verdicts(self, space):
         registry = rc.builtin_models(space)
         assert rc.classify_multimodel([], [("DWM", registry["DWM"])],

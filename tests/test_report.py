@@ -171,6 +171,11 @@ def materialise(value):
     """value with every Table replaced by its rows, as the oracle walk
     makes them: a list of row dicts, or a dict of them under the keys."""
     if isinstance(value, reporting.Table):
+        def lists(columns):
+            return {key: lists(column) if isinstance(column, dict)
+                    else column.tolist() if isinstance(column, np.ndarray)
+                    else column for key, column in columns.items()}
+
         def leaves(columns):
             for column in columns.values():
                 if isinstance(column, dict):
@@ -183,11 +188,12 @@ def materialise(value):
                 return {key: cell(sub, i) for key, sub in column.items()}
             return column[i]
 
+        columns = lists(value.columns)
         if value.keys is not None:
             n = len(value.keys)
         else:
-            n = len(next(leaves(value.columns), ()))
-        rows = [oracle_sanitize(cell(value.columns, i)) for i in range(n)]
+            n = len(next(leaves(columns), ()))
+        rows = [oracle_sanitize(cell(columns, i)) for i in range(n)]
         return rows if value.keys is None else dict(zip(value.keys, rows))
     if isinstance(value, dict):
         return {key: materialise(item) for key, item in value.items()}
@@ -293,6 +299,33 @@ class TestWriteReport:
         with pytest.raises(ValueError):
             self.written({"x": float("nan")})
 
+    def test_multi_model_table_is_written_from_arrays(self, tmp_path):
+        registry = rc.builtin_models(rc.StateSpace(5))
+        rows = []
+        for group, model, seed in (("adhd", "DWM", 11), ("ocd", "skewed+", 12)):
+            spec = rc.SimulationSpec(registry[model], length=16, count=600, seed=seed)
+            rows.extend(rc.generate_cohort(spec, group=group, id_prefix=group))
+        path = tmp_path / "cohort.csv"
+        rc.write_cohort(rows, rc.StateSpace(5), path)
+        args = _build_parser().parse_args([
+            "classify", "--input", str(path), "--mode", "strict",
+            "--models", "model:symmetric,model:skewed+,model:skewed-",
+            "--reference", "model:MEM"])
+        doc = run_subcommand(args.command, args, _effective_config(args))
+        results = doc["payload"]["results"]
+        columns = results["assignments"].columns
+        scores = columns["scores"]
+        assert all(isinstance(column, np.ndarray) and column.dtype == np.float64
+                   for column in scores.values())
+        assert isinstance(columns["tie"], np.ndarray) and columns["tie"].dtype == bool
+        assert all(len(np.unique(column)) < len(column) / 4 for column in scores.values())
+        lists = reporting.Table({
+            **columns, "tie": columns["tie"].tolist(),
+            "scores": {name: column.tolist() for name, column in scores.items()}})
+        list_doc = {**doc, "payload": {**doc["payload"],
+                                       "results": {**results, "assignments": lists}}}
+        assert self.written(doc) == self.written(list_doc)
+
 
 # --- the table writer against the oracle walk and encoder -----------------
 
@@ -317,11 +350,29 @@ CELLS = {
 }
 
 
+NAN_PAYLOADS = [float("nan"), -float("nan"),
+                np.array(0x7FF0_0000_0000_0001, dtype=np.uint64).view(np.float64).item(),
+                np.array(0xFFF8_0000_DEAD_BEEF, dtype=np.uint64).view(np.float64).item()]
+ARRAYS = {
+    np.float64: st.floats() | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e16, 0.1, float("inf"),
+         float("-inf"), *NAN_PAYLOADS]),
+    np.int64: st.integers(-2**63, 2**63 - 1) | st.sampled_from([0, 1, -1]),
+    np.bool_: st.booleans(),
+}
+
+
 @st.composite
 def tables(draw):
     n = draw(st.integers(0, 9))
 
     def column():
+        if draw(st.integers(0, 2)) == 0:  # a 1-d array, often of a few values
+            dtype = draw(st.sampled_from(list(ARRAYS)))
+            cells = ARRAYS[dtype]
+            if draw(st.booleans()):
+                cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3)))
+            return np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=dtype)
         return draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))],
                              min_size=n, max_size=n))
 
@@ -386,6 +437,26 @@ class TestTableWriter:
         assert json.loads(reporting.report_json({"t": table}))["t"] == [
             {"terms": ["inf"], "x": "nan"}, {"terms": [], "x": "-inf"},
             {"terms": [[1, -0.0]], "x": 1.0}]
+
+    def test_array_columns_keep_signed_zeros_and_every_nan(self):
+        nans = np.array(NAN_PAYLOADS[2:], dtype=np.float64)
+        assert len(set(nans.view(np.uint64).tolist())) == 2
+        table = reporting.Table({"z": np.array([0.0, -0.0, -0.0, 0.0, 1.0]),
+                                 "n": np.array([nans[0], 1.0, nans[1], nans[0], -0.0])})
+        text = reporting.report_json({"t": table})
+        assert text == json.dumps(oracle_sanitize(materialise({"t": table})), indent=2)
+        assert json.loads(text)["t"] == [
+            {"n": "nan", "z": 0.0}, {"n": 1.0, "z": -0.0}, {"n": "nan", "z": -0.0},
+            {"n": "nan", "z": 0.0}, {"n": -0.0, "z": 1.0}]
+        assert text.count('"z": -0.0') == 2 and text.count('"n": -0.0') == 1
+
+    def test_other_arrays_are_written_as_their_lists(self):
+        columns = {"s": np.array(["a", "é"]), "o": np.array([None, "x"], dtype=object),
+                   "m": np.array([[1, 2], [3, 4]]), "u": np.array([2**64 - 1, 0],
+                                                                  dtype=np.uint64)}
+        lists = {key: column.tolist() for key, column in columns.items()}
+        assert (reporting.report_json({"t": reporting.Table(columns)})
+                == reporting.report_json({"t": reporting.Table(lists)}))
 
     def test_columns_of_different_lengths_are_refused(self):
         with pytest.raises(ValueError, match="differ in length"):
