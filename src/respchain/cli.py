@@ -378,46 +378,38 @@ def _cmd_classify(run):
     if binary:
         if not (args.numerator and args.denominator):
             raise ValidationError("binary mode needs both --numerator and --denominator")
-        lr = run.log_ratio()
-        scores = run.by_id(scoring.score_counts(run.counts, lr.values))
-        labels = scoring.binary_labels(scores, lr.numerator_name,
-                                       lr.denominator_name, config.cutoff)
-        return {
-            "mode": "binary",
-            "cutoff": config.cutoff,
-            "assignments": reporting.Table(
-                {"participant_id": ids, "score": scores, "assigned": labels}),
-            "class_counts": {name: labels.count(name)
-                             for name in (lr.numerator_name, lr.denominator_name)},
-        }
-    if not (args.candidates and args.reference):
-        raise ValidationError("multi-model mode needs both --models and --reference")
-    candidate_names = [n.strip() for n in args.candidates.split(",") if n.strip()]
-    if not candidate_names:
-        raise ValidationError("--models lists no usable names")
-    candidates = [run.resolve(name) for name in candidate_names]
-    ref_name, ref = run.resolve(args.reference)
+        numerator, (ref_name, ref) = run.ratio_terms
+        candidates, cutoff = [numerator], config.cutoff
+    else:
+        if not (args.candidates and args.reference):
+            raise ValidationError("multi-model mode needs both --models and --reference")
+        candidate_names = [n.strip() for n in args.candidates.split(",") if n.strip()]
+        if not candidate_names:
+            raise ValidationError("--models lists no usable names")
+        candidates = [run.resolve(name) for name in candidate_names]
+        (ref_name, ref), cutoff = run.resolve(args.reference), 0.0
     verdicts = scoring.classify_counts(
         run.counts, run.dataset.participant_ids, candidates, ref,
-        reference_name=ref_name, epsilon_floor=config.epsilon_floor,
+        reference_name=ref_name, epsilon_floor=config.epsilon_floor, cutoff=cutoff,
     )
     labels = verdicts.labels
     class_counts = dict(zip(labels, np.bincount(verdicts.choice,
                                                 minlength=len(labels)).tolist()))
-    equi = stats.equiprobability_test(list(class_counts.values()))
-    rows = {
-        "participant_id": ids,
-        "scores": dict(zip(verdicts.names, verdicts.scores[run.order].T)),
-        "assigned": np.array(labels, dtype=object)[verdicts.choice[run.order]].tolist(),
-        "tie": verdicts.tie_mask[run.order],
-    }
+    rows = {"participant_id": ids,
+            "assigned": np.array(labels, dtype=object)[verdicts.choice[run.order]].tolist()}
+    if binary:
+        rows["score"] = run.by_id(verdicts.scores[:, 0])
+        return {"mode": "binary", "cutoff": config.cutoff,
+                "assignments": reporting.Table(rows), "class_counts": class_counts}
+    rows["scores"] = dict(zip(verdicts.names, verdicts.scores[run.order].T))
+    rows["tie"] = verdicts.tie_mask[run.order]
     return {
         "mode": "multimodel",
         "reference": ref_name,
         "candidates": verdicts.names,
         "assignments": reporting.Table(rows),
         "class_counts": class_counts,
-        "equiprobability": equi,
+        "equiprobability": stats.equiprobability_test(list(class_counts.values())),
     }
 
 

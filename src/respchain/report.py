@@ -260,12 +260,6 @@ def build_report(command, results, config, input_path=None, skipped_rows=(),
     }
 
 
-def payload_json(report):
-    """Canonical serialization of the deterministic part of a report;
-    build_report has sorted its keys."""
-    return "".join(_chunks(report["payload"], 0))
-
-
 def report_json(report):
     """The whole report as JSON; the payload's keys are already sorted."""
     return "".join(_chunks(report, 0))

@@ -360,15 +360,9 @@ def score_value(states, lr_values):
     return float(score_counts(_kernels.pair_counts(states, k)[None], lr_values)[0])
 
 
-def binary_labels(scores, numerator_name, denominator_name, cutoff=0.0):
-    """Label each score: the numerator at or above the cutoff, else the denominator."""
-    return [numerator_name if v >= cutoff else denominator_name for v in scores]
-
-
 def classify_binary(score, cutoff=0.0):
     """Assign the numerator label at or above the cutoff, else the denominator."""
-    return binary_labels([score.score], score.numerator_name,
-                         score.denominator_name, cutoff)[0]
+    return score.numerator_name if score.score >= cutoff else score.denominator_name
 
 
 def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
@@ -390,16 +384,17 @@ def classify_multimodel(sequence, candidates, reference, reference_name="MEM",
 
 
 def classify_counts(counts, participant_ids, candidates, reference,
-                    reference_name="MEM", epsilon_floor=0.01):
+                    reference_name="MEM", epsilon_floor=0.01, cutoff=0.0):
     """Multi-model verdicts from an (N, K, K) count tensor, as VerdictColumns.
 
-    Each candidate is scored as numerator against the reference. If every
-    score is negative the sequence is assigned to the reference model;
-    otherwise to the candidate with the highest score, first in the given
-    order on an exact tie (tie flag set when the top two scores are within
-    1e-12). participant_ids names the tensor's rows; each candidate's
-    log-ratio matrix is built once.
+    Each candidate is scored as numerator against the reference. A row
+    with every score below the cutoff goes to the reference model, else to
+    the candidate with the highest score, first in the given order on an
+    exact tie (tie flag set when the top two scores are within 1e-12); one
+    candidate gives classify_binary's rule. participant_ids names the
+    tensor's rows; each candidate's log-ratio matrix is built once.
     """
+    _number(cutoff, "cutoff", signed=True)
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("need at least one candidate model")
@@ -421,9 +416,9 @@ def classify_counts(counts, participant_ids, candidates, reference,
     ])
     counts, _ = _fitted(counts, betas[0])
     scores = _scores(counts, betas.reshape(len(names), -1))
-    reject = (scores < 0).all(axis=1)
-    # first candidate on an exact tie; a row with every score negative goes
-    # to the reference, never as a tie
+    reject = (scores < cutoff).all(axis=1)
+    # first candidate on an exact tie; a row with every score below the
+    # cutoff goes to the reference, never as a tie
     choice = np.where(reject, len(names), scores.argmax(axis=1))
     if len(names) > 1:
         ordered = np.sort(scores, axis=1)

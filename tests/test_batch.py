@@ -377,15 +377,42 @@ class TestClassifyMultimodelBatch:
         assert columns.assigned == [columns.labels[c] for c in columns.choice.tolist()]
         assert columns.tie == columns.tie_mask.tolist()
 
+    def test_cutoff_sends_a_row_to_the_reference_only_below_it(self, ocd_matrix):
+        space = rc.StateSpace(5)
+        registry = rc.builtin_models(space)
+        candidates = [("DWM", registry["DWM"]), ("ocd", ocd_matrix)]
+        cohort = rc.generate_cohort(
+            rc.SimulationSpec(ocd_matrix, length=8, count=80, seed=6), id_prefix="c")
+        counts, ids = rc.count_tensor(cohort, space), [s.participant_id for s in cohort]
+        default = rc.classify_counts(counts, ids, candidates, registry["MEM"])
+        assert rc.classify_counts(counts, ids, candidates, registry["MEM"],
+                                  cutoff=0.0) == default
+        top = default.scores.max(axis=1)
+        # the cutoff is one row's exact best score, so that row sits on it
+        positive = np.sort(top[top > 0])
+        cutoff = float(positive[len(positive) // 2])
+        columns = rc.classify_counts(counts, ids, candidates, registry["MEM"],
+                                     cutoff=cutoff)
+        reject = columns.choice == len(candidates)
+        assert reject.tolist() == (columns.scores < cutoff).all(axis=1).tolist()
+        assert (top == cutoff).any() and not reject[top == cutoff].any()
+        assert 0 < reject.sum() < len(cohort) and reject.sum() > (default.choice == 2).sum()
+        kept = ~reject
+        assert columns.choice[kept].tolist() == default.choice[kept].tolist()
+        assert not columns.tie_mask[reject].any()
+
+    @pytest.mark.parametrize("cutoff", [float("nan"), True])
+    def test_cutoff_must_be_a_finite_number(self, space, cutoff):
+        registry = rc.builtin_models(space)
+        with pytest.raises(rc.ValidationError, match="cutoff"):
+            rc.classify_counts(np.zeros((1, 5, 5), dtype=np.int64), ["p"],
+                               [("DWM", registry["DWM"])], registry["MEM"],
+                               cutoff=cutoff)
+
     def test_empty_list_gets_no_verdicts(self, space):
         registry = rc.builtin_models(space)
         assert rc.classify_multimodel([], [("DWM", registry["DWM"])],
                                       registry["MEM"]) == []
-
-
-def test_binary_labels_put_the_cutoff_with_the_numerator():
-    labels = rc.scoring.binary_labels([0.5, 0.4999, -1.0], "ocd", "adhd", cutoff=0.5)
-    assert labels == ["ocd", "adhd", "adhd"]
 
 
 # --- digest guard ---------------------------------------------------------

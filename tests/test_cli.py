@@ -335,6 +335,45 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--input", cohort_csv)
         assert code == 1
 
+    def test_binary_cutoff_is_one_participants_exact_score(self, capsys, cohort_csv,
+                                                           published_config):
+        pair = ["--input", cohort_csv, "--config", published_config,
+                "--numerator", "ocd_pub", "--denominator", "adhd_pub"]
+        scores = run_report(capsys, "score", *pair)["payload"]["results"]["scores"]
+        at_cutoff = scores[len(scores) // 2]
+        cutoff = at_cutoff["score"]
+        doc = run_report(capsys, "classify", *pair, "--cutoff", repr(cutoff))
+        results = doc["payload"]["results"]
+        assert results["cutoff"] == cutoff
+        lr = rc.log_likelihood_matrix(rc.TransitionMatrix.from_rows(OCD_ROWS),
+                                      rc.TransitionMatrix.from_rows(ADHD_ROWS),
+                                      numerator_name="ocd_pub",
+                                      denominator_name="adhd_pub")
+        rows = {s.participant_id: s
+                for s in rc.load_cohort(cohort_csv, rc.Config()).sequences}
+        expected = {pid: rc.classify_binary(rc.score_sequence(row, lr), cutoff)
+                    for pid, row in rows.items()}
+        assigned = {r["participant_id"]: r["assigned"] for r in results["assignments"]}
+        assert assigned == expected
+        assert assigned[at_cutoff["participant_id"]] == "ocd_pub"
+        labels = list(assigned.values())
+        assert results["class_counts"] == {
+            "ocd_pub": labels.count("ocd_pub"), "adhd_pub": labels.count("adhd_pub")}
+        assert 0 < labels.count("ocd_pub") < len(labels)
+
+    def test_binary_names_that_clash_are_rejected(self, capsys, tmp_path, cohort_csv):
+        cfg = tmp_path / "clash.json"
+        cfg.write_text(json.dumps(
+            {"models": {"ocd": {"kind": "explicit", "rows": OCD_ROWS.tolist()}}}))
+        out = tmp_path / "classify.json"
+        error = only_validation_error(*run(
+            capsys, "classify", "--input", cohort_csv, "--config", str(cfg),
+            "--numerator", "group:ocd", "--denominator", "model:ocd",
+            "--output", str(out),
+        ))
+        assert error["message"] == "reference name 'ocd' collides with a candidate"
+        assert not out.exists()
+
 
 class TestDiagnose:
     def test_full_evaluation(self, capsys, tmp_path, cohort_csv):
