@@ -25,6 +25,9 @@ DEFAULT_MAX_POWER = 64
 
 _ROW_SUM_TOL = 1e-9
 
+# States counted at a time: whole rows, or one row longer than this.
+COUNT_BLOCK_STATES = 1 << 16
+
 
 def _readonly(a):
     a = np.ascontiguousarray(a)
@@ -263,28 +266,38 @@ def count_tensor(sequences, space):
     sequences is a list of ResponseSequence or a columnar cohort: an
     object with participant_ids, groups, one flat array of 1-based states
     and each sequence's length (lengths), such as a dataio.CohortDataset.
-    Returns an (N, K, K) int64 array whose row r is the count table of
-    sequence r. One bincount runs over all the states; pairs that would
-    join one sequence's last response to the next one's first are left
-    out. Every sequence needs at least two responses, and states outside
-    1..space.size are rejected; the first offending sequence in input
-    order is named, with the position of its bad state.
+    Returns an (N, K, K) array whose row r is the count table of sequence
+    r, in the smallest unsigned integer dtype that holds the longest
+    sequence's number of transitions (uint8 for the empty cohort). Widen
+    it (astype(np.int64)) before any arithmetic that could wrap; numpy's
+    sum already widens. Blocks of whole sequences, about
+    COUNT_BLOCK_STATES states each, are counted by one bincount; pairs
+    that would join one sequence's last response to the next one's first
+    are left out. Every sequence needs at least two responses, and states
+    outside 1..space.size are rejected; the first offending sequence in
+    input order is named, with the position of its bad state.
     """
     ids, _, states, lengths = _columns(sequences)
     n, k = len(lengths), space.size
-    if n == 0:
-        return np.zeros((0, k, k), dtype=np.int64)
-    _check_rows(ids, states, lengths, k)
+    if n:
+        _check_rows(ids, states, lengths, k)
+    out = np.zeros((n, k * k), dtype=np.min_scalar_type(lengths.max(initial=1) - 1))
     ends = np.cumsum(lengths)
-    # code of each pair = row * K*K + (from-1) * K + (to-1); the code at a
-    # sequence's last response is the spare bin past the end, dropped below
-    size = n * k * k
-    codes = np.repeat(np.arange(n) * (k * k) - (k + 1), lengths)
-    states = states.astype(np.intp, copy=False)
-    codes[:-1] += states[:-1] * k + states[1:]
-    codes[ends - 1] = size
-    del states
-    return np.bincount(codes, minlength=size + 1)[:size].reshape(n, k, k)
+    first = 0
+    while first < n:
+        start = ends[first] - lengths[first]
+        stop = max(first + 1, int(np.searchsorted(ends, start + COUNT_BLOCK_STATES, "right")))
+        # code of each pair = row * K*K + (from-1) * K + (to-1), rows counted
+        # from the block's first; the code at a sequence's last response is
+        # the spare bin past the end, dropped below
+        size = (stop - first) * k * k
+        codes = np.repeat(np.arange(0, size, k * k) - (k + 1), lengths[first:stop])
+        block = states[start:ends[stop - 1]].astype(np.intp)
+        codes[:-1] += block[:-1] * k + block[1:]
+        codes[ends[first:stop] - start - 1] = size
+        out[first:stop] = np.bincount(codes, minlength=size + 1)[:size].reshape(-1, k * k)
+        first = stop
+    return out.reshape(n, k, k)
 
 
 def count_transitions(sequence, space):

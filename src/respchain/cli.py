@@ -383,6 +383,9 @@ def _cmd_classify(run):
     else:
         if not (args.candidates and args.reference):
             raise ValidationError("multi-model mode needs both --models and --reference")
+        if args.cutoff is not None:
+            raise ValidationError("--cutoff applies to binary mode only; "
+                                  "multi-model mode always uses 0")
         candidate_names = [n.strip() for n in args.candidates.split(",") if n.strip()]
         if not candidate_names:
             raise ValidationError("--models lists no usable names")

@@ -295,10 +295,19 @@ def roc_block(curve):
     return {"auc": curve.auc, "n_points": curve.fpr.size}
 
 
+def _point_blocks(fmt, sep, *columns):
+    """fmt % each point's values, one value per column, joined by sep, as
+    texts of WRITE_BLOCK_ROWS points: only one block's floats exist at once."""
+    points = np.column_stack(columns)
+    for start in range(0, len(points), WRITE_BLOCK_ROWS):
+        block = points[start:start + WRITE_BLOCK_ROWS]
+        yield sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
+
+
 def roc_points_csv(curve):
     """ROC points as plain CSV with the fixed fpr,tpr,cutoff header."""
-    cells = np.column_stack((curve.fpr, curve.tpr, curve.cutoff)).ravel().tolist()
-    return "fpr,tpr,cutoff\n" + ("%r,%r,%r\n" * curve.fpr.size) % tuple(cells)
+    return "".join(["fpr,tpr,cutoff\n",
+                    *_point_blocks("%r,%r,%r\n", "", curve.fpr, curve.tpr, curve.cutoff)])
 
 
 def roc_svg(curves, title="ROC comparison"):
@@ -355,8 +364,7 @@ def roc_svg(curves, title="ROC comparison"):
     ]
     for idx, (name, curve) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        xy = np.column_stack((sx(curve.fpr), sy(curve.tpr))).ravel().tolist()
-        pts = " ".join(["%.2f,%.2f"] * curve.fpr.size) % tuple(xy)
+        pts = " ".join(_point_blocks("%.2f,%.2f", " ", sx(curve.fpr), sy(curve.tpr)))
         ly = mt + 20 + idx * 18
         parts += [
             f'<polyline points="{pts}" fill="none" stroke="{color}" '

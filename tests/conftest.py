@@ -5,6 +5,8 @@ and the worked single-participant sequence are used across many test
 modules, so they live here once.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,3 +128,13 @@ def random_stochastic_matrix(rng, k, zeros=False):
         rows[i, j] = 0.0
         rows[i] /= rows[i].sum()
     return rc.TransitionMatrix.from_rows(rows)
+
+
+def traced_peak(fn):
+    """The peak bytes tracemalloc traces while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import sys
-import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -21,8 +20,10 @@ from hypothesis import strategies as st
 
 import respchain as rc
 import respchain._kernels as kernels
+import respchain.chain as chain
 import respchain.scoring as scoring
 from respchain.cli import main
+from conftest import traced_peak
 
 
 def reference_score(states, values):
@@ -54,10 +55,12 @@ def _sequences(rows):
 
 class TestCountTensor:
     @settings(max_examples=200, deadline=None)
-    @given(ragged_cohorts())
-    def test_equals_stacked_pair_counts(self, case):
+    @given(ragged_cohorts(), st.integers(1, 64) | st.just(chain.COUNT_BLOCK_STATES))
+    def test_equals_stacked_pair_counts(self, case, block):
         k, rows, _ = case
-        tensor = rc.count_tensor(_sequences(rows), rc.StateSpace(k))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain, "COUNT_BLOCK_STATES", block)
+            tensor = rc.count_tensor(_sequences(rows), rc.StateSpace(k))
         expected = np.stack([kernels.pair_counts(np.array(r), k) for r in rows])
         assert tensor.shape == (len(rows), k, k)
         assert np.array_equal(tensor, expected)
@@ -70,6 +73,50 @@ class TestCountTensor:
 
     def test_empty_cohort(self):
         assert rc.count_tensor([], rc.StateSpace(3)).shape == (0, 3, 3)
+        columns = rc.CohortDataset([], [], np.zeros(0, dtype=np.uint8), [],
+                                   rc.StateSpace(4), "memory")
+        assert rc.count_tensor(columns, rc.StateSpace(4)).shape == (0, 4, 4)
+
+    def test_blocks_hold_whole_rows(self, monkeypatch):
+        # a block takes rows while they fit in 8 states; a longer row is
+        # a block of its own
+        states_per_block = []
+        bincount = np.bincount
+
+        def counted(codes, minlength):
+            states_per_block.append(codes.size)
+            return bincount(codes, minlength=minlength)
+
+        monkeypatch.setattr(chain, "COUNT_BLOCK_STATES", 8)
+        monkeypatch.setattr(np, "bincount", counted)
+        rng = np.random.default_rng(2)
+        rows = [rng.integers(1, 4, size=n).tolist() for n in (3, 4, 5, 20, 2, 3, 9, 3)]
+        tensor = rc.count_tensor(_sequences(rows), rc.StateSpace(3))
+        assert states_per_block == [7, 5, 20, 5, 9, 3]
+        assert np.array_equal(tensor, np.stack([kernels.pair_counts(np.array(r), 3)
+                                                for r in rows]))
+
+    @pytest.mark.parametrize("length, dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32)])
+    def test_dtype_holds_the_longest_row(self, length, dtype):
+        rows = [[2, 1], [1] * length, [2, 2, 2]]
+        tensor = rc.count_tensor(_sequences(rows), rc.StateSpace(2))
+        assert tensor.dtype == dtype
+        assert tensor[:, 0, 0].tolist() == [0, length - 1, 0]
+        assert tensor[:, 1, 1].tolist() == [0, 0, 2]
+        assert tensor.sum(axis=0)[0, 0] == length - 1
+
+    def test_peak_memory_of_a_40k_cohort(self):
+        # the uint8 tensor is 0.95 MiB and each block's codes 0.5 MiB; an
+        # int64 tensor counted in one pass peaked at 14.95 MiB
+        rng = np.random.default_rng(11)
+        columns = rc.CohortDataset(
+            [f"p{i}" for i in range(40_000)], [None] * 40_000,
+            rng.integers(1, 6, size=640_000).astype(np.uint8), [16] * 40_000,
+            rc.StateSpace(5), "memory")
+        rc.count_tensor(_sequences([[1, 2]]), rc.StateSpace(5))  # warm up
+        peak = traced_peak(lambda: rc.count_tensor(columns, rc.StateSpace(5)))
+        assert peak < 4 * 2**20
 
     def test_short_row_named(self):
         seqs = _sequences([[1, 2], [3], [1]])
@@ -129,6 +176,20 @@ class TestScoreCounts:
         scores = rc.score_counts(tensor, values)
         expected = [reference_score(r, values) for r in rows]
         assert scores.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(ragged_cohorts(), st.sampled_from([40, 300]))
+    def test_compact_tensor_scores_like_its_int64_copy(self, case, longest):
+        k, rows, seed = case
+        rng = np.random.default_rng(seed)
+        values = rng.normal(scale=3.0, size=(k, k))
+        rows = rows + [rng.integers(1, k + 1, size=longest).tolist()]
+        tensor = rc.count_tensor(_sequences(rows), rc.StateSpace(k))
+        assert tensor.dtype == (np.uint8 if longest < 257 else np.uint16)
+        wide = tensor.astype(np.int64)
+        assert rc.score_counts(tensor, values).tobytes() == \
+            rc.score_counts(wide, values).tobytes()
+        assert repr(rc.score_terms(tensor, values)) == repr(rc.score_terms(wide, values))
 
     def test_rows_past_one_block(self, monkeypatch):
         import respchain.scoring as scoring
@@ -286,12 +347,8 @@ class TestFallbackAndMemory:
         ids = [f"p{i}" for i in range(len(counts))]
         registry = rc.builtin_models(rc.StateSpace(5))
         candidates = [(n, registry[n]) for n in ("symmetric", "skewed+", "skewed-")]
-        tracemalloc.start()
-        try:
-            rc.classify_counts(counts, ids, candidates, registry["MEM"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: rc.classify_counts(counts, ids, candidates,
+                                                      registry["MEM"]))
         assert peak <= 6 * 2 ** 20
 
 
@@ -344,6 +401,23 @@ class TestClassifyMultimodelBatch:
         with pytest.raises(rc.ValidationError, match="199 participant ids for 200"):
             rc.classify_counts(rc.count_tensor(cohort, space), ids[1:],
                                candidates, registry["MEM"])
+
+    def test_compact_tensor_classifies_like_its_int64_copy(self):
+        space = rc.StateSpace(5)
+        registry = rc.builtin_models(space)
+        candidates = [(n, registry[n]) for n in ("symmetric", "skewed+", "skewed-")]
+        rng = np.random.default_rng(12)
+        rows = [rng.integers(1, 6, size=n).tolist() for n in rng.integers(2, 300, size=200)]
+        tensor = rc.count_tensor(_sequences(rows), space)
+        assert tensor.dtype == np.uint16
+        ids = [f"p{i}" for i in range(len(rows))]
+        for cutoff in (0.0, 0.5):
+            compact, wide = (rc.classify_counts(counts, ids, candidates, registry["MEM"],
+                                                cutoff=cutoff)
+                             for counts in (tensor, tensor.astype(np.int64)))
+            assert compact.scores.tobytes() == wide.scores.tobytes()
+            assert compact.choice.tolist() == wide.choice.tolist()
+            assert compact.tie_mask.tolist() == wide.tie_mask.tolist()
 
     def test_verdict_columns_are_a_sequence_of_verdicts(self, ocd_matrix):
         space = rc.StateSpace(5)

@@ -109,6 +109,19 @@ class TestEstimate:
         assert len(ids) == 100
         assert ids == sorted(ids)
 
+    def test_pooled_cell_past_the_tensor_dtype(self, capsys, tmp_path):
+        # each row counts 100 of 1 -> 1 (a uint8 tensor); the pool counts 300
+        path = tmp_path / "ones.csv"
+        path.write_text("participant_id,group,responses\n"
+                        + "".join(f"p{i},g,{'1' * 101}\n" for i in range(3)))
+        results = run_report(capsys, "estimate", "--input", str(path),
+                             "--per-participant")["payload"]["results"]
+        counts = results["groups"]["g"]["counts"]
+        assert counts["counts"][0] == [300, 0, 0, 0, 0]
+        assert counts["row_totals"][0] == counts["total"] == 300
+        assert [row["counts"]["counts"][0][0]
+                for row in results["participants"].values()] == [100] * 3
+
     def test_participant_rows_match_one_participant_groups(self, capsys, tmp_path):
         """A participant's counts and matrix are written with the fields of
         TransitionCounts and TransitionMatrix, as a group block is."""
@@ -360,6 +373,25 @@ class TestClassify:
         assert results["class_counts"] == {
             "ocd_pub": labels.count("ocd_pub"), "adhd_pub": labels.count("adhd_pub")}
         assert 0 < labels.count("ocd_pub") < len(labels)
+
+    def test_multimodel_rejects_a_cutoff_flag(self, capsys, tmp_path, cohort_csv):
+        out = tmp_path / "classify.json"
+        models = ["--models", "model:symmetric,model:skewed+", "--reference", "model:MEM"]
+        error = only_validation_error(*run(
+            capsys, "classify", "--input", cohort_csv, *models, "--cutoff", "1.5",
+            "--output", str(out),
+        ))
+        assert error["message"] == ("--cutoff applies to binary mode only; "
+                                    "multi-model mode always uses 0")
+        assert not out.exists()
+        # a cutoff from the config file is still allowed, and still unused
+        cfg = tmp_path / "cutoff.json"
+        cfg.write_text(json.dumps({"cutoff": 1.5}))
+        with_config = run_report(capsys, "classify", "--input", cohort_csv,
+                                 "--config", str(cfg), *models)["payload"]["results"]
+        default = run_report(capsys, "classify", "--input", cohort_csv,
+                             *models)["payload"]["results"]
+        assert with_config["class_counts"] == default["class_counts"]
 
     def test_binary_names_that_clash_are_rejected(self, capsys, tmp_path, cohort_csv):
         cfg = tmp_path / "clash.json"

@@ -5,7 +5,6 @@ import io
 import json
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 import respchain as rc
 import respchain.dataio as dataio
+from conftest import traced_peak
 
 
 GOOD_CSV = """participant_id,group,responses
@@ -450,12 +450,8 @@ class TestWriteCohort:
         states = np.random.default_rng(3).integers(1, 12, size=1_000_000).astype(np.uint8)
         cohort = dataio.CohortDataset(["sim0000"], ["sim"], states, [states.size],
                                       rc.StateSpace(11), "test")
-        tracemalloc.start()
-        try:
-            rc.write_cohort(cohort, cohort.state_space, tmp_path / "long.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: rc.write_cohort(cohort, cohort.state_space,
+                                                   tmp_path / "long.csv"))
         assert peak <= 12 * 2**20
 
 

@@ -1,7 +1,6 @@
 """The walk and pair-count kernels against brute-force oracles."""
 
 import contextlib
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import strategies as st
 
 import respchain as rc
 import respchain._kernels as kernels
+from conftest import traced_peak
 
 CHUNK = kernels.CHUNK
 MEET_EVERY = kernels.MEET_EVERY
@@ -376,12 +376,7 @@ class TestWalkMemory:
         matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
         cum = np.cumsum(matrix.probs, axis=1)
         u = np.random.default_rng(8).random((1, 1_000_000))
-        tracemalloc.start()
-        try:
-            kernels.walk(cum, np.array([6]), u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: kernels.walk(cum, np.array([6]), u))
         assert peak <= 15.6 * 2**20
 
     def test_four_row_walk(self):
@@ -390,10 +385,5 @@ class TestWalkMemory:
         matrix = rc.drunkards_walk(rc.StateSpace(11), stay=0.5, step=0.21, epsilon_floor=0.01)
         cum = np.cumsum(matrix.probs, axis=1)
         u = np.random.default_rng(9).random((4, 250_000))
-        tracemalloc.start()
-        try:
-            kernels.walk(cum, np.array([1, 4, 6, 11]), u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: kernels.walk(cum, np.array([1, 4, 6, 11]), u))
         assert peak <= 15.6 * 2**20

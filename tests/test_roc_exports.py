@@ -6,7 +6,6 @@ curves whose rates land within a few ulps of a "%.2f" rounding tie once
 scaled onto the figure.
 """
 
-import tracemalloc
 from html import escape
 
 import numpy as np
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 import respchain as rc
 from respchain import report as reporting
 from respchain.report import _SVG_COLORS
+from conftest import traced_peak
 
 
 def reference_roc_points_csv(curve):
@@ -157,11 +157,14 @@ def column_curves(draw):
 class TestExportsMatchPerPointWriters:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(curve_name, swept_curves() | column_curves()),
-                    min_size=1, max_size=3))
-    def test_csv_and_svg_bytes(self, curves):
-        for _, curve in curves:
-            assert reporting.roc_points_csv(curve) == reference_roc_points_csv(curve)
-        assert reporting.roc_svg(curves) == reference_roc_svg(curves)
+                    min_size=1, max_size=3),
+           st.integers(1, 7) | st.just(reporting.WRITE_BLOCK_ROWS))
+    def test_csv_and_svg_bytes(self, curves, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reporting, "WRITE_BLOCK_ROWS", block)
+            for _, curve in curves:
+                assert reporting.roc_points_csv(curve) == reference_roc_points_csv(curve)
+            assert reporting.roc_svg(curves) == reference_roc_svg(curves)
 
     @pytest.mark.parametrize("cents", [0, 1, 12345, 33999])
     def test_near_tie_rates_round_both_ways(self, cents):
@@ -208,11 +211,19 @@ def test_roc_curve_peak_memory_for_40k_distinct_scores():
     scores = rng.permutation(40_000) / 7.0
     labels = ["p" if v else "n" for v in rng.random(40_000) < 0.5]
     rc.roc_curve(scores[:10], labels[:10], "p")  # warm up imports and caches
-    tracemalloc.start()
-    try:
-        curve = rc.roc_curve(scores, labels, "p")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: rc.roc_curve(scores, labels, "p"))
     assert peak < 6 * 2**20
-    assert curve.fpr.size == 40_001
+    assert rc.roc_curve(scores, labels, "p").fpr.size == 40_001
+
+
+def test_roc_csv_peak_memory_for_40k_distinct_scores():
+    # the text is 2.1 MiB, held twice while its blocks are joined; one
+    # Python float per cell and their tuple, all at once, peaked at 7.8 MiB
+    rng = np.random.default_rng(5)
+    scores = rng.permutation(40_000) / 7.0
+    labels = ["p" if v else "n" for v in rng.random(40_000) < 0.5]
+    curve = rc.roc_curve(scores, labels, "p")
+    reporting.roc_points_csv(rc.roc_curve(scores[:10], labels[:10], "p"))
+    peak = traced_peak(lambda: reporting.roc_points_csv(curve))
+    assert peak < 5.5 * 2**20
+    assert reporting.roc_points_csv(curve) == reference_roc_points_csv(curve)
