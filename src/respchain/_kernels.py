@@ -122,8 +122,9 @@ def walk(cum_rows, first_states, uniforms):
 
     cum_rows holds the row-wise cumulative sums of the transition matrix,
     first_states the 1-based start of each row, and uniforms an (N, T)
-    array of draws, one per step. Returns an (N, T+1) int64 array of
-    1-based states whose first column is first_states.
+    array of draws, one per step. Returns an (N, T+1) array of 1-based
+    states whose first column is first_states, in the smallest unsigned
+    type that holds K (the type a loaded cohort's states have).
 
     The first K-1 edges of every row are merged by a stable sort, and
     flat[b*K + s] counts the row-s edges among the first b merged ones.
@@ -145,7 +146,7 @@ def walk(cum_rows, first_states, uniforms):
     together from their real starts through the steps before m (all of
     them after the scan), each step's states written over its bins. The
     output is filled from those states last, so the walk needs the output
-    and one intp per draw.
+    (one byte per step for K <= 255) and one intp per draw.
     """
     k = cum_rows.shape[1]
     edges = cum_rows[:, : k - 1].ravel()
@@ -183,9 +184,10 @@ def walk(cum_rows, first_states, uniforms):
         starts = ends[:, -1]
     # the rest of the walk, or all of a walk of at most CHUNK steps
     _advance(flat, starts, tail, visit=True)
-    out = np.empty((n, t + 1), dtype=np.int64)
+    out = np.empty((n, t + 1), dtype=small)
     out[:, 0] = first_states
     if n_full:
-        np.add(steps.transpose(1, 2, 0), 1, out=out[:, 1 : body + 1].reshape(n, n_full, CHUNK))
-    np.add(tail.T, 1, out=out[:, body + 1 :])
+        np.add(steps.transpose(1, 2, 0), 1, out=out[:, 1 : body + 1].reshape(n, n_full, CHUNK),
+               casting="unsafe")
+    np.add(tail.T, 1, out=out[:, body + 1 :], casting="unsafe")
     return out

@@ -107,33 +107,20 @@ def _stream_states(seed, indices):
     i in indices (each below 2**32), as the 32-bit words PCG64 is seeded from.
 
     Returns (initstate, initseq), each four uint64 arrays of 32-bit limbs,
-    least significant first. The hash constants do not depend on the data,
-    and only the last entropy word, the spawn key, differs between rows, so
-    every shared word is a one-element array that broadcasts against the
-    spawn keys.
+    least significant first. The spawn key is the last entropy word, and the
+    pool before it is mixed in is SeedSequence(seed).pool for every row:
+    with a spawn key numpy pads the seed's w >= 1 32-bit words with zeros to
+    the pool size, and without one it hashes zeros for the missing words, so
+    both reach that pool after c = 16 + 4 * max(w - 4, 0) hashmix calls. Its
+    words are one-element arrays that broadcast against the spawn keys.
     """
-    words = []
-    while seed:
-        words.append(seed & _M32)
-        seed >>= 32
-    # the run entropy is padded to the pool size because there is a spawn key
-    words += [0] * (_POOL - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.asarray(indices, dtype=np.uint32))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    calls = 16 + 4 * max(-(-seed.bit_length() // 32) - _POOL, 0)
+    const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _M32
+    key = np.asarray(indices, dtype=np.uint32)
+    for dst in range(_POOL):
+        value, const = _hashmix(key, const)
+        pool[dst] = _mix(pool[dst], value)
     const = _INIT_B
     out = []
     for i in range(2 * _POOL):
@@ -247,8 +234,7 @@ def draw_cohort(spec, initial, group=None, id_prefix="sim"):
     first = np.minimum(first, spec.matrix.size - 1) + 1
     states = _kernels.walk(np.cumsum(spec.matrix.probs, axis=1), first, u[:, 1:])
     return CohortDataset([f"{id_prefix}{i:04d}" for i in range(count)], (group,) * count,
-                         states.ravel().astype(np.min_scalar_type(spec.matrix.size)),
-                         np.full(count, length),
+                         states.ravel(), np.full(count, length),
                          StateSpace(spec.matrix.size), "simulation")
 
 

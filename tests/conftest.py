@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import respchain as rc
 
@@ -138,3 +139,18 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# Master seeds of every word count numpy's SeedSequence treats differently:
+# zero, one to four 32-bit words (padded to its 4-word pool) and more than
+# four (mixed in after the pool). The exact values are the largest three-
+# and four-word seeds and the smallest five-word one, past which the number
+# of hash calls before a spawn key is mixed in grows.
+SEEDS = st.one_of(
+    st.just(0),
+    st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
+    st.sampled_from([2**96 - 1, 2**128 - 1, 2**128]),
+    st.integers(2**128, 2**200),
+)

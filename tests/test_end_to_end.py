@@ -1,0 +1,183 @@
+"""cli.main end to end: against the benchmark's independent oracle, under a
+traced memory bound per op, and across fresh interpreters.
+
+perfbench/gen.py (seeded cohorts) and perfbench/oracle.py (output checks)
+import only the standard library and numpy, never respchain, so a check
+that passes here does not rest on respchain's own code. Both are imported
+read-only from their directory.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from respchain import simulate
+from respchain._kernels import CHUNK
+from respchain.cli import main
+from conftest import SEEDS, traced_peak
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402
+import oracle  # noqa: E402
+
+
+@st.composite
+def positive_rows(draw):
+    """A K x K transition matrix, 2 <= K <= 12, with every cell positive, so
+    its stationary distribution exists and the oracle can recompute it."""
+    k = draw(st.integers(2, 12))
+    weights = draw(st.lists(st.integers(1, 50), min_size=k * k, max_size=k * k))
+    rows = np.array(weights, dtype=np.float64).reshape(k, k)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+# (count, length, whether _vectorise picks the vectorised pass). Many short
+# rows take the vectorised pass; a few rows of more than CHUNK steps take one
+# Generator per row and the chunked walk, with a tail or (a whole number of
+# chunks) without one.
+SHORT_ROWS = st.tuples(st.integers(100, 300), st.integers(2, 24), st.just(True))
+LONG_ROWS = st.tuples(
+    st.integers(1, 3),
+    st.one_of(st.sampled_from([2 * CHUNK + 1, 3 * CHUNK + 1]),
+              st.integers(CHUNK + 2, 4 * CHUNK)),
+    st.just(False),
+)
+
+
+class TestSimulateReplay:
+    """Every simulated row equals the oracle's replay of its documented
+    stream, SeedSequence(seed, spawn_key=(i,)), through the sampling rule."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=positive_rows(), shape=st.one_of(SHORT_ROWS, LONG_ROWS), seed=SEEDS)
+    @example(rows=np.full((11, 11), 1 / 11), shape=(2, 2 * CHUNK + 1, False), seed=2**128)
+    @example(rows=np.full((12, 12), 1 / 12), shape=(200, 16, True), seed=2**96 - 1)
+    def test_simulated_csv_replays(self, rows, shape, seed):
+        count, length, vectorised = shape
+        assert simulate._vectorise(count, length) is vectorised
+        k = rows.shape[0]
+        with tempfile.TemporaryDirectory() as work:
+            config, csv, report = (os.path.join(work, f) for f in ("c.json", "s.csv", "r.json"))
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump({"states": k, "models": {"chain": {"kind": "explicit",
+                                                            "rows": rows.tolist()}}}, fh)
+            code = main(["simulate", "--config", config, "--model", "chain",
+                         "--length", str(length), "--count", str(count), "--seed", str(seed),
+                         "--group-label", "sim", "--out", csv, "--output", report])
+            assert code == 0
+            spec = {"rows": rows, "k": k, "count": count, "length": length, "seed": seed,
+                    "group": "sim", "id_prefix": "sim"}
+            assert oracle.check_simulate(report, csv, spec) == []
+
+
+@pytest.fixture(scope="module")
+def cohorts(tmp_path_factory):
+    """The benchmark's cohort-40k input (seed 1), a 4,000-row cohort of the
+    same kind for the per-participant tables, and the K=11 config."""
+    work = tmp_path_factory.mktemp("cohorts")
+    gen.make_cohort(work / "40k.csv", 1, 20_000)
+    gen.make_cohort(work / "4k.csv", 1, 2_000)
+    gen.write_long_config(work / "config.json")
+    return work
+
+
+_PAIR = ["--numerator", "group:ocd", "--denominator", "group:adhd"]
+_LOAD = "load_cohort: one Python string per CSV cell"
+# op: (input, argv, rows or steps, bound in bytes per row or step, the
+# stage that sets the traced peak). Measured on these seed-1 inputs (numpy
+# 2.4, x86-64): 294-304 B per row for the cohort-40k analysis ops, 2,563 B
+# and 1,709 B per row for the two per-participant tables; their bounds add
+# 10 %. The simulate bounds are their measured 23.3 and 17.6 B per step
+# (31.3 and 24.1 B with the walk's former int64 output).
+PEAK_OPS = {
+    "estimate": ("40k", ["estimate"], 40_000, 335, _LOAD),
+    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 335,
+                _LOAD),
+    "score": ("40k", ["score", *_PAIR], 40_000, 335, _LOAD),
+    "classify": ("40k", ["classify", *_PAIR], 40_000, 335, _LOAD),
+    "classify_multi": ("40k", ["classify", "--models",
+                               "model:symmetric,model:skewed+,model:skewed-",
+                               "--reference", "model:MEM"], 40_000, 335, _LOAD),
+    "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
+                         "--svg", "{tmp}/roc.svg"], 40_000, 335,
+                 "the --with-sum-score ROC, 0.37 MiB above load_cohort's peak"),
+    "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
+                                 "write_report: the per-participant table's nested lists"),
+    "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,
+                        "score_terms: one tuple per visited cell of every row"),
+    "simulate": (None, ["simulate", "--model", "DWM", "--length", "16", "--count", "20000"],
+                 320_000, 24, "draw_cohort: the vectorised draws, intp bins and output"),
+    "simulate_long": (None, ["simulate", "--config", "{cohorts}/config.json", "--model", "walk",
+                             "--length", "1000000"], 1_000_000, 18,
+                      "draw_cohort: float64 draws (8 B), intp bins (8 B), output (1 B)"),
+}
+
+
+class TestTracedPeaks:
+    """The traced peak of each op's cli.main, per cohort row or simulated
+    step. A bound is lowered when a change lowers its op's peak, never
+    raised to let a change pass. The long-row load is left out: its
+    analysis ops still stop at the CSV reader's field size limit."""
+
+    @pytest.mark.parametrize("op", PEAK_OPS)
+    def test_peak_per_unit(self, op, cohorts, tmp_path):
+        source, argv, units, bound, stage = PEAK_OPS[op]
+        argv = [arg.format(tmp=tmp_path, cohorts=cohorts) for arg in argv]
+        if source:
+            argv += ["--input", str(cohorts / f"{source}.csv"), "--mode", "strict"]
+        else:
+            argv += ["--seed", "1", "--group-label", "sim", "--out", str(tmp_path / "sim.csv")]
+        argv += ["--output", str(tmp_path / "report.json")]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert peak <= bound * units, f"{peak / units:.1f} B per unit, set by {stage}"
+
+
+# Both draw paths of simulate (TestStreams.test_path_rule pins which of the
+# two each shape takes), and score with its per-row breakdown.
+FRESH_RUNS = {
+    "simulate_vectorised": ["simulate", "--model", "DWM", "--length", "16", "--count", "500",
+                            "--seed", "7", "--out", "sim.csv"],
+    "simulate_generator": ["simulate", "--model", "DWM", "--length", "1700", "--count", "3",
+                           "--seed", "7", "--out", "sim.csv"],
+    "score": ["score", "--input", "{cohort}", *_PAIR, "--breakdown"],
+}
+
+
+class TestDeterminismAcrossProcesses:
+    """One command in fresh interpreters under PYTHONHASHSEED 1 and 2 writes
+    the same report, apart from its generated_at, and the same CSV bytes.
+    Each run writes under its own directory by the same relative paths, so
+    no path differs between the runs."""
+
+    @pytest.mark.parametrize("run", FRESH_RUNS)
+    def test_same_output_under_other_hash_seeds(self, run, tmp_path):
+        cohort = tmp_path / "cohort.csv"
+        gen.make_cohort(cohort, 3, 300)
+        argv = [arg.format(cohort=cohort) for arg in FRESH_RUNS[run]] + ["--output", "r.json"]
+        python_path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                    os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            work = tmp_path / hash_seed
+            work.mkdir()
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path}
+            done = subprocess.run([sys.executable, "-m", "respchain.cli", *argv], cwd=work,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            report = json.loads((work / "r.json").read_text(encoding="utf-8"))
+            del report["header"]["generated_at"]
+            sim = work / "sim.csv"
+            outputs.append((report, sim.read_bytes() if sim.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert run == "score" or outputs[0][1]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import respchain as rc
 from respchain import simulate
 from respchain.cli import main
+from conftest import SEEDS
 
 
 def states_of(cohort):
@@ -197,14 +198,6 @@ class TestStatisticalBehavior:
         assert all(s.states[0] == 5 for s in rc.generate_cohort(spec))
 
 
-SEEDS = st.one_of(
-    st.just(0),
-    st.integers(1, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.integers(2**128, 2**200),
-)
-
-
 class TestStreams:
     """The vectorised pass against numpy's Generator, the contract's oracle."""
 
@@ -217,6 +210,17 @@ class TestStreams:
         got = simulate._vectorised_uniforms(seed, indices, length)
         want = simulate._generator_uniforms(seed, indices, length)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=SEEDS, index=st.integers(0, 2**32 - 1))
+    def test_stream_states_are_generate_state(self, seed, index):
+        # limbs least significant first; initstate is words 0 (high) and
+        # 1 (low), initseq words 2 and 3
+        initstate, initseq = simulate._stream_states(seed, [index])
+        limbs = [int(limb[0]) for limb in initstate + initseq]
+        words = [limbs[i] | limbs[i + 1] << 32 for i in (2, 0, 6, 4)]
+        ss = np.random.SeedSequence(seed, spawn_key=(index,))
+        assert words == ss.generate_state(4, np.uint64).tolist()
 
     @pytest.mark.parametrize("count, length", [(3, 40), (500, 16), (300, 16), (64, 300)])
     def test_both_paths_draw_the_same_cohort(self, ocd_matrix, monkeypatch, count, length):
