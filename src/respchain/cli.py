@@ -457,7 +457,7 @@ def _cmd_diagnose(run):
     files = {}
     if args.roc_csv:
         with open(args.roc_csv, "w", encoding="utf-8") as fh:
-            fh.write(reporting.roc_points_csv(curve))
+            fh.writelines(reporting.roc_points_blocks(curve))
         files["roc_csv"] = args.roc_csv
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:

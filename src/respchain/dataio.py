@@ -214,12 +214,11 @@ def _is_ascii_digits(text):
 def _responses(cells, lines, k, path):
     """The states and lengths of the responses cells that parse, and the rest.
 
-    Returns (states, lengths, bad): bad lists (index, ValidationError) for
-    every cell that does not parse, in order, each naming the cell's line
-    and its first fault: not digits, fewer than 2 states, or the first
-    state outside 1..k. The whole column is checked and converted at once;
-    only when it has a fault are the bad cells' faults read from the same
-    arrays.
+    Returns (states, lengths, bad): bad lists (index, message) for every
+    cell that does not parse, in order, each naming the cell's line and its
+    first fault: not digits, fewer than 2 states, or the first state
+    outside 1..k. The states are converted as one column, and the faults
+    are read from the same arrays.
     """
     dtype, n = np.min_scalar_type(k), len(cells)
     if not n:
@@ -227,11 +226,9 @@ def _responses(cells, lines, k, path):
     lengths = np.fromiter(map(len, cells) if k <= 9 else
                           (cell.count(";") + 1 for cell in cells), dtype=np.int64, count=n)
     digits = lengths > 0  # the cells that pass the digit rule; "" is no digit string
-    if k <= 9:
-        tokens = "".join(cells)
-        if not _is_ascii_digits(tokens):
-            digits = np.fromiter(map(_is_ascii_digits, cells), bool, count=n)
-            tokens = "".join(itertools.compress(cells, digits))
+    if k <= 9:  # load_cohort reads a column of digit strings from its bytes
+        digits = np.fromiter(map(_is_ascii_digits, cells), bool, count=n)
+        tokens = "".join(itertools.compress(cells, digits))
         states = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8) - 48
     else:
         tokens = [part.strip() for part in ";".join(cells).split(";")]
@@ -266,81 +263,163 @@ def _responses(cells, lines, k, path):
         else:  # the state as int() would print it, but at any length
             message = (f"{where}, response position {at[i] - starts[i]}: "
                        f"state {tokens[at[i]].lstrip('0') or 0} outside 1..{k}")
-        bad.append((i, ValidationError(message)))
+        bad.append((i, message))
     keep = ~faulty
     return states[np.repeat(keep, sizes)].astype(dtype, copy=False), lengths[keep], bad
+
+
+def _spans(buf, quotes):
+    """{opening: closing quote} of each quoted span, by the csv module's
+    excel rules: a quote opens one only at a field's start, "" in one is a
+    literal quote, any other quote is literal. An open span ends at len(buf)."""
+    spans, it = {}, iter(quotes.tolist())
+    for q in it:
+        if q and buf[q - 1] not in b",\r\n":
+            continue
+        for c in it:
+            if buf[c + 1:c + 2] != b'"':
+                break
+            next(it)  # "" is one literal quote
+        else:
+            c = len(buf)
+        spans[q] = c
+    return spans
+
+
+def _take(a, starts, ends):
+    """The bytes of a in the ordered, disjoint [starts, ends), joined: a
+    mask of the bytes from the first range's start to the last's end."""
+    lo, hi = (int(starts[0]), int(ends[-1])) if starts.size else (0, 0)
+    mask = np.repeat(np.tile([True, False], starts.size),  # in, out, ..., in, out (0)
+                     np.diff(np.column_stack((starts, ends)).ravel(), append=hi))
+    return a[lo:hi][mask]
+
+
+def _texts(a, starts, ends):
+    """The stripped texts of fields a[starts:ends] holding no break: one mask
+    of their bytes and the break after each, one decode, one split, and a
+    strip of each only when a byte is a space, control or non-ASCII."""
+    text = _take(a, starts, np.minimum(ends + 1, a.size)).tobytes()
+    text = text.translate(bytes.maketrans(b"\r\n", b",,"))
+    texts = (text + b",").decode().split(",")[:len(starts)]
+    chars = np.frombuffer(text, np.uint8)
+    return [t.strip() for t in texts] if ((chars <= 32) | (chars >= 127)).any() else texts
 
 
 def load_cohort(path, config):
     """Read and validate a cohort CSV into a columnar CohortDataset.
 
-    The file is UTF-8, with or without a byte order mark. In both modes a
-    byte that is not UTF-8 rejects the whole file, a csv.Error ends the
-    read and every row read is checked. Strict mode then raises the first
-    fault by line (a bad row before a csv.Error comes first); lenient mode
-    raises any csv.Error, else skips bad rows and records each skipped
-    line and its error message on the dataset, in line order.
-
-    One csv pass collects the ids, groups and responses cells with the
-    per-row checks, numbering each row by the line its record starts on.
-    The responses are then checked and converted as one column; only when
-    that finds a fault is each bad cell's first fault read from the same
-    arrays, and its row dropped.
+    The UTF-8 file, with or without a byte order mark, is read as the csv
+    module reads it. In both modes a byte that is not UTF-8 rejects the
+    whole file; a field over csv.field_size_limit() characters (read at
+    call time) ends the read with csv.Error, and every row before it is
+    checked. Strict mode then raises the first fault by line, so a bad row
+    before a csv.Error comes first; lenient mode raises any csv.Error, else
+    skips the bad rows, each recorded on the dataset with its line (the one
+    its record starts on; CRLF, CR and LF end one line each) and message.
+    Up to 9 points the states are the digit bytes; a responses column with
+    a fault or on a wider scale goes through _responses.
     """
-    space = config.state_space
-    ids, groups, cells, lines = [], [], [], []
-    labels = {}  # one shared object per group label
-    rejected = []  # (line, ValidationError) of rows the per-row checks turned away
-    stops = []  # the csv.Error that ended the read, if one did
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    space, k = config.state_space, config.states
+    with open(path, "rb") as fh:
+        buf = fh.read().removeprefix(b"\xef\xbb\xbf")
+    limit, ascii_only = max(csv.field_size_limit(), 0), buf.isascii()
+    if not ascii_only:
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ValidationError(f"{path}: empty file")
-            if tuple(h.strip() for h in header) != CSV_HEADER:
-                raise ValidationError(
-                    f"{path}: expected header {','.join(CSV_HEADER)!r}, got "
-                    f"{','.join(header)!r}"
-                )
-            start = reader.line_num + 1
-            for row in reader:
-                lineno, start = start, reader.line_num + 1
-                if not row:
-                    continue
-                if len(row) != 3:
-                    problem = f"expected 3 columns, got {len(row)}"
-                elif not (pid := row[0].strip()):
-                    problem = "empty participant_id"
-                else:
-                    group = row[1].strip() or None
-                    ids.append(pid)
-                    groups.append(labels.setdefault(group, group))
-                    cells.append(row[2].strip())
-                    lines.append(lineno)
-                    continue
-                rejected.append(
-                    (lineno, ValidationError(f"{path}, line {lineno}: {problem}")))
-        except csv.Error as exc:
-            stops.append(exc)
+            buf.decode()  # a check only: the text is dropped at once
         except UnicodeDecodeError as exc:
             raise ValidationError(
                 f"{path}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
             ) from exc
-    states, lengths, bad = _responses(cells, lines, space.size, path)
-    problems = sorted([(lines[i], exc) for i, exc in bad] + rejected)  # lines are distinct
+    # A run of `run` bytes with no break or quote holds over limit characters (1 to 4 bytes
+    # each), so the read ends in its field: look for one in steps of four rfinds, cut after it.
+    pos, run = 0, (limit + 1) * (1 if ascii_only else 4)
+    while pos + run <= len(buf):
+        found = max(buf.rfind(c, pos, pos + run) for c in b',\r\n"')
+        if found < 0:  # cut after the run, at a character's start
+            buf = buf[:re.compile(rb"[\x80-\xbf]*").match(buf, pos + run).end()]
+            break
+        pos = found + 1
+    a = np.frombuffer(buf, np.uint8)
+    at = np.flatnonzero((a == 44) | (a == 10) | (a == 13))
+    at = at[(a[at] != 13) | (a[np.minimum(at + 1, a.size - 1)] != 10)]  # a CRLF breaks at its LF
+    kind, inner = a[at], np.zeros(0, np.int64)  # inner: line ends inside quoted spans
+    spans = _spans(buf, np.flatnonzero(a == 34)) if b'"' in buf else {}
+    if spans:
+        opens, closes = (np.fromiter(x, np.int64, len(spans)) for x in (spans, spans.values()))
+        j = np.searchsorted(opens, at) - 1
+        out = (j < 0) | (at > closes[j])
+        inner, at, kind = at[~out & (kind != 44)], at[out], kind[out]
+    # field f is buf[starts[f]:ends[f]]; eol[f] if it ends a record
+    starts, eol = np.append(0, at + 1), np.append(kind != 44, True)
+    ends = np.append(at - ((kind == 10) & (a[np.maximum(at - 1, 0)] == 13)), a.size)
+    if starts[-1] == a.size and (not at.size or kind[-1] != 44):  # nothing after a line end
+        starts, ends, eol = starts[:-1], ends[:-1], eol[:-1]
+    del at, kind
+
+    def field(f):  # a quoted span's text with "" read as ", then the bytes after the span
+        s, e = int(starts[f]), int(ends[f])
+        if s not in spans:
+            return buf[s:e].decode()
+        return (buf[s + 1:spans[s]].replace(b'""', b'"') + buf[spans[s] + 1:e]).decode()
+
+    last = np.flatnonzero(eol)
+    over = next((f for f in np.flatnonzero(ends - starts > limit).tolist()
+                 if len(field(f)) > limit), starts.size)
+    records = int(np.searchsorted(last, over))  # those before the first field over the limit
+    stop = f"field larger than field limit ({limit})" if over < starts.size else None
+    if not records:  # made as it is raised: a local error would form a cycle with its frame
+        raise csv.Error(stop) if stop else ValidationError(f"{path}: empty file")
+    header = [field(f) for f in range(last[0] + 1)]
+    if tuple(h.strip() for h in header) != CSV_HEADER:
+        raise ValidationError(f"{path}: expected header {','.join(CSV_HEADER)!r}, "
+                              f"got {','.join(header)!r}")
+    first = last[:records - 1] + 1
+    width = last[1:records] - first + 1
+    lines = np.arange(2, records + 1) + np.searchsorted(inner, starts[first])
+    odd = (width != 3) & ~((width == 1) & (starts[first] == ends[first]))  # blank lines pass
+    rejected = [(line, f"{path}, line {line}: expected 3 columns, got {n}")
+                for line, n in zip(lines[odd].tolist(), width[odd].tolist())]
+    first, lines = first[width == 3], lines[width == 3]
+    quoted = np.isin(starts, list(spans))
+    del eol, last, width, odd
+
+    def column(fs):  # _texts reads "" for a quoted field, which is unquoted on its own
+        values = _texts(a, np.where(quoted[fs], ends[fs], starts[fs]), ends[fs])
+        for i in np.flatnonzero(quoted[fs]).tolist():
+            values[i] = field(fs[i]).strip()
+        return values
+
+    ids = column(first)
+    if "" in ids:
+        empty = np.array([not pid for pid in ids])
+        rejected += [(line, f"{path}, line {line}: empty participant_id")
+                     for line in lines[empty].tolist()]
+        ids = [pid for pid in ids if pid]
+        first, lines = first[~empty], lines[~empty]
+    groups, labels, fs, bad = [], {}, first + 2, []  # groups: one shared str per label
+    for block in np.split(first + 1, range(8192, first.size, 8192)):  # a block's strs at a time
+        groups += [labels.setdefault(label, label or None) for label in column(block)]
+    lengths, fast = ends[fs] - starts[fs], k <= 9 and not quoted[fs].any()
+    if fast:
+        states = _take(a, starts[fs], ends[fs])
+        states -= 48  # any byte but a digit reads as more than 9
+        fast = states.size and lengths.min() >= 2 and states.min() >= 1 and states.max() <= k
+    if not fast:
+        states, lengths, bad = _responses(column(fs), lines, k, path)
+    del starts, ends, first, quoted, fs
+    problems = sorted([(int(lines[i]), message) for i, message in bad] + rejected)
     if problems and config.mode == "strict":
-        raise problems[0][1]
-    if stops:  # popped, so this frame and the traceback form no cycle
-        raise stops.pop()
+        raise ValidationError(problems[0][1])
+    if stop:
+        raise csv.Error(stop)
     if bad:
         drop = {i for i, _ in bad}
-        ids = [pid for i, pid in enumerate(ids) if i not in drop]
-        groups = [group for i, group in enumerate(groups) if i not in drop]
+        ids, groups = ([x for i, x in enumerate(c) if i not in drop] for c in (ids, groups))
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
-    return CohortDataset(ids, groups, states, lengths, space, str(path),
-                         skipped=tuple((line, str(exc)) for line, exc in problems))
+    return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,
+                         space, str(path), skipped=tuple(problems))
 
 
 def _cells(states, lengths, k):

@@ -304,10 +304,16 @@ def _point_blocks(fmt, sep, *columns):
         yield sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
 
 
+def roc_points_blocks(curve):
+    """roc_points_csv's text as its header, then WRITE_BLOCK_ROWS points at
+    a time, for writing to a file block by block."""
+    yield "fpr,tpr,cutoff\n"
+    yield from _point_blocks("%r,%r,%r\n", "", curve.fpr, curve.tpr, curve.cutoff)
+
+
 def roc_points_csv(curve):
     """ROC points as plain CSV with the fixed fpr,tpr,cutoff header."""
-    return "".join(["fpr,tpr,cutoff\n",
-                    *_point_blocks("%r,%r,%r\n", "", curve.fpr, curve.tpr, curve.cutoff)])
+    return "".join(roc_points_blocks(curve))
 
 
 def roc_svg(curves, title="ROC comparison"):

@@ -1,5 +1,6 @@
 """Cohort CSV round-trips and config file handling."""
 
+import contextlib
 import csv
 import io
 import json
@@ -38,6 +39,15 @@ class TestLoadCohort:
         assert data.group_labels == frozenset({"adhd", "ocd"})
         assert data.sequences[0].participant_id == "A01"
         assert data.sequences[3].group is None
+
+    @pytest.mark.parametrize("label", ["ocd", "schizophrenia", "\u00e9tude longitudinale",
+                                       '"schizo,phrenia"'])
+    def test_each_group_label_is_one_shared_string(self, tmp_path, label):
+        rows = "".join(f"P{i},{label if i % 3 else 'control'},3243\n" for i in range(20_000))
+        path = write(tmp_path, "cohort.csv", "participant_id,group,responses\n" + rows)
+        groups = rc.load_cohort(path, rc.Config()).groups
+        assert set(groups) == {"control", label.strip('"')}
+        assert len({id(group) for group in groups}) == 2
 
     def test_digit_string_parsing(self, tmp_path):
         path = write(tmp_path, "cohort.csv", GOOD_CSV)
@@ -254,6 +264,17 @@ class TestColumns:
         path.write_bytes(b"participant_id,group,responses\nA01,g,3x3\n"
                          + body.encode() + b"B01,\xff,333\n")
         assert path.stat().st_size > 8192 or not good_rows
+        message = f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
+        with pytest.raises(rc.ValidationError, match=f"^{re.escape(message)}$"):
+            rc.load_cohort(path, rc.Config(mode=mode))
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_non_utf8_byte_beats_an_earlier_unreadable_field(self, tmp_path, mode):
+        # the whole file is checked first, however far past the long field the byte is
+        body = "".join(f"P{i:04d},g,3243232443244333\n" for i in range(1000))
+        path = tmp_path / "long_then_bad.csv"
+        path.write_bytes(b"participant_id,group,responses\nA01,g," + b"3" * 200_000 + b"\n"
+                         + body.encode() + b"B01,\xff,333\n")
         message = f"{path}: not UTF-8 text (byte 0xff: invalid start byte)"
         with pytest.raises(rc.ValidationError, match=f"^{re.escape(message)}$"):
             rc.load_cohort(path, rc.Config(mode=mode))
@@ -744,6 +765,227 @@ class TestAgainstPerRowLoader:
         assert_loads_like_reference(path, rc.Config(states=k, mode=mode))
         if mode == "lenient":
             assert len(rc.load_cohort(path, rc.Config(states=k, mode=mode)).skipped) > 40
+
+
+# --- oracle: the csv module itself, on raw bytes -----------------------------
+
+@contextlib.contextmanager
+def field_limit(limit):
+    """csv.field_size_limit set to limit inside the block, then restored."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield limit
+    finally:
+        csv.field_size_limit(old)
+
+
+def reference_load_bytes(data, path, config):
+    """load_cohort on the bytes data by the csv module: a csv.reader loop
+    over the whole file decoded at once, numbering each row by the line
+    its record starts on (reader.line_num) and ending the read at a
+    csv.Error. Returns (sequences, skipped), skipped holding a (line,
+    message) pair per skipped row, or raises what load_cohort should."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise rc.ValidationError(f"{path}: not UTF-8 text "
+                                 f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    sequences, faults, stop = [], [], None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise rc.ValidationError(f"{path}: empty file")
+        if tuple(h.strip() for h in header) != rc.CSV_HEADER:
+            raise rc.ValidationError(f"{path}: expected header {','.join(rc.CSV_HEADER)!r}, "
+                                     f"got {','.join(header)!r}")
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            where = f"{path}, line {lineno}"
+            try:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise rc.ValidationError(f"{where}: expected 3 columns, got {len(row)}")
+                pid, group, responses = (c.strip() for c in row)
+                if not pid:
+                    raise rc.ValidationError(f"{where}: empty participant_id")
+                states = _reference_parse_responses(responses, config.states, where)
+                sequences.append(rc.ResponseSequence(pid, states, group or None))
+            except rc.ValidationError as exc:
+                faults.append((lineno, str(exc)))
+    except csv.Error as exc:
+        stop = exc
+    if faults and config.mode == "strict":
+        raise rc.ValidationError(faults[0][1])
+    if stop is not None:
+        raise stop
+    if not sequences:
+        raise rc.ValidationError(f"{path}: no usable data rows")
+    seen = set()
+    for s in sequences:
+        if s.participant_id in seen:
+            raise rc.ValidationError(f"duplicate participant id {s.participant_id!r}")
+        seen.add(s.participant_id)
+    return sequences, faults
+
+
+RAW_LIMIT = 24  # the field limit of the raw-bytes property
+RAW_IDS = ["A1", "B2", " C3 ", "\u2003D4\u2003", "\u00e95", "\u4e2d6", "N\0L", "", " ",
+           '"Q,1"', '"Q""2"', 'x"y', '"a"b', '"a" ', '"l\nm"', '"c\r\nd"', '"r\rs"', '""',
+           "X" * (RAW_LIMIT - 1), "Y" * RAW_LIMIT, "Z" * (RAW_LIMIT + 1),
+           '"' + "W" * RAW_LIMIT + '"', '"' + "V" * (RAW_LIMIT - 2) + '""x"']
+RAW_GROUPS = ["", "a", " b ", "b", "\u2003a", '"a"', '"a,b"', 'g"h', '"x\ry"', "\0",
+              '"' + "g\n" * (RAW_LIMIT // 2) + '"', "G" * RAW_LIMIT]
+
+
+def _raw_cell(draw, k):
+    join = "".join if k <= 9 else ";".join
+    cell = join(map(str, draw(st.lists(st.integers(1, k), min_size=2, max_size=8))))
+    return draw(st.sampled_from([
+        cell, cell, cell, f"\u2003{cell}\u2003", f" {cell}", f'"{cell}"', f'"{cell[:2]}"{cell[2:]}',
+        f"{cell[:1]}\"{cell[1:]}", f'"{cell}""', "3x3", "3", "", '""', "36" if k <= 9 else "3;12",
+        "3" * (RAW_LIMIT - 1), "4" * RAW_LIMIT, "2" * (RAW_LIMIT + 1),
+        "3;" * (RAW_LIMIT // 2 - 1) + "3", "3;" * (RAW_LIMIT // 2) + "3"]))
+
+
+@st.composite
+def raw_cohort_bytes(draw):
+    """(K, bytes) of a cohort CSV file with the quoting, line-break, blank
+    line, BOM, NUL, non-ASCII, whitespace and long-field cases a byte-level
+    reader must read as the csv module does."""
+    k = draw(st.sampled_from([5, 11]))
+    ends = st.sampled_from(["\r\n", "\n", "\r"])
+    header = draw(st.sampled_from(["participant_id,group,responses"] * 6 + [
+        " participant_id ,group,responses", '"participant_id",group,"responses"',
+        " " * (RAW_LIMIT - 14) + "participant_id,group,responses",  # at the limit, then over it
+        " " * (RAW_LIMIT - 13) + "participant_id,group,responses",
+        '"participant_id",group,"respon\nses"', "participant_id,group", ""]))
+    lines = [header + draw(ends)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(ends))  # a blank line
+            continue
+        fields = [draw(st.sampled_from(RAW_IDS)), draw(st.sampled_from(RAW_GROUPS)),
+                  _raw_cell(draw, k)]
+        fields = fields[:draw(st.sampled_from([3, 3, 3, 3, 2, 1]))] + ["e"] * draw(
+            st.sampled_from([0, 0, 0, 0, 1]))
+        lines.append(",".join(fields) + draw(ends))
+    if len(lines) > 1 and draw(st.booleans()):  # no line end after the last record
+        lines[-1] = lines[-1].rstrip("\r\n")
+    lines.append(draw(st.sampled_from(["", "", "", "Z9,g,33", 'Z9,g,"33', 'Z9,"open\r\n', '"'])))
+    text = "".join(lines)
+    data = draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf"])) + text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 0:  # a byte that is not UTF-8
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x80"])) + data[cut:]
+    return k, data
+
+
+def assert_reads_like_csv_module(path, data, config):
+    path.write_bytes(data)
+    try:
+        sequences, skipped = reference_load_bytes(data, path, config)
+    except (rc.ValidationError, csv.Error) as exc:
+        with pytest.raises(type(exc)) as got:
+            rc.load_cohort(path, config)
+        assert str(got.value) == str(exc)
+        return
+    got = rc.load_cohort(path, config)
+    assert got.skipped == tuple(skipped)
+    assert list(got.participant_ids) == [s.participant_id for s in sequences]
+    assert list(got.groups) == [s.group for s in sequences]
+    assert got.lengths.tolist() == [len(s) for s in sequences]
+    assert got.states.tolist() == [v for s in sequences for v in s.states.tolist()]
+
+
+class TestAgainstCsvModule:
+    @settings(max_examples=600, deadline=None)
+    @given(raw_cohort_bytes(), st.sampled_from(["strict", "lenient"]))
+    def test_raw_bytes_read_as_the_csv_module_reads_them(self, tmp_path_factory, case, mode):
+        k, data = case
+        path = tmp_path_factory.getbasetemp() / "raw.csv"
+        with field_limit(RAW_LIMIT):
+            assert_reads_like_csv_module(path, data, rc.Config(states=k, mode=mode))
+
+
+@pytest.fixture
+def small_limit():
+    """csv.field_size_limit lowered to 60 for one test, restored after it."""
+    with field_limit(60) as limit:
+        yield limit
+
+
+# a field's text at each position, in a row that is good apart from its length
+LIMIT_ROWS = {"id": "{},g,44", "group": "A02,{},44", "responses": "A02,g,{}"}
+
+
+class TestFieldLimit:
+    """csv.field_size_limit(), read when load_cohort is called, bounds each
+    field in characters, as the csv module counts them."""
+
+    def cohort(self, tmp_path, position, text):
+        path = tmp_path / "cohort.csv"
+        row = LIMIT_ROWS[position].format(text)
+        path.write_bytes(f"participant_id,group,responses\nA01,g,33\n{row}\nA03,g,55\n".encode())
+        return path
+
+    @pytest.mark.parametrize("position", LIMIT_ROWS)
+    def test_a_field_of_exactly_the_limit_loads(self, tmp_path, small_limit, position):
+        text = ("3" if position == "responses" else "x") * small_limit
+        data = rc.load_cohort(self.cohort(tmp_path, position, text), rc.Config())
+        assert len(data) == 3
+        assert data.lengths[1] == (small_limit if position == "responses" else 2)
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("position", LIMIT_ROWS)
+    def test_one_character_over_ends_the_read(self, tmp_path, small_limit, position, mode):
+        text = ("3" if position == "responses" else "x") * (small_limit + 1)
+        message = f"field larger than field limit ({small_limit})"
+        with pytest.raises(csv.Error, match=f"^{re.escape(message)}$"):
+            rc.load_cohort(self.cohort(tmp_path, position, text), rc.Config(mode=mode))
+
+    def test_characters_not_bytes_are_counted(self, tmp_path, small_limit):
+        text = "\u00e9" * small_limit  # two bytes each
+        data = rc.load_cohort(self.cohort(tmp_path, "group", text), rc.Config())
+        assert data.groups[1] == text
+        with pytest.raises(csv.Error):
+            rc.load_cohort(self.cohort(tmp_path, "group", text + "\u00e9"), rc.Config())
+
+    def test_four_byte_characters_up_to_the_limit_load(self, tmp_path, small_limit):
+        text = "\U0001f600" * small_limit  # four bytes each
+        data = rc.load_cohort(self.cohort(tmp_path, "id", text), rc.Config())
+        assert data.participant_ids == ("A01", text, "A03")
+        with pytest.raises(csv.Error):
+            rc.load_cohort(self.cohort(tmp_path, "id", text + "x"), rc.Config())
+
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_a_long_field_cut_inside_a_character_still_ends_the_read(self, tmp_path, small_limit,
+                                                                     mode):
+        # far more than four bytes a character over the limit, so the read looks no further,
+        # and a cut at 4 * (limit + 1) bytes falls inside a three-byte character
+        path = self.cohort(tmp_path, "group", "xy" + "\u4e2d" * (3 * small_limit))
+        with pytest.raises(csv.Error, match=re.escape(f"limit ({small_limit})")):
+            rc.load_cohort(path, rc.Config(mode=mode))
+        path.write_bytes(path.read_bytes().replace(b"A01,g,33", b"A01,g,3"))
+        error = rc.ValidationError if mode == "strict" else csv.Error
+        with pytest.raises(error):  # in strict mode a bad row before the cut comes first
+            rc.load_cohort(path, rc.Config(mode=mode))
+
+    def test_a_quoted_field_over_several_lines_is_one_field(self, tmp_path, small_limit):
+        text = "ab\n" * (small_limit // 3 - 1) + "abc"  # the limit exactly, over 20 lines
+        data = rc.load_cohort(self.cohort(tmp_path, "group", f'"{text}"'), rc.Config())
+        assert data.groups[1] == text
+        with pytest.raises(csv.Error):
+            rc.load_cohort(self.cohort(tmp_path, "group", f'"{text}x"'), rc.Config())
+
+    def test_raising_the_limit_before_the_call_lets_the_row_load(self, tmp_path, small_limit):
+        path = self.cohort(tmp_path, "responses", "3" * (2 * small_limit))
+        with pytest.raises(csv.Error):
+            rc.load_cohort(path, rc.Config())
+        csv.field_size_limit(2 * small_limit)
+        assert rc.load_cohort(path, rc.Config()).lengths.tolist() == [2, 2 * small_limit, 2]
 
 
 class TestUnreachedConfigChecks:

@@ -79,37 +79,80 @@ class TestSimulateReplay:
             assert oracle.check_simulate(report, csv, spec) == []
 
 
+@st.composite
+def two_group_cohorts(draw):
+    """(K, truth) for 2 <= K <= 12: two groups of 2 to 13 rows each, of 2
+    to 40 responses, in a drawn file order, as gen's cohorts give them.
+    One row of each group leaves every state, so that score's ratio has
+    every row of both matrices defined."""
+    k = draw(st.integers(2, 12))
+    row = st.lists(st.integers(1, k), min_size=2, max_size=40).map(np.array)
+    leaves_all = st.permutations(range(1, k + 1)).map(lambda p: np.array([*p, p[0]]))
+    rows = [(group, states) for group in ("lo", "hi")
+            for states in [draw(leaves_all), *draw(st.lists(row, min_size=1, max_size=12))]]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return k, {"ids": np.array([f"P{i:03d}" for i in range(len(rows))]),
+               "groups": np.array([group for group, _ in rows]),
+               "states": [states for _, states in rows]}
+
+
+class TestAnalysisOracle:
+    """estimate and score on gen-written cohorts of every scale width, with
+    ragged rows, against the oracle's counts and scores: the reader, the
+    counting and the scoring checked by code that shares none of theirs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=two_group_cohorts())
+    def test_estimate_and_score_match_the_oracle(self, case):
+        k, data = case
+        truth = oracle.Truth(data, k)
+        with tempfile.TemporaryDirectory() as work:
+            cohort, report = (os.path.join(work, f) for f in ("cohort.csv", "report.json"))
+            gen.write_cohort_csv(cohort, data["ids"], data["groups"], data["states"], k)
+            common = ["--input", cohort, "--states", str(k), "--output", report]
+            assert main(["estimate", *common, "--per-participant"]) == 0
+            assert oracle.check_estimate(report, truth, True) == []
+            assert main(["score", *common, "--numerator", "group:lo",
+                         "--denominator", "group:hi"]) == 0
+            assert oracle.check_score(report, truth, "lo", "hi", False) == []
+
+
 @pytest.fixture(scope="module")
 def cohorts(tmp_path_factory):
-    """The benchmark's cohort-40k input (seed 1), a 4,000-row cohort of the
-    same kind for the per-participant tables, and the K=11 config."""
+    """The benchmark's cohort-40k input (seed 1), the same with group labels
+    over 8 bytes, a 4,000-row cohort of the same kind for the
+    per-participant tables, and the K=11 config."""
     work = tmp_path_factory.mktemp("cohorts")
     gen.make_cohort(work / "40k.csv", 1, 20_000)
+    (work / "40k_wide.csv").write_bytes((work / "40k.csv").read_bytes().replace(
+        b",ocd,", b",obsessive_compulsive,").replace(b",adhd,", b",attention_deficit,"))
     gen.make_cohort(work / "4k.csv", 1, 2_000)
     gen.write_long_config(work / "config.json")
     return work
 
 
 _PAIR = ["--numerator", "group:ocd", "--denominator", "group:adhd"]
-_LOAD = "load_cohort: one Python string per CSV cell"
+_LOAD = "load_cohort: the id strings, field offsets and states mask"
 # op: (input, argv, rows or steps, bound in bytes per row or step, the
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
-# 2.4, x86-64): 294-304 B per row for the cohort-40k analysis ops, 2,563 B
-# and 1,709 B per row for the two per-participant tables; their bounds add
-# 10 %. The simulate bounds are their measured 23.3 and 17.6 B per step
-# (31.3 and 24.1 B with the walk's former int64 output).
+# 2.4, x86-64): 259.8 B per row for five cohort-40k analysis ops, 288.3 B for
+# estimate with the wide group labels, 303.8 B for diagnose, and 2,563 B and
+# 1,709 B per row for the two per-participant tables; their bounds add 10 %.
+# The simulate bounds are their measured 23.3 and 17.6 B per step (31.3 and
+# 24.1 B with the walk's former int64 output).
 PEAK_OPS = {
-    "estimate": ("40k", ["estimate"], 40_000, 335, _LOAD),
-    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 335,
+    "estimate": ("40k", ["estimate"], 40_000, 286, _LOAD),
+    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 318, _LOAD),
+    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 286,
                 _LOAD),
-    "score": ("40k", ["score", *_PAIR], 40_000, 335, _LOAD),
-    "classify": ("40k", ["classify", *_PAIR], 40_000, 335, _LOAD),
+    "score": ("40k", ["score", *_PAIR], 40_000, 286, _LOAD),
+    "classify": ("40k", ["classify", *_PAIR], 40_000, 286, _LOAD),
     "classify_multi": ("40k", ["classify", "--models",
                                "model:symmetric,model:skewed+,model:skewed-",
-                               "--reference", "model:MEM"], 40_000, 335, _LOAD),
+                               "--reference", "model:MEM"], 40_000, 286, _LOAD),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
-                         "--svg", "{tmp}/roc.svg"], 40_000, 335,
-                 "the --with-sum-score ROC, 0.37 MiB above load_cohort's peak"),
+                         "--svg", "{tmp}/roc.svg"], 40_000, 334,
+                 "the --with-sum-score ROC, 1.68 MiB above load_cohort's peak"),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,
