@@ -207,67 +207,6 @@ class CohortDataset:
         )
 
 
-def _is_ascii_digits(text):
-    return text.isascii() and text.isdigit()
-
-
-def _responses(cells, lines, k, path):
-    """The states and lengths of the responses cells that parse, and the rest.
-
-    Returns (states, lengths, bad): bad lists (index, message) for every
-    cell that does not parse, in order, each naming the cell's line and its
-    first fault: not digits, fewer than 2 states, or the first state
-    outside 1..k. The states are converted as one column, and the faults
-    are read from the same arrays.
-    """
-    dtype, n = np.min_scalar_type(k), len(cells)
-    if not n:
-        return np.zeros(0, dtype), np.zeros(0, np.int64), []
-    lengths = np.fromiter(map(len, cells) if k <= 9 else
-                          (cell.count(";") + 1 for cell in cells), dtype=np.int64, count=n)
-    digits = lengths > 0  # the cells that pass the digit rule; "" is no digit string
-    if k <= 9:  # load_cohort reads a column of digit strings from its bytes
-        digits = np.fromiter(map(_is_ascii_digits, cells), bool, count=n)
-        tokens = "".join(itertools.compress(cells, digits))
-        states = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8) - 48
-    else:
-        tokens = [part.strip() for part in ";".join(cells).split(";")]
-        if not (all(tokens) and _is_ascii_digits("".join(tokens))):
-            flags = np.fromiter(map(_is_ascii_digits, tokens), bool, count=len(tokens))
-            digits = np.logical_and.reduceat(flags, np.cumsum(lengths) - lengths)
-            tokens = list(itertools.compress(tokens, np.repeat(digits, lengths)))
-        try:
-            states = np.array(tokens, dtype=np.int64)
-        except (OverflowError, ValueError):  # a state too long for int64, so above k
-            states = np.array(tokens, dtype=np.float64)
-    if digits.all() and lengths.min() >= 2 and states.min() >= 1 and states.max() <= k:
-        return states.astype(dtype, copy=False), lengths, []
-    sizes = np.where(digits, lengths, 0)  # how many states each cell put in states
-    starts = np.cumsum(sizes) - sizes
-    hits = np.flatnonzero((states < 1) | (states > k))
-    hit_cells, first = np.unique(np.searchsorted(starts, hits, side="right") - 1,
-                                 return_index=True)
-    at = np.full(n, -1)  # where in states each cell's first state outside 1..k is
-    at[hit_cells] = hits[first]
-    faulty = ~digits | (lengths < 2) | (at >= 0)
-    rule = (f"a digit string for a {k}-point scale" if k <= 9
-            else "semicolon-separated integers")
-    bad = []
-    for i in np.flatnonzero(faulty).tolist():
-        where = f"{path}, line {lines[i]}"
-        if not digits[i]:
-            message = f"{where}: responses must be {rule}, got {cells[i]!r}"
-        elif lengths[i] < 2:
-            message = (f"{where}: need at least 2 responses to count transitions, "
-                       f"got {lengths[i]}")
-        else:  # the state as int() would print it, but at any length
-            message = (f"{where}, response position {at[i] - starts[i]}: "
-                       f"state {tokens[at[i]].lstrip('0') or 0} outside 1..{k}")
-        bad.append((i, message))
-    keep = ~faulty
-    return states[np.repeat(keep, sizes)].astype(dtype, copy=False), lengths[keep], bad
-
-
 def _spans(buf, quotes):
     """{opening: closing quote} of each quoted span, by the csv module's
     excel rules: a quote opens one only at a field's start, "" in one is a
@@ -306,6 +245,71 @@ def _texts(a, starts, ends):
     return [t.strip() for t in texts] if ((chars <= 32) | (chars >= 127)).any() else texts
 
 
+def _cell_states(cell, k):
+    """The states of one stripped responses cell by the documented rule, or
+    the tail of the message naming its first fault. A state is compared by
+    its digits, so int() never sees one longer than k."""
+    tokens = [token.strip() for token in cell.split(";")] if k > 9 else list(cell)
+    if not tokens or not all(token.isascii() and token.isdigit() for token in tokens):
+        rule = f"a digit string for a {k}-point scale" if k <= 9 else "semicolon-separated integers"
+        return f": responses must be {rule}, got {cell!r}"
+    if len(tokens) < 2:
+        return f": need at least 2 responses to count transitions, got {len(tokens)}"
+    for pos, digits in enumerate(token.lstrip("0") for token in tokens):
+        if not digits or len(digits) > len(str(k)) or int(digits) > k:
+            return f", response position {pos}: state {digits or 0} outside 1..{k}"
+    return list(map(int, tokens))
+
+
+def _states(a, starts, ends, k, text):
+    """The states and lengths of the responses cells a[starts:ends] that
+    parse, and {index: message tail} for the cells that do not.
+
+    One pass over the bytes reads each clean cell: up to 9 points a digit
+    1..k per state; above, tokens of 1 to len(str(k)) digits, each in 1..k,
+    between single ';'; at least 2 states either way. Each cell it refuses
+    (quoted, padded, not ASCII or faulty) goes to _cell_states as text(i).
+    """
+    lengths, clean = ends - starts, np.ones(starts.size, bool)
+    if k <= 9:
+        states = _take(a, starts, ends)
+        states -= 48  # any byte but a digit reads as more than 9
+    else:  # each cell after the ',' before it, read as the ';' that opens its first token
+        t = _take(a, starts - 1, ends)
+        cells = np.cumsum(lengths + 1) - lengths - 1
+        t[cells] = 59
+        sep = t == 59
+        fault = sep & np.append(sep[1:], True)  # an empty token: ';' before ';' or the end
+        fault |= (t - 48 > 9) & ~sep  # a byte neither digit nor ';'
+        run = ~sep
+        for _ in range(len(str(k))):  # then run marks the end of a token longer than k's
+            run[1:] &= run[:-1]
+        clean[np.searchsorted(cells, np.flatnonzero(fault | run), side="right") - 1] = False
+        del fault, run
+        at = np.flatnonzero(sep)
+        lengths = np.diff(np.searchsorted(at, cells), append=at.size)  # a ';' per state
+        del sep, at
+        if not clean.all():
+            t = t[np.repeat(clean, ends - starts + 1)]
+        # bytes end in a NUL, which stops the parse of the last token; the type holds every
+        # token of k's width, so none wraps
+        states = np.fromstring(t[1:].tobytes(), np.min_scalar_type(10 ** len(str(k)) - 1), sep=";")
+    if not (states.size and lengths.min() >= 2 and states.min() >= 1 and states.max() <= k):
+        owner = np.repeat(np.flatnonzero(clean), lengths[clean])  # each state's cell
+        clean[owner[(states < 1) | (states > k)]] = False
+        clean &= lengths >= 2
+        states = states[clean[owner]]
+    got = {i: _cell_states(text(i), k) for i in np.flatnonzero(~clean).tolist()}
+    bad = {i: tail for i, tail in got.items() if isinstance(tail, str)}
+    if len(got) > len(bad):  # each parsed cell's states go after those of the clean cells before it
+        rows = [i for i in got if i not in bad]
+        sizes = [len(got[i]) for i in rows]
+        states = np.insert(states, np.repeat(np.cumsum(lengths * clean)[rows], sizes),
+                           [state for i in rows for state in got[i]])
+        lengths[rows], clean[rows] = sizes, True
+    return states, lengths[clean], bad
+
+
 def load_cohort(path, config):
     """Read and validate a cohort CSV into a columnar CohortDataset.
 
@@ -317,8 +321,6 @@ def load_cohort(path, config):
     before a csv.Error comes first; lenient mode raises any csv.Error, else
     skips the bad rows, each recorded on the dataset with its line (the one
     its record starts on; CRLF, CR and LF end one line each) and message.
-    Up to 9 points the states are the digit bytes; a responses column with
-    a fault or on a wider scale goes through _responses.
     """
     space, k = config.state_space, config.states
     with open(path, "rb") as fh:
@@ -397,25 +399,19 @@ def load_cohort(path, config):
                      for line in lines[empty].tolist()]
         ids = [pid for pid in ids if pid]
         first, lines = first[~empty], lines[~empty]
-    groups, labels, fs, bad = [], {}, first + 2, []  # groups: one shared str per label
+    groups, labels, fs = [], {}, first + 2  # groups: one shared str per label
     for block in np.split(first + 1, range(8192, first.size, 8192)):  # a block's strs at a time
         groups += [labels.setdefault(label, label or None) for label in column(block)]
-    lengths, fast = ends[fs] - starts[fs], k <= 9 and not quoted[fs].any()
-    if fast:
-        states = _take(a, starts[fs], ends[fs])
-        states -= 48  # any byte but a digit reads as more than 9
-        fast = states.size and lengths.min() >= 2 and states.min() >= 1 and states.max() <= k
-    if not fast:
-        states, lengths, bad = _responses(column(fs), lines, k, path)
+    states, lengths, bad = _states(a, starts[fs], ends[fs], k, lambda i: field(fs[i]).strip())
     del starts, ends, first, quoted, fs
-    problems = sorted([(int(lines[i]), message) for i, message in bad] + rejected)
+    problems = sorted([(int(lines[i]), f"{path}, line {lines[i]}{tail}")
+                       for i, tail in bad.items()] + rejected)
     if problems and config.mode == "strict":
         raise ValidationError(problems[0][1])
     if stop:
         raise csv.Error(stop)
     if bad:
-        drop = {i for i, _ in bad}
-        ids, groups = ([x for i, x in enumerate(c) if i not in drop] for c in (ids, groups))
+        ids, groups = ([x for i, x in enumerate(c) if i not in bad] for c in (ids, groups))
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
     return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,

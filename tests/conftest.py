@@ -5,6 +5,8 @@ and the worked single-participant sequence are used across many test
 modules, so they live here once.
 """
 
+import contextlib
+import csv
 import tracemalloc
 
 import numpy as np
@@ -129,6 +131,16 @@ def random_stochastic_matrix(rng, k, zeros=False):
         rows[i, j] = 0.0
         rows[i] /= rows[i].sum()
     return rc.TransitionMatrix.from_rows(rows)
+
+
+@contextlib.contextmanager
+def field_limit(limit):
+    """csv.field_size_limit set to limit inside the block, then restored."""
+    old = csv.field_size_limit(limit)
+    try:
+        yield limit
+    finally:
+        csv.field_size_limit(old)
 
 
 def traced_peak(fn):

@@ -1,6 +1,5 @@
 """Cohort CSV round-trips and config file handling."""
 
-import contextlib
 import csv
 import io
 import json
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import respchain as rc
 import respchain.dataio as dataio
-from conftest import traced_peak
+from conftest import field_limit, traced_peak
 
 
 GOOD_CSV = """participant_id,group,responses
@@ -608,7 +607,8 @@ def _reference_parse_responses(cell, k, where):
 
 
 def reference_load_cohort(path, config):
-    """load_cohort as it was: one ResponseSequence per row, checked in turn.
+    """load_cohort as it was: one ResponseSequence per row, checked in turn,
+    each row numbered by the line its record starts on (reader.line_num).
 
     Returns (sequences, warnings) or raises the ValidationError it raised.
     """
@@ -623,7 +623,9 @@ def reference_load_cohort(path, config):
                 f"{path}: expected header {','.join(rc.CSV_HEADER)!r}, got "
                 f"{','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             where = f"{path}, line {lineno}"
@@ -675,11 +677,12 @@ def _responses_cell(draw, k, kind):
 
 @st.composite
 def cohort_files(draw):
-    """CSV text: mostly good rows, some of every kind the loader turns away."""
-    k = draw(st.sampled_from([5, 11]))
+    """CSV text: mostly good rows, some of every kind the loader turns away,
+    and ids that csv.writer quotes over two lines."""
+    k = draw(st.sampled_from([5, 11, 120]))
     kinds = ["good"] * 12 + ["columns", "empty_id", "blank", "bad_digit",
                              "empty_cell", "one_response", "out_of_range"]
-    ids = st.sampled_from(["A1", "A2", " A3 ", "B1", "B2", "C1", "C2", "D1"])
+    ids = st.sampled_from(["A1", "A2", " A3 ", "B1", "B2", "C1", "C2", "D1", "E\n1", "F\r\n1"])
     rows = []
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
         if kind == "blank":
@@ -725,7 +728,9 @@ def assert_loads_like_reference(path, config):
 SCATTERED_CELLS = {
     5: ["3x3", "3\u00b23", "", "3", "3603", "0033", "13", "55555555555555555555"],
     11: ["3;x;3", ";;", "3; 3 3", "3", "3;12;3", "3;99999999999999999999;3",
-         "9223372036854775808;1", "007;0000000000000000000003;11", "11; 1"],
+         "9223372036854775808;1", "007;0000000000000000000003;11", "11; 1",
+         "3;", ";3", "3;;4", "11;12", "3;259", "3;1\x00",
+         '3;"4'],  # csv.writer quotes the last: "3;""4"
 }
 
 
@@ -768,16 +773,6 @@ class TestAgainstPerRowLoader:
 
 
 # --- oracle: the csv module itself, on raw bytes -----------------------------
-
-@contextlib.contextmanager
-def field_limit(limit):
-    """csv.field_size_limit set to limit inside the block, then restored."""
-    old = csv.field_size_limit(limit)
-    try:
-        yield limit
-    finally:
-        csv.field_size_limit(old)
-
 
 def reference_load_bytes(data, path, config):
     """load_cohort on the bytes data by the csv module: a csv.reader loop
@@ -845,7 +840,8 @@ def _raw_cell(draw, k):
     cell = join(map(str, draw(st.lists(st.integers(1, k), min_size=2, max_size=8))))
     return draw(st.sampled_from([
         cell, cell, cell, f"\u2003{cell}\u2003", f" {cell}", f'"{cell}"', f'"{cell[:2]}"{cell[2:]}',
-        f"{cell[:1]}\"{cell[1:]}", f'"{cell}""', "3x3", "3", "", '""', "36" if k <= 9 else "3;12",
+        f"{cell[:1]}\"{cell[1:]}", f'"{cell}""', f'"{cell[:1]}""{cell[1:]}"', "3x3", "3", "", '""',
+        "36" if k <= 9 else "3;12", "3;", ";3", "3;;4", "11;12", "3;259", "3;65539", "3;1\x00",
         "3" * (RAW_LIMIT - 1), "4" * RAW_LIMIT, "2" * (RAW_LIMIT + 1),
         "3;" * (RAW_LIMIT // 2 - 1) + "3", "3;" * (RAW_LIMIT // 2) + "3"]))
 
@@ -855,7 +851,7 @@ def raw_cohort_bytes(draw):
     """(K, bytes) of a cohort CSV file with the quoting, line-break, blank
     line, BOM, NUL, non-ASCII, whitespace and long-field cases a byte-level
     reader must read as the csv module does."""
-    k = draw(st.sampled_from([5, 11]))
+    k = draw(st.sampled_from([5, 11, 120]))
     ends = st.sampled_from(["\r\n", "\n", "\r"])
     header = draw(st.sampled_from(["participant_id,group,responses"] * 6 + [
         " participant_id ,group,responses", '"participant_id",group,"responses"',

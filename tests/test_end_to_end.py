@@ -19,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from respchain import simulate
+from respchain import Config, load_cohort, simulate
 from respchain._kernels import CHUNK
 from respchain.cli import main
-from conftest import SEEDS, traced_peak
+from conftest import SEEDS, field_limit, traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -97,36 +97,49 @@ def two_group_cohorts(draw):
 
 
 class TestAnalysisOracle:
-    """estimate and score on gen-written cohorts of every scale width, with
-    ragged rows, against the oracle's counts and scores: the reader, the
-    counting and the scoring checked by code that shares none of theirs."""
+    """estimate, compare, score and binary classify on gen-written cohorts
+    of every scale width, with ragged rows, against the oracle's counts,
+    tests and scores: the reader, the counting, the statistics and the
+    scoring checked by code that shares none of theirs."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=two_group_cohorts())
-    def test_estimate_and_score_match_the_oracle(self, case):
+    def test_analysis_ops_match_the_oracle(self, case):
         k, data = case
         truth = oracle.Truth(data, k)
+        pair = ["--numerator", "group:lo", "--denominator", "group:hi"]
         with tempfile.TemporaryDirectory() as work:
             cohort, report = (os.path.join(work, f) for f in ("cohort.csv", "report.json"))
             gen.write_cohort_csv(cohort, data["ids"], data["groups"], data["states"], k)
             common = ["--input", cohort, "--states", str(k), "--output", report]
             assert main(["estimate", *common, "--per-participant"]) == 0
             assert oracle.check_estimate(report, truth, True) == []
-            assert main(["score", *common, "--numerator", "group:lo",
-                         "--denominator", "group:hi"]) == 0
+            # compare is checked where its statistics are defined: both power searches
+            # converge within the default max_power of 64, the reference distribution is
+            # positive and some transition stays, so every expected count is positive
+            (_, lo_power), (reference, hi_power) = (
+                oracle.power_stationary(truth.group_matrix(g)) for g in ("lo", "hi"))
+            if max(lo_power, hi_power) < 64 and reference.min() > 0 \
+                    and truth.counts[:, ::k + 1].any():
+                assert main(["compare", *common, "--focal", "lo", "--reference", "hi"]) == 0
+                assert oracle.check_compare(report, truth, "lo", "hi") == []
+            assert main(["score", *common, *pair]) == 0
             assert oracle.check_score(report, truth, "lo", "hi", False) == []
+            assert main(["classify", *common, *pair]) == 0
+            assert oracle.check_classify(report, truth, "lo", "hi") == []
 
 
 @pytest.fixture(scope="module")
 def cohorts(tmp_path_factory):
     """The benchmark's cohort-40k input (seed 1), the same with group labels
     over 8 bytes, a 4,000-row cohort of the same kind for the
-    per-participant tables, and the K=11 config."""
+    per-participant tables, and long-walk's K=11 cohort and config."""
     work = tmp_path_factory.mktemp("cohorts")
     gen.make_cohort(work / "40k.csv", 1, 20_000)
     (work / "40k_wide.csv").write_bytes((work / "40k.csv").read_bytes().replace(
         b",ocd,", b",obsessive_compulsive,").replace(b",adhd,", b",attention_deficit,"))
     gen.make_cohort(work / "4k.csv", 1, 2_000)
+    gen.make_long_cohort(work / "long.csv", 1, 4, 250_000)
     gen.write_long_config(work / "config.json")
     return work
 
@@ -167,9 +180,8 @@ PEAK_OPS = {
 
 class TestTracedPeaks:
     """The traced peak of each op's cli.main, per cohort row or simulated
-    step. A bound is lowered when a change lowers its op's peak, never
-    raised to let a change pass. The long-row load is left out: its
-    analysis ops still stop at the CSV reader's field size limit."""
+    step, and of loading long-walk's rows, per response. A bound is lowered
+    when a change lowers its peak, never raised to let a change pass."""
 
     @pytest.mark.parametrize("op", PEAK_OPS)
     def test_peak_per_unit(self, op, cohorts, tmp_path):
@@ -184,6 +196,16 @@ class TestTracedPeaks:
         peak = traced_peak(lambda: codes.append(main(argv)))
         assert codes == [0]
         assert peak <= bound * units, f"{peak / units:.1f} B per unit, set by {stage}"
+
+    def test_long_row_load_per_response(self, cohorts):
+        # 8 rows of 250,000 K=11 responses, each cell about 550,000 characters: long-walk's
+        # analysis ops stop at the default field limit, so it is raised around the load.
+        # Measured at 14.8 B per response (numpy 2.4, x86-64), set by the file's bytes,
+        # their copy, a ';' mask and an int64 position per ';'; a string per response
+        # took 34.8 B. The bound adds 15 %.
+        with field_limit(2**20):
+            peak = traced_peak(lambda: load_cohort(cohorts / "long.csv", Config(states=11)))
+        assert peak <= 17 * 2_000_000, f"{peak / 2_000_000:.1f} B per response"
 
 
 # Both draw paths of simulate (TestStreams.test_path_rule pins which of the
