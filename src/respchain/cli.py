@@ -159,9 +159,9 @@ def _effective_config(args):
 
 class _Run:
     """One subcommand's run: its args, effective config and model registry, the
-    --input cohort (loaded and counted into one (N, K, K) tensor on first use)
-    and the report's notes: the input read, the rows lenient mode skipped and
-    the warnings, each also printed to stderr. Commands whose --input is
+    --input cohort (loaded and counted into one (N, K, K) tensor on first use,
+    the record of the input the report names) and the warnings, each printed
+    to stderr as are the rows lenient mode skipped. Commands whose --input is
     required read it before any check of their own. counts, groups and every
     score and ROC keep the rows in file order; order and ids serve only the
     per-participant tables, which are written in participant_id order."""
@@ -172,8 +172,6 @@ class _Run:
         self.registry = models.builtin_models(config.state_space)
         for spec in config.models:
             self.registry[spec.name] = spec.build(config.state_space)
-        self.input_path = None
-        self.skipped_rows = ()
         self.warnings = []
 
     def warn(self, message):
@@ -195,7 +193,6 @@ class _Run:
         dataset = dataio.load_cohort(self.args.input, self.config)
         for warning in dataset.warnings:
             print(warning, file=sys.stderr)
-        self.input_path, self.skipped_rows = self.args.input, dataset.skipped
         return dataset
 
     @functools.cached_property
@@ -509,9 +506,8 @@ def run_subcommand(command, args, config):
     """Run one subcommand and return its assembled report document."""
     run = _Run(args, config)
     results = _COMMANDS[command](run)
-    return reporting.build_report(command, results, config, run.input_path,
-                                  skipped_rows=run.skipped_rows,
-                                  warnings=run.warnings)
+    cohort = vars(run).get("dataset")  # there only if the command loaded --input
+    return reporting.build_report(command, results, config, cohort, warnings=run.warnings)
 
 
 def main(argv=None):

@@ -12,6 +12,7 @@ given.
 """
 
 import csv
+import hashlib
 import itertools
 import json
 import numbers
@@ -138,7 +139,9 @@ class CohortDataset:
     array of the smallest unsigned integer type that holds K. sequences
     and by_group give the rows as ResponseSequence objects, built on first
     use. skipped holds a (line, message) pair per input row that lenient
-    mode skipped, in line order.
+    mode skipped, in line order. source is where the rows came from and
+    sha256 the hex SHA-256 of the file bytes parsed, a byte order mark
+    included (None for a cohort never read from a file).
     """
 
     participant_ids: tuple
@@ -148,6 +151,7 @@ class CohortDataset:
     state_space: StateSpace
     source: str
     skipped: tuple = ()
+    sha256: str | None = None
 
     def __post_init__(self):
         ids = tuple(self.participant_ids)
@@ -321,10 +325,13 @@ def load_cohort(path, config):
     before a csv.Error comes first; lenient mode raises any csv.Error, else
     skips the bad rows, each recorded on the dataset with its line (the one
     its record starts on; CRLF, CR and LF end one line each) and message.
+    The file is read once, a pipe too, and the bytes read are hashed once parsed.
     """
     space, k = config.state_space, config.states
     with open(path, "rb") as fh:
-        buf = fh.read().removeprefix(b"\xef\xbb\xbf")
+        buf = fh.read()
+    bom = buf[:3] if buf.startswith(b"\xef\xbb\xbf") else b""  # hashed, not parsed
+    buf = buf[len(bom):]
     limit, ascii_only = max(csv.field_size_limit(), 0), buf.isascii()
     if not ascii_only:
         try:
@@ -414,8 +421,10 @@ def load_cohort(path, config):
         ids, groups = ([x for i, x in enumerate(c) if i not in bad] for c in (ids, groups))
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
+    digest = hashlib.sha256(bom)
+    digest.update(buf)  # the whole file: a read cut at the field limit has raised
     return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,
-                         space, str(path), skipped=tuple(problems))
+                         space, str(path), skipped=tuple(problems), sha256=digest.hexdigest())
 
 
 def _cells(states, lengths, k):

@@ -19,7 +19,6 @@ curves as a self-contained SVG figure (axes, diagonal reference, one
 polyline per classifier).
 """
 
-import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
@@ -211,14 +210,6 @@ def _table_chunks(table, level):
     yield _newline(level) + brackets[1]
 
 
-def file_sha256(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def config_block(config):
     """The config's fields; state_labels is null when unset or empty, and
     models, written as {name: {kind, **params}}, is left out when empty."""
@@ -229,23 +220,21 @@ def config_block(config):
     return body
 
 
-def build_report(command, results, config, input_path=None, skipped_rows=(),
-                 warnings=()):
+def build_report(command, results, config, cohort=None, warnings=()):
     """Assemble the full report document around a results payload.
 
-    input_path is hashed into the provenance (simulated data that never
-    touched disk has none). skipped_rows holds a (line, reason) pair per
-    input row that was skipped and warnings one message per warning; each
-    appears in the payload only when non-empty.
+    cohort is the CohortDataset the results came from, if any: one read from
+    a file gives the provenance its source and sha256 as input and
+    input_sha256. Its skipped rows, and warnings, one message per warning,
+    each appear in the payload only when non-empty.
     """
     provenance = {"tool_version": __version__, "config": config_block(config)}
-    if input_path is not None:
-        provenance["input"] = str(input_path)
-        provenance["input_sha256"] = file_sha256(input_path)
-    if skipped_rows:
+    if cohort is not None and cohort.sha256 is not None:
+        provenance["input"], provenance["input_sha256"] = cohort.source, cohort.sha256
+    if cohort is not None and cohort.skipped:
         provenance["skipped_rows"] = {
-            "count": len(skipped_rows),
-            "rows": [{"line": line, "reason": reason} for line, reason in skipped_rows],
+            "count": len(cohort.skipped),
+            "rows": [{"line": line, "reason": reason} for line, reason in cohort.skipped],
         }
     payload = {"provenance": provenance, "results": results}
     if warnings:

@@ -123,9 +123,10 @@ def _as_counts(observed, expected):
         raise ValidationError("observed counts must be nonnegative")
     if e.min() <= 0:
         idx = np.unravel_index(int(np.argmin(e)), e.shape)
+        cell = ",".join(str(int(i) + 1) for i in idx)  # 1-based, as scoring names cells
         raise ValidationError(
-            f"expected cell {idx} is {e[idx]:g}; every expected count must be "
-            f"positive (pool sparse cells or apply a floor first)"
+            f"expected cell {f'({cell})' if e.ndim > 1 else cell} is {e[idx]:g}; every "
+            f"expected count must be positive (pool sparse cells or apply a floor first)"
         )
     return o, e
 

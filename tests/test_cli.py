@@ -6,6 +6,7 @@ all exercised together.
 """
 
 import dataclasses
+import hashlib
 import json
 import re
 import xml.etree.ElementTree as ET
@@ -91,12 +92,10 @@ class TestEstimate:
         assert np.allclose(sums[defined], 1.0)
 
     def test_provenance_hash(self, capsys, cohort_csv):
-        from respchain.report import file_sha256
-
         doc = run_report(capsys, "estimate", "--input", cohort_csv)
         prov = doc["payload"]["provenance"]
         assert prov["input"] == cohort_csv
-        assert prov["input_sha256"] == file_sha256(cohort_csv)
+        assert prov["input_sha256"] == hashlib.sha256(Path(cohort_csv).read_bytes()).hexdigest()
 
     def test_group_filter_and_participants(self, capsys, cohort_csv):
         doc = run_report(
@@ -221,6 +220,17 @@ class TestCompare:
         assert gof["n_focal"] == 27 * 15
         assert 0.0 <= gof["p_value"] <= 1.0
         assert len(gof["std_residuals"]) == 5
+
+    def test_no_transition_that_stays_names_the_cell_from_one(self, capsys, tmp_path):
+        # Neither group ever stays on its state, so the inertia test's expected
+        # on-diagonal cells are 0; both chains are irreducible and aperiodic.
+        path = tmp_path / "no_stays.csv"
+        path.write_text("participant_id,group,responses\n"
+                        "A,x,12313123\nB,x,3121323\nC,y,2313121\nD,y,13123121\n")
+        code, _, err = run(capsys, "compare", "--input", str(path), "--states", "3",
+                           "--focal", "x", "--reference", "y")
+        assert code == 1
+        assert error_of(err)["message"].startswith("expected cell (1,1) is 0; ")
 
 
 class TestScore:

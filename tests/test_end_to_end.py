@@ -7,6 +7,8 @@ that passes here does not rest on respchain's own code. Both are imported
 read-only from their directory.
 """
 
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -79,38 +81,82 @@ class TestSimulateReplay:
             assert oracle.check_simulate(report, csv, spec) == []
 
 
+# Marks put inside ids so that csv.writer quotes them: a comma, a quote, a
+# line break, and all three.
+ID_MARKS = ("", ",a", '"b', "\nc", '"d,e"\r\nf')
+
+
 @st.composite
 def two_group_cohorts(draw):
-    """(K, truth) for 2 <= K <= 12: two groups of 2 to 13 rows each, of 2
-    to 40 responses, in a drawn file order, as gen's cohorts give them.
+    """(K, truth, quoted) for 2 <= K <= 12: two groups of 2 to 13 rows each,
+    of 2 to 40 responses, in a drawn file order, as gen's cohorts give them.
     One row of each group leaves every state, so that score's ratio has
-    every row of both matrices defined."""
+    every row of both matrices defined. In some cohorts every row is one of
+    at most three, so that participants of both groups tie; in quoted ones
+    the ids hold ID_MARKS."""
     k = draw(st.integers(2, 12))
     row = st.lists(st.integers(1, k), min_size=2, max_size=40).map(np.array)
     leaves_all = st.permutations(range(1, k + 1)).map(lambda p: np.array([*p, p[0]]))
+    if draw(st.booleans()):  # rows repeat across participants, so scores tie
+        first = draw(leaves_all)
+        row = st.sampled_from([first, *draw(st.lists(row, min_size=1, max_size=2))])
+        leaves_all = st.just(first)
     rows = [(group, states) for group in ("lo", "hi")
             for states in [draw(leaves_all), *draw(st.lists(row, min_size=1, max_size=12))]]
     rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
-    return k, {"ids": np.array([f"P{i:03d}" for i in range(len(rows))]),
+    quoted = draw(st.booleans())
+    marks = st.sampled_from(ID_MARKS) if quoted else st.just("")
+    return k, {"ids": np.array([f"P{i:03d}{draw(marks)}" for i in range(len(rows))]),
                "groups": np.array([group for group, _ in rows]),
-               "states": [states for _, states in rows]}
+               "states": [states for _, states in rows]}, quoted
+
+
+def scale_example(k):
+    """A quoted case at K = k for @example: three rows a group, the first
+    leaving every state and shared by both groups."""
+    rng = np.random.default_rng(k)
+    first = np.array([*range(1, k + 1), 1])
+    states = [first, rng.integers(1, k + 1, 30), rng.integers(1, k + 1, 7),
+              first, rng.integers(1, k + 1, 12), rng.integers(1, k + 1, 5)]
+    return k, {"ids": np.array([f"P{i:03d}{ID_MARKS[i % len(ID_MARKS)]}" for i in range(6)]),
+               "groups": np.array(["lo"] * 3 + ["hi"] * 3), "states": states}, True
+
+
+def write_with_csv_module(path, ids, groups, states, k):
+    """gen.write_cohort_csv's rows, quoted where needed by the stdlib csv.writer."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["participant_id", "group", "responses"])
+        for pid, group, row in zip(ids, groups, states):
+            out.writerow([pid, group, (";" if k > 9 else "").join(map(str, row.tolist()))])
+
+
+# Multi-model classify's candidates by scale: the benchmark's K=5 profiles, and
+# at K=11 the models of gen.write_long_config; each against model:MEM.
+MULTI_MODELS = {5: ["symmetric", "skewed+", "skewed-"],
+                gen.LONG_STATES: ["walk", "profile_low", "profile_mid"]}
 
 
 class TestAnalysisOracle:
-    """estimate, compare, score and binary classify on gen-written cohorts
-    of every scale width, with ragged rows, against the oracle's counts,
-    tests and scores: the reader, the counting, the statistics and the
-    scoring checked by code that shares none of theirs."""
+    """Every analysis op on gen-written cohorts of every scale width, with
+    ragged rows, tied scores and ids that need quoting, against the oracle's
+    counts, tests, scores and ROC: the reader, the counting, the statistics,
+    the scoring and the ROC checked by code that shares none of theirs."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=two_group_cohorts())
+    @example(case=scale_example(5))
+    @example(case=scale_example(gen.LONG_STATES))
     def test_analysis_ops_match_the_oracle(self, case):
-        k, data = case
+        k, data, quoted = case
         truth = oracle.Truth(data, k)
         pair = ["--numerator", "group:lo", "--denominator", "group:hi"]
         with tempfile.TemporaryDirectory() as work:
-            cohort, report = (os.path.join(work, f) for f in ("cohort.csv", "report.json"))
-            gen.write_cohort_csv(cohort, data["ids"], data["groups"], data["states"], k)
+            cohort, report, roc, svg, config = (
+                os.path.join(work, f)
+                for f in ("cohort.csv", "report.json", "roc.csv", "roc.svg", "config.json"))
+            write = write_with_csv_module if quoted else gen.write_cohort_csv
+            write(cohort, data["ids"], data["groups"], data["states"], k)
             common = ["--input", cohort, "--states", str(k), "--output", report]
             assert main(["estimate", *common, "--per-participant"]) == 0
             assert oracle.check_estimate(report, truth, True) == []
@@ -127,6 +173,16 @@ class TestAnalysisOracle:
             assert oracle.check_score(report, truth, "lo", "hi", False) == []
             assert main(["classify", *common, *pair]) == 0
             assert oracle.check_classify(report, truth, "lo", "hi") == []
+            assert main(["diagnose", *common, *pair, "--with-sum-score",
+                         "--roc-csv", roc, "--svg", svg]) == 0
+            assert oracle.check_diagnose(report, truth, "lo", "hi", roc, svg) == []
+            if k in MULTI_MODELS:
+                if k == gen.LONG_STATES:
+                    gen.write_long_config(config)
+                    common += ["--config", config]
+                assert main(["classify", *common, "--models", ",".join(MULTI_MODELS[k]),
+                             "--reference", "model:MEM"]) == 0
+                assert oracle.check_classify_multi(report, truth, MULTI_MODELS[k], "MEM") == []
 
 
 @pytest.fixture(scope="module")
@@ -209,40 +265,64 @@ class TestTracedPeaks:
 
 
 # Both draw paths of simulate (TestStreams.test_path_rule pins which of the
-# two each shape takes), and score with its per-row breakdown.
+# two each shape takes), and every analysis op, with its per-row tables and
+# exported files. A relative path ending in .csv or .svg is a file the run
+# writes.
 FRESH_RUNS = {
     "simulate_vectorised": ["simulate", "--model", "DWM", "--length", "16", "--count", "500",
                             "--seed", "7", "--out", "sim.csv"],
     "simulate_generator": ["simulate", "--model", "DWM", "--length", "1700", "--count", "3",
                            "--seed", "7", "--out", "sim.csv"],
+    "estimate": ["estimate", "--input", "{cohort}", "--per-participant"],
+    "compare": ["compare", "--input", "{cohort}", "--focal", "ocd", "--reference", "adhd"],
     "score": ["score", "--input", "{cohort}", *_PAIR, "--breakdown"],
+    "classify": ["classify", "--input", "{cohort}", *_PAIR],
+    "classify_multi": ["classify", "--input", "{cohort}", "--models",
+                       "symmetric,skewed+,skewed-", "--reference", "model:MEM"],
+    "diagnose": ["diagnose", "--input", "{cohort}", *_PAIR, "--with-sum-score",
+                 "--roc-csv", "roc.csv", "--svg", "roc.svg"],
 }
+
+
+def fresh_run(argv, hash_seed, **kwargs):
+    """python -m respchain.cli argv in a fresh interpreter under PYTHONHASHSEED."""
+    python_path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path}
+    return subprocess.run([sys.executable, "-m", "respchain.cli", *argv], env=env,
+                          capture_output=True, timeout=120, **kwargs)
 
 
 class TestDeterminismAcrossProcesses:
     """One command in fresh interpreters under PYTHONHASHSEED 1 and 2 writes
-    the same report, apart from its generated_at, and the same CSV bytes.
-    Each run writes under its own directory by the same relative paths, so
-    no path differs between the runs."""
+    the same report, apart from its generated_at, and the same CSV and SVG
+    bytes. Each run writes under its own directory by the same relative
+    paths, so no path differs between the runs."""
 
     @pytest.mark.parametrize("run", FRESH_RUNS)
     def test_same_output_under_other_hash_seeds(self, run, tmp_path):
         cohort = tmp_path / "cohort.csv"
         gen.make_cohort(cohort, 3, 300)
         argv = [arg.format(cohort=cohort) for arg in FRESH_RUNS[run]] + ["--output", "r.json"]
-        python_path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                    os.environ.get("PYTHONPATH")]))
+        written = {arg for arg in argv
+                   if arg.endswith((".csv", ".svg")) and not os.path.isabs(arg)}
         outputs = []
         for hash_seed in ("1", "2"):
             work = tmp_path / hash_seed
             work.mkdir()
-            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": python_path}
-            done = subprocess.run([sys.executable, "-m", "respchain.cli", *argv], cwd=work,
-                                  env=env, capture_output=True, text=True, timeout=120)
+            done = fresh_run(argv, hash_seed, cwd=work)
             assert done.returncode == 0, done.stderr
             report = json.loads((work / "r.json").read_text(encoding="utf-8"))
             del report["header"]["generated_at"]
-            sim = work / "sim.csv"
-            outputs.append((report, sim.read_bytes() if sim.exists() else None))
+            outputs.append((report, {name: (work / name).read_bytes() for name in written}))
         assert outputs[0] == outputs[1]
-        assert run == "score" or outputs[0][1]
+
+    def test_piped_input_is_hashed_as_read(self, tmp_path):
+        gen.make_cohort(tmp_path / "cohort.csv", 3, 300)
+        data = (tmp_path / "cohort.csv").read_bytes()
+        done = fresh_run(["estimate", "--input", "/dev/stdin"], "1", input=data)
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(done.stdout)["payload"]
+        assert payload["results"]["n_sequences"] == 600
+        assert payload["provenance"]["input"] == "/dev/stdin"
+        assert payload["provenance"]["input_sha256"] == hashlib.sha256(data).hexdigest()

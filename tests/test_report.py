@@ -1,5 +1,6 @@
 """Report assembly: provenance, deterministic payload, CSV and SVG output."""
 
+import hashlib
 import io
 import json
 from dataclasses import fields
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import respchain as rc
 from respchain import report as reporting
+from respchain import simulate
 from respchain.cli import _build_parser, _effective_config, run_subcommand
 
 
@@ -29,19 +31,34 @@ class TestBuildReport:
         p = tmp_path / "in.csv"
         p.write_text("participant_id,group,responses\nA,,123\n")
         doc = reporting.build_report(
-            "estimate", {"answer": 42}, rc.Config(), input_path=str(p),
+            "estimate", {"answer": 42}, rc.Config(), rc.load_cohort(p, rc.Config()),
         )
         assert doc["schema"] == "respchain-report/1"
         assert doc["header"]["command"] == "estimate"
         assert doc["payload"]["results"] == {"answer": 42}
         prov = doc["payload"]["provenance"]
         assert prov["input"] == str(p)
-        assert prov["input_sha256"] == reporting.file_sha256(p)
+        assert prov["input_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
         assert prov["config"]["states"] == 5
+
+    def test_digest_counts_the_byte_order_mark(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfparticipant_id,group,responses\r\nA,,123\r\n")
+        cohort = rc.load_cohort(p, rc.Config())
+        prov = reporting.build_report("estimate", {}, rc.Config(), cohort)["payload"]["provenance"]
+        assert prov["input_sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+        assert cohort.participant_ids == ("A",)
 
     def test_no_input_no_hash(self):
         doc = reporting.build_report("simulate", {}, rc.Config())
         assert "input" not in doc["payload"]["provenance"]
+
+    def test_cohort_never_read_from_a_file_has_no_input(self):
+        spec = rc.SimulationSpec(rc.max_entropy(rc.StateSpace(5)), length=4, count=3, seed=1)
+        cohort = simulate.draw_cohort(spec, np.full(5, 0.2))
+        assert cohort.sha256 is None
+        prov = reporting.build_report("x", {}, rc.Config(), cohort)["payload"]["provenance"]
+        assert "input" not in prov and "input_sha256" not in prov
 
     def test_payload_json_is_stable(self):
         doc1 = reporting.build_report("x", {"b": 1, "a": [1, 2]}, rc.Config())

@@ -92,6 +92,15 @@ class TestChiSquareStatistic:
         with pytest.raises(rc.ValidationError, match="pool sparse cells"):
             rc.chi_square_statistic([1, 2], [0.0, 3.0])
 
+    @pytest.mark.parametrize("observed, expected, layout, cell", [
+        ([[1, 2], [3, 4]], [[1, 0], [3, 4]], "contingency", "(1,2)"),
+        ([1, 2, 3], [1, 0, 2], "goodness_of_fit", "2"),
+    ])
+    def test_zero_expected_cell_named_from_one(self, observed, expected, layout, cell):
+        with pytest.raises(rc.ValidationError) as info:
+            rc.chi_square_statistic(observed, expected, layout)
+        assert str(info.value).startswith(f"expected cell {cell} is 0; ")
+
     def test_shape_mismatch(self):
         with pytest.raises(rc.ValidationError):
             rc.chi_square_statistic([1, 2, 3], [1, 2])
