@@ -323,10 +323,16 @@ def _row_probabilities(counts, smoothing_alpha=0.0):
     """The probabilities and defined-row mask of count tables (..., K, K).
 
     What normalize_rows computes, for a whole (N, K, K) tensor at once:
-    each table's rows divided by their sums after adding the alpha.
+    each table's rows divided by their sums after adding the alpha. An
+    alpha so large that a smoothed row's sum overflows is a ValidationError.
     """
     work = counts.astype(np.float64) + float(smoothing_alpha)
-    totals = work.sum(axis=-1)
+    with np.errstate(over="ignore"):
+        totals = work.sum(axis=-1)
+    if not np.isfinite(totals).all():
+        raise ValidationError(
+            f"smoothing_alpha {smoothing_alpha!r} is too large: a smoothed row of "
+            f"{counts.shape[-1]} cells sums past the largest float")
     defined = totals > 0
     probs = np.zeros_like(work)
     probs[defined] = work[defined] / totals[defined, None]

@@ -8,7 +8,7 @@ config, tool version) lives inside the payload because it is part of
 what determines the numbers.
 
 Per-participant results are a Table: columns plus row keys, written row
-by row from one template per table, a block of rows at a time. The rest
+by row from one row's constant texts, a block of rows at a time. The rest
 of the payload is a small tree of dicts and lists, written by the stdlib
 ``json.dumps(value, indent=2, allow_nan=False)``. The whole text is that
 of ``json.dumps`` with the rows materialised as dicts. A result object (a
@@ -169,29 +169,34 @@ def _chunks(value, level):
 
 
 def _row_format(columns, level):
-    """A %-format string for one row object at this indent level, and the
-    (column, indent level) of its %s placeholders in order."""
+    """One row object at this indent level as its constant texts and the
+    (column, indent level) of each cell: constants[i] comes before cell i,
+    and constants[-1] after the last."""
     if not columns:
-        return "{}", []
-    parts, fields = [], []
+        return ["{}"], []
+    constants, fields, sep = ["{"], [], ""
     for key in sorted(columns):
         column = columns[key]
         if isinstance(column, dict):
-            text, inner = _row_format(column, level + 1)
+            inner, inner_fields = _row_format(column, level + 1)
         else:
-            text, inner = "%s", [(column, level + 1)]
-        name = _quote(key).replace("%", "%%")
-        parts.append(f"{_newline(level + 1)}{name}: {text}")
-        fields += inner
-    return "{" + ",".join(parts) + _newline(level) + "}", fields
+            inner, inner_fields = ["", ""], [(column, level + 1)]
+        constants[-1] += f"{sep}{_newline(level + 1)}{_quote(key)}: {inner[0]}"
+        constants += inner[1:]
+        fields += inner_fields
+        sep = ","
+    constants[-1] += _newline(level) + "}"
+    return constants, fields
 
 
 def _table_chunks(table, level):
-    """A Table's JSON text: its brackets, then WRITE_BLOCK_ROWS rows at a time."""
-    row, fields = _row_format(table.columns, level + 1)
+    """A Table's JSON text: its brackets, then WRITE_BLOCK_ROWS rows at a time,
+    each block one join of the row constants and the cell texts between them."""
+    constants, fields = _row_format(table.columns, level + 1)
     brackets = "[]"
     if table.keys is not None:
-        row, fields, brackets = "%s: " + row, [(table.keys, level + 1), *fields], "{}"
+        constants = ["", ": " + constants[0], *constants[1:]]
+        fields, brackets = [(table.keys, level + 1), *fields], "{}"
     lengths = {len(column) for column, _ in fields}
     if len(lengths) > 1:
         raise ValueError(f"table columns differ in length: {sorted(lengths)}")
@@ -199,14 +204,22 @@ def _table_chunks(table, level):
     if not n:
         yield brackets
         return
-    row = _newline(level + 1) + row
+    constants[0] = _newline(level + 1) + constants[0]
+    between = constants[-1] + "," + constants[0]  # one row's end and the next's start
+    step = 2 * len(fields)
     fields = [_cells(column, cell_level) for column, cell_level in fields]
     yield brackets[0]
     for start in range(0, n, WRITE_BLOCK_ROWS):
         block = slice(start, start + WRITE_BLOCK_ROWS)
-        texts = [column[block] if cell_level is None else _texts(column[block], cell_level)
-                 for column, cell_level in fields]
-        yield ("," if start else "") + ",".join(map(row.__mod__, zip(*texts)))
+        rows = min(n - start, WRITE_BLOCK_ROWS)
+        parts = [between] * (step * rows + 1)
+        parts[0], parts[-1] = constants[0], constants[-1]
+        for i, (column, cell_level) in enumerate(fields):
+            if i:
+                parts[2 * i::step] = [constants[i]] * rows
+            parts[2 * i + 1::step] = (column[block] if cell_level is None
+                                      else _texts(column[block], cell_level))
+        yield ("," if start else "") + "".join(parts)
     yield _newline(level) + brackets[1]
 
 

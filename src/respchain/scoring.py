@@ -14,7 +14,7 @@ resulting LogRatioMatrix so no floored cell passes silently.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import fsum
+from math import frexp, fsum, ldexp
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from .errors import ValidationError
 
 TIE_TOLERANCE = 1e-12
 
-# Rows scored at a time; bounds each block's rows x M x K^2 term arrays.
+# Rows scored at a time; bounds each block's visited-cell term arrays, at
+# most rows x K^2 long, made for one model at a time.
 SCORE_BLOCK_ROWS = 4096
 
-# Sums with a term larger than this go to fsum: no partial sum of up to
-# 2**60 smaller terms, in the lockstep pass or in fsum, can overflow.
+# A row with a term larger than this goes to fsum: no level's sigma, and no
+# partial sum of up to 2**60 smaller terms, anywhere, can overflow.
 _HUGE = 2.0 ** 960
 
 
@@ -279,21 +280,47 @@ def _scores(counts, betas):
     """(N, M) scores of an (N, K, K) count tensor against (M, K*K) beta rows.
 
     Score (n, m) is math.fsum of counts[n] * betas[m] over the cells row n
-    visits. Each block of SCORE_BLOCK_ROWS rows builds its terms for all M
-    rows of betas at once, laid out cell by cell, and sums them in one pass.
+    visits; only those terms are made, a block of SCORE_BLOCK_ROWS rows and
+    one beta row at a time. A row with a non-finite or huge term goes to
+    fsum, its terms in cell order. The other terms r are summed exactly by
+    extraction levels (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008):
+    for a power of two sigma >= (K*K + 2) * max |r|, q = (sigma + r) - sigma
+    and r - q are exact, and so is any sum of up to K*K of the q, so one
+    bincount gives a level's row sums. Each level takes 52 - ceil(log2(K*K +
+    2)) bits or more off every r. _column_fsums rounds each row's few level
+    sums as fsum rounds their exact total.
     """
     n, (m, cells) = counts.shape[0], betas.shape
     flat = counts.reshape(n, cells)
-    by_cell = betas.T[:, :, None]
+    spread = 2.0 ** (cells + 1).bit_length()  # the least power of two >= K*K + 2
     out = np.empty((n, m))
     for start in range(0, n, SCORE_BLOCK_ROWS):
-        block = flat[start:start + SCORE_BLOCK_ROWS].T[:, None, :]
-        # unvisited cells stay exact zeros, even where a beta is infinite
-        terms = np.multiply(block, by_cell, out=np.zeros((cells, m, block.shape[2])),
-                            where=block != 0)
-        sums = _column_fsums(terms.reshape(cells, -1))
-        del terms  # freed before the next block's terms are made
-        out[start:start + SCORE_BLOCK_ROWS] = sums.reshape(m, -1).T
+        block = flat[start:start + SCORE_BLOCK_ROWS]
+        b = len(block)
+        visited = np.flatnonzero(block != 0)
+        rows = visited // cells
+        cell = visited - rows * cells
+        weights = block.ravel()[visited].astype(np.float64)
+        for model in range(m):
+            terms = weights * betas[model].take(cell)
+            r, wild = terms, ()  # r goes in place: terms is read again only if wild
+            top = np.abs(r).max(initial=0.0)
+            if not top <= _HUGE:  # a huge or non-finite (NaN too) term's row
+                wild = np.unique(rows[~(np.abs(terms) <= _HUGE)])
+                r = np.where(np.isin(rows, wild), 0.0, terms)
+                top = np.abs(r).max()
+            levels = []
+            while top:
+                sigma = ldexp(spread, frexp(top)[1])
+                q = (sigma + r) - sigma
+                r -= q
+                levels.append(np.bincount(rows, weights=q, minlength=b))
+                top = np.abs(r).max()
+            sums = _column_fsums(np.array(levels)) if levels else np.zeros(b)
+            for row in wild:
+                sums[row] = fsum(terms[rows == row].tolist())
+            out[start:start + b, model] = sums
     return out
 
 
@@ -302,9 +329,10 @@ def score_counts(counts, values):
 
     values is the K x K beta matrix, e.g. LogRatioMatrix.values. Row n's
     score is exactly math.fsum of count * beta over the cells that row
-    visits, the number score_sequence gives for that sequence, computed by
-    a certified double-double sum with an fsum fallback. Cells never
-    visited add an exact zero, however extreme (even infinite) their beta.
+    visits, the number score_sequence gives for that sequence: the visited
+    cells' terms summed exactly by extraction levels, then rounded as fsum
+    rounds (see _scores). Cells never visited add nothing, however extreme
+    (even infinite) their beta.
     """
     counts, values = _fitted(counts, values)
     return _scores(counts, values.reshape(1, -1))[:, 0]

@@ -163,6 +163,16 @@ class TestNormalizeRows:
         # a never-seen row becomes uniform under pure smoothing
         assert np.allclose(m.probs[0], 0.2)
 
+    def test_alpha_whose_row_sum_overflows(self, o05, space):
+        counts = rc.count_transitions(o05, space)
+        message = r"^smoothing_alpha 1e\+308 is too large: a smoothed row of 5 cells"
+        with np.errstate(all="raise"):  # the overflow warns nothing on its way
+            with pytest.raises(rc.ValidationError, match=message):
+                rc.normalize_rows(counts, 1e308)
+            with pytest.raises(rc.ValidationError, match=message):
+                rc.chain._row_probabilities(np.zeros((3, 5, 5), dtype=np.int64), 1e308)
+            assert np.allclose(rc.normalize_rows(counts, 1e307).probs, 0.2)
+
     def test_negative_alpha(self, o05, space):
         counts = rc.count_transitions(o05, space)
         with pytest.raises(rc.ValidationError):

@@ -8,7 +8,10 @@ all exercised together.
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -165,6 +168,31 @@ class TestEstimate:
         )
         assert code == 1
         assert error_of(err)["type"] == "validation"
+
+    def test_overflowing_smoothing_alpha_is_one_error_line(self, cohort_csv):
+        """A smoothed row sum past the largest float: stderr is the one JSON
+        error naming smoothing_alpha, with no numpy warning before it, in a
+        fresh interpreter with the default warning filters."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for flags in ([], ["--per-participant"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "respchain.cli", "estimate", "--input", cohort_csv,
+                 "--smoothing-alpha", "1e308", *flags],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stdout) == (1, "")
+            assert done.stderr == json.dumps({"error": {
+                "type": "validation",
+                "message": "smoothing_alpha 1e+308 is too large: a smoothed row of 5 "
+                           "cells sums past the largest float",
+                "exit_code": 1}}) + "\n"
+
+    def test_largest_smoothing_alpha_that_fits(self, capsys, cohort_csv):
+        results = run_report(capsys, "estimate", "--input", cohort_csv,
+                             "--smoothing-alpha", "1e307")["payload"]["results"]
+        for block in results["groups"].values():
+            assert np.allclose(block["matrix"]["probs"], 0.2)
 
 
 class TestStationary:
