@@ -434,10 +434,10 @@ def _cmd_diagnose(run):
     # -0.0 or +0.0 as a tied group's cutoff, and no score here is -0.0
     # (score_counts writes a zero sum as +0.0; sum scores are integers).
     scores = scoring.score_counts(run.counts, run.log_ratio().values)
-    table = diagnostics._confusion_cells(run.groups == positive,
-                                         scores >= config.cutoff, positive)
+    truth = run.groups == positive
+    table = diagnostics._confusion_cells(truth, scores >= config.cutoff, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
-    curve = diagnostics.roc_curve(scores, run.groups, positive)
+    curve = diagnostics._roc(scores, truth)
     curves = [(f"score {num_name}/{den_name}", curve)]
     results = {
         "positive_group": positive,
@@ -448,7 +448,7 @@ def _cmd_diagnose(run):
     }
     if args.with_sum_score:
         sums = np.add.reduceat(dataset.states, dataset.starts, dtype=np.int64)
-        sum_curve = diagnostics.roc_curve(sums, run.groups, positive)
+        sum_curve = diagnostics._roc(sums, truth)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)
     files = {}

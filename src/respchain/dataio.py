@@ -249,6 +249,58 @@ def _texts(a, starts, ends):
     return [t.strip() for t in texts] if ((chars <= 32) | (chars >= 127)).any() else texts
 
 
+# A group field of 1 to 8 * _KEY_WORDS bytes, each in 33..126 and none a
+# '"', is keyed by its bytes: no such byte is NUL, a space or a quote, so
+# zero-padded keys stay distinct and the field is its label, unstripped.
+_KEY_WORDS = 4
+_KEY_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], np.uint64)  # n low bytes
+_BYTES = np.uint64(0x0101010101010101)  # times b: b in every byte
+
+
+def _groups(a, starts, ends, texts):
+    """An object array of each row's group from its field a[starts:ends],
+    one shared str per label and None for an empty field. A field of key
+    bytes (above) is packed zero-padded into little-endian uint64 words,
+    read at any offset through one strided view of a; one np.unique per
+    word numbers the keys, each distinct key is decoded once and every row
+    gathers its label from that table. The other rows take the zero key,
+    then texts(rows), their stripped texts, 8192 rows at a time. a holds
+    at least 8 bytes."""
+    if not starts.size:  # a header alone, or a first record cut by the field limit
+        return np.empty(0, object)
+    width = ends - starts
+    words = min(-(-int(width.max(initial=1)) // 8), _KEY_WORDS)
+    view = np.ndarray((a.size - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
+    keys, good = np.empty((words, starts.size), np.uint64), (width > 0) & (width <= 8 * words)
+    for j, key in enumerate(keys):  # a word read nearer the end than 8 bytes is shifted down
+        pos = np.minimum(starts + 8 * j, a.size - 1)
+        base = np.minimum(pos, a.size - 8)
+        mask = _KEY_MASKS.take(np.clip(width - 8 * j, 0, 8))
+        key[:] = view[base] >> (8 * (pos - base)).astype(np.uint64) & mask
+        # a byte below 33, above 126 or equal to 34 sets its high bit in one of the three
+        # terms, and no other does (hasless, hasmore, haszero of S. E. Anderson's "Bit
+        # Twiddling Hacks"); the bytes past the field read as 33
+        y = key | ~mask & _BYTES * 33
+        q = y ^ _BYTES * 34
+        good &= ((y - _BYTES * 33) & ~y | (y + _BYTES) | y | (q - _BYTES) & ~q) & _BYTES * 128 == 0
+    keys[:, ~good] = 0
+    table, index = np.unique(keys[0], return_inverse=True)
+    for key in keys[1:]:  # (key so far, word) pairs, renumbered
+        values, word = np.unique(key, return_inverse=True)
+        table, index = np.unique(index * values.size + word, return_inverse=True)
+    some = np.empty(table.size, np.intp)
+    some[index] = np.arange(index.size)  # a row of each key
+    labels = {}
+    table = keys[:, some].T.astype("<u8", order="C").view(f"S{8 * words}").ravel().astype(str)
+    groups = np.array([labels.setdefault(label, label or None) for label in table.tolist()],
+                      object)[index]
+    rest = np.flatnonzero(~good & (width > 0))
+    for block in (rest[i:i + 8192] for i in range(0, rest.size, 8192)):
+        groups[block] = np.array([labels.setdefault(label, label or None)
+                                  for label in texts(block)], object)
+    return groups
+
+
 def _cell_states(cell, k):
     """The states of one stripped responses cell by the documented rule, or
     the tail of the message naming its first fault. A state is compared by
@@ -326,6 +378,13 @@ def load_cohort(path, config):
     skips the bad rows, each recorded on the dataset with its line (the one
     its record starts on; CRLF, CR and LF end one line each) and message.
     The file is read once, a pipe too, and the bytes read are hashed once parsed.
+
+    The breaks are found by one scan for the bytes below 45, keeping ',',
+    CR and LF (every break byte is below 45), with int32 offsets under
+    2 GiB. Groups come first: a field of key bytes is labelled from its
+    packed bytes by np.unique, any other through its text, 8192 rows at a
+    time, one shared str per label either way (_groups). Then the ids, and
+    the states from the responses column's offsets alone (_states).
     """
     space, k = config.state_space, config.states
     with open(path, "rb") as fh:
@@ -350,9 +409,12 @@ def load_cohort(path, config):
             break
         pos = found + 1
     a = np.frombuffer(buf, np.uint8)
-    at = np.flatnonzero((a == 44) | (a == 10) | (a == 13))
-    at = at[(a[at] != 13) | (a[np.minimum(at + 1, a.size - 1)] != 10)]  # a CRLF breaks at its LF
-    kind, inner = a[at], np.zeros(0, np.int64)  # inner: line ends inside quoted spans
+    at = np.flatnonzero(a < 45)  # the breaks ',' (44), LF (10) and CR (13) are all below 45
+    kind = a[at]
+    keep = (kind == 44) | (kind == 10) | ((kind == 13) & (a[np.minimum(at + 1, a.size - 1)] != 10))
+    offset = np.int32 if a.size < 2**31 - 1 else np.int64  # holds every offset and one past it
+    at, kind = at[keep].astype(offset), kind[keep]  # a CRLF breaks at its LF
+    inner = np.zeros(0, offset)  # line ends inside quoted spans
     spans = _spans(buf, np.flatnonzero(a == 34)) if b'"' in buf else {}
     if spans:
         opens, closes = (np.fromiter(x, np.int64, len(spans)) for x in (spans, spans.values()))
@@ -360,26 +422,26 @@ def load_cohort(path, config):
         out = (j < 0) | (at > closes[j])
         inner, at, kind = at[~out & (kind != 44)], at[out], kind[out]
     # field f is buf[starts[f]:ends[f]]; eol[f] if it ends a record
-    starts, eol = np.append(0, at + 1), np.append(kind != 44, True)
-    ends = np.append(at - ((kind == 10) & (a[np.maximum(at - 1, 0)] == 13)), a.size)
+    starts, eol = np.append(offset(0), at + 1), np.append(kind != 44, True)
+    ends = np.append(at - ((kind == 10) & (a[np.maximum(at - 1, 0)] == 13)), offset(a.size))
     if starts[-1] == a.size and (not at.size or kind[-1] != 44):  # nothing after a line end
         starts, ends, eol = starts[:-1], ends[:-1], eol[:-1]
-    del at, kind
+    del at, kind, keep
 
-    def field(f):  # a quoted span's text with "" read as ", then the bytes after the span
-        s, e = int(starts[f]), int(ends[f])
+    def field(s, e):  # a quoted span's text with "" read as ", then the bytes after the span
+        s, e = int(s), int(e)
         if s not in spans:
             return buf[s:e].decode()
         return (buf[s + 1:spans[s]].replace(b'""', b'"') + buf[spans[s] + 1:e]).decode()
 
     last = np.flatnonzero(eol)
     over = next((f for f in np.flatnonzero(ends - starts > limit).tolist()
-                 if len(field(f)) > limit), starts.size)
+                 if len(field(starts[f], ends[f])) > limit), starts.size)
     records = int(np.searchsorted(last, over))  # those before the first field over the limit
     stop = f"field larger than field limit ({limit})" if over < starts.size else None
     if not records:  # made as it is raised: a local error would form a cycle with its frame
         raise csv.Error(stop) if stop else ValidationError(f"{path}: empty file")
-    header = [field(f) for f in range(last[0] + 1)]
+    header = [field(starts[f], ends[f]) for f in range(last[0] + 1)]
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise ValidationError(f"{path}: expected header {','.join(CSV_HEADER)!r}, "
                               f"got {','.join(header)!r}")
@@ -396,21 +458,23 @@ def load_cohort(path, config):
     def column(fs):  # _texts reads "" for a quoted field, which is unquoted on its own
         values = _texts(a, np.where(quoted[fs], ends[fs], starts[fs]), ends[fs])
         for i in np.flatnonzero(quoted[fs]).tolist():
-            values[i] = field(fs[i]).strip()
+            values[i] = field(starts[fs[i]], ends[fs[i]]).strip()
         return values
 
+    # the groups before the ids: the ids' strs are not live while the group keys are numbered
+    groups = _groups(a, starts[first + 1], ends[first + 1], lambda rows: column(first[rows] + 1))
     ids = column(first)
     if "" in ids:
         empty = np.array([not pid for pid in ids])
         rejected += [(line, f"{path}, line {line}: empty participant_id")
                      for line in lines[empty].tolist()]
         ids = [pid for pid in ids if pid]
-        first, lines = first[~empty], lines[~empty]
-    groups, labels, fs = [], {}, first + 2  # groups: one shared str per label
-    for block in np.split(first + 1, range(8192, first.size, 8192)):  # a block's strs at a time
-        groups += [labels.setdefault(label, label or None) for label in column(block)]
-    states, lengths, bad = _states(a, starts[fs], ends[fs], k, lambda i: field(fs[i]).strip())
-    del starts, ends, first, quoted, fs
+        first, lines, groups = first[~empty], lines[~empty], groups[~empty]
+    groups = groups.tolist()
+    cells = starts[first + 2], ends[first + 2]
+    del starts, ends, first, quoted  # _states gets the responses column's offsets alone
+    states, lengths, bad = _states(a, *cells, k, lambda i: field(cells[0][i], cells[1][i]).strip())
+    del cells
     problems = sorted([(int(lines[i]), f"{path}, line {lines[i]}{tail}")
                        for i, tail in bad.items()] + rejected)
     if problems and config.mode == "strict":
@@ -419,6 +483,7 @@ def load_cohort(path, config):
         raise csv.Error(stop)
     if bad:
         ids, groups = ([x for i, x in enumerate(c) if i not in bad] for c in (ids, groups))
+    ids, groups = tuple(ids), tuple(groups)  # the dataset keeps these, not copies of lists
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
     digest = hashlib.sha256(bom)

@@ -137,13 +137,16 @@ def roc_curve(scores, labels, positive_label):
     equals the probability that a random positive outscores a random
     negative (ties counted half). Scores may be infinite but not NaN.
     """
+    return _roc(scores, _matches(list(labels), positive_label))
+
+
+def _roc(scores, truth):
+    """roc_curve of scores against truth, a bool array of the positives."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = list(labels)
-    if scores.ndim != 1 or len(labels) != scores.size:
+    if scores.ndim != 1 or truth.shape != scores.shape:
         raise ValidationError("scores and labels must be 1-d and equal length")
     if np.isnan(scores).any():
         raise ValidationError("scores must not be NaN")
-    truth = _matches(labels, positive_label)
     n_pos = int(truth.sum())
     n_neg = int((~truth).sum())
     if n_pos == 0 or n_neg == 0:

@@ -303,7 +303,8 @@ def _scores(counts, betas):
         cell = visited - rows * cells
         weights = block.ravel()[visited].astype(np.float64)
         for model in range(m):
-            terms = weights * betas[model].take(cell)
+            with np.errstate(over="ignore"):  # an overflowing product is fsum's to answer
+                terms = weights * betas[model].take(cell)
             r, wild = terms, ()  # r goes in place: terms is read again only if wild
             top = np.abs(r).max(initial=0.0)
             if not top <= _HUGE:  # a huge or non-finite (NaN too) term's row

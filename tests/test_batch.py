@@ -351,9 +351,9 @@ def _first_raised(outcomes, block):
 class TestHardBetas:
     """score_counts and classify_counts against math.fsum of the visited
     terms, on betas from subnormal to near overflow, half-ulp ties, signed
-    zeros, infinities and NaN. Python's float product overflows to inf
-    silently, numpy's warns, and classify_counts' tie check may subtract
-    infinite scores; neither warning bears on the scores compared here."""
+    zeros, infinities and NaN. A product that overflows to inf warns
+    nothing, as Python's does not; classify_counts' tie check may subtract
+    infinite scores, and that warning bears not on the scores compared."""
 
     @settings(max_examples=300, deadline=None)
     @given(hard_scoring_cases())
@@ -369,8 +369,7 @@ class TestHardBetas:
              lambda: rc.classify_counts(counts, [f"p{i}" for i in range(len(counts))],
                                         [(name, None) for name in lrs], None).scores.tolist()),
         ]
-        with pytest.MonkeyPatch.context() as patch, \
-                np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
             patch.setattr(scoring, "SCORE_BLOCK_ROWS", 3)
             patch.setattr(scoring, "log_likelihood_matrix",
                           lambda num, den, floor, numerator_name, **_: lrs[numerator_name])

@@ -832,7 +832,9 @@ RAW_IDS = ["A1", "B2", " C3 ", "\u2003D4\u2003", "\u00e95", "\u4e2d6", "N\0L", "
            "X" * (RAW_LIMIT - 1), "Y" * RAW_LIMIT, "Z" * (RAW_LIMIT + 1),
            '"' + "W" * RAW_LIMIT + '"', '"' + "V" * (RAW_LIMIT - 2) + '""x"']
 RAW_GROUPS = ["", "a", " b ", "b", "\u2003a", '"a"', '"a,b"', 'g"h', '"x\ry"', "\0",
-              '"' + "g\n" * (RAW_LIMIT // 2) + '"', "G" * RAW_LIMIT]
+              '"' + "g\n" * (RAW_LIMIT // 2) + '"', "G" * RAW_LIMIT,
+              "H" * 8, "I" * 9, "J" * 16, "K" * 17,  # one or two key words, two or three
+              "a\0", "\0a", "\x7f", "~", "\ta\t", "\t~"]
 
 
 def _raw_cell(draw, k):
@@ -904,6 +906,40 @@ class TestAgainstCsvModule:
         path = tmp_path_factory.getbasetemp() / "raw.csv"
         with field_limit(RAW_LIMIT):
             assert_reads_like_csv_module(path, data, rc.Config(states=k, mode=mode))
+
+
+def many_labels_csv(bad_rows):
+    """24,000 rows over 200 distinct labels: some read as key bytes (1 to
+    32 bytes of '!' to '~' but '"'), the rest as text (padded, quoted,
+    non-ASCII, with a NUL or DEL, 33 bytes or more; over 8192 rows), and
+    empty ones. With bad_rows, every seventh row is one lenient mode skips."""
+    names = [f"g{i}" for i in range(60)] + [f"{i:02d}" + "~" * (i % 31) for i in range(60)]
+    texts = [f"\t{name} " for name in names[::3]] + [f'"{name},x"' for name in names[:20]]
+    texts += [f"\u00e9{i}" for i in range(20)] + [f"n\0{i}" for i in range(10)]
+    texts += ["d\x7f", "Z" * 33, "Y" * 32, "Y" * 33, "", " ", '""', '" "']
+    raw = names + texts + [f"{i:02d}" + "#" * (i % 40) for i in range(60)]
+    rng = random.Random(7)
+    rows = []
+    for i in range(24_000):
+        pid, cell = f"P{i}", "3243"
+        if bad_rows and i % 7 == 3:
+            pid, cell = rng.choice([(f"X{i}", "3x3"), (f"X{i}", "3"), (" ", cell)])
+        rows.append(f"{pid},{rng.choice(texts if i % 2 else raw)},{cell}\n")
+    return "participant_id,group,responses\n" + "".join(rows)
+
+
+class TestGroupLabels:
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    def test_many_labels_read_as_the_csv_module_reads_them(self, tmp_path, mode):
+        path = write(tmp_path, "labels.csv", many_labels_csv(bad_rows=mode == "lenient"))
+        expected = [row[1].strip() or None for row in csv.reader(io.StringIO(path.read_text()))
+                    if row[0].startswith("P")]
+        got = rc.load_cohort(path, rc.Config(mode=mode))
+        assert list(got.groups) == expected
+        labels = set(expected) - {None}
+        assert len(labels) > 200
+        assert len({id(group) for group in got.groups if group is not None}) == len(labels)
+        assert len(got.skipped) == (3429 if mode == "lenient" else 0)
 
 
 @pytest.fixture

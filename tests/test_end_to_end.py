@@ -201,27 +201,31 @@ def cohorts(tmp_path_factory):
 
 
 _PAIR = ["--numerator", "group:ocd", "--denominator", "group:adhd"]
-_LOAD = "load_cohort: the id strings, field offsets and states mask"
+_IDS = "CohortDataset: _check_unique's set of the id strings"
+_SCORES = "_scores: one block's visited-cell indices, terms and level sums"
 # op: (input, argv, rows or steps, bound in bytes per row or step, the
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
-# 2.4, x86-64): 259.8 B per row for five cohort-40k analysis ops, 288.3 B for
-# estimate with the wide group labels, 303.8 B for diagnose, and 2,563 B and
-# 1,709 B per row for the two per-participant tables; their bounds add 10 %.
-# The simulate bounds are their measured 23.3 and 17.6 B per step (31.3 and
-# 24.1 B with the walk's former int64 output).
+# 2.4, x86-64), in B per row: estimate 206.3, compare 204.3, estimate with
+# the wide group labels 222.9, score 224.5, classify 218.3, classify with
+# three models 224.4, diagnose 304.9, and 2,561 and 1,710 for the two
+# per-participant tables; their bounds add 10 %, except diagnose's, which
+# stays at 10 % over its former 303.9. The simulate bounds are their
+# measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's former
+# int64 output).
 PEAK_OPS = {
-    "estimate": ("40k", ["estimate"], 40_000, 286, _LOAD),
-    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 318, _LOAD),
-    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 286,
-                _LOAD),
-    "score": ("40k", ["score", *_PAIR], 40_000, 286, _LOAD),
-    "classify": ("40k", ["classify", *_PAIR], 40_000, 286, _LOAD),
+    "estimate": ("40k", ["estimate"], 40_000, 227, _IDS),
+    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 246,
+                             "_groups: three key words per row and np.unique's sort"),
+    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 225,
+                _IDS),
+    "score": ("40k", ["score", *_PAIR], 40_000, 247, _SCORES),
+    "classify": ("40k", ["classify", *_PAIR], 40_000, 241, _SCORES),
     "classify_multi": ("40k", ["classify", "--models",
                                "model:symmetric,model:skewed+,model:skewed-",
-                               "--reference", "model:MEM"], 40_000, 286, _LOAD),
+                               "--reference", "model:MEM"], 40_000, 247, _SCORES),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
                          "--svg", "{tmp}/roc.svg"], 40_000, 334,
-                 "the --with-sum-score ROC, 1.68 MiB above load_cohort's peak"),
+                 "the sum score: reduceat's int64 copy of every state, 8 B per response"),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,
