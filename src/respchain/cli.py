@@ -164,7 +164,9 @@ class _Run:
     to stderr as are the rows lenient mode skipped. Commands whose --input is
     required read it before any check of their own. counts, groups and every
     score and ROC keep the rows in file order; order and ids serve only the
-    per-participant tables, which are written in participant_id order."""
+    per-participant tables, which are written in participant_id order
+    (Python's str order, from dataio._id_order's numpy sort of the ids'
+    packed UTF-8 bytes)."""
 
     def __init__(self, args, config):
         self.args = args
@@ -198,8 +200,7 @@ class _Run:
     @functools.cached_property
     def order(self):
         """The row indices in participant_id order, as an intp array."""
-        ids = self.dataset.participant_ids
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        return dataio._id_order(self.dataset.participant_ids)
 
     @functools.cached_property
     def ids(self):
@@ -447,7 +448,9 @@ def _cmd_diagnose(run):
         "roc": reporting.roc_block(curve),
     }
     if args.with_sum_score:
-        sums = np.add.reduceat(dataset.states, dataset.starts, dtype=np.int64)
+        # each row's sum fits the smallest type that holds K * the longest row
+        total = np.min_scalar_type(dataset.state_space.size * int(dataset.lengths.max()))
+        sums = np.add.reduceat(dataset.states, dataset.starts, dtype=total)
         sum_curve = diagnostics._roc(sums, truth)
         curves.append(("sum score", sum_curve))
         results["sum_score_roc"] = reporting.roc_block(sum_curve)

@@ -301,6 +301,34 @@ def _groups(a, starts, ends, texts):
     return groups
 
 
+def _id_order(ids):
+    """The intp permutation that puts ids, distinct strs, in sorted()'s
+    order. UTF-8 byte order is code-point order, so each id is read from
+    the joined UTF-8 text, every byte raised by one (a NUL then sorts above
+    the zero padding, and a proper prefix first), as ceil(width / 8) <=
+    _KEY_WORDS big-endian uint64 words through one strided view of the text,
+    padded so that every read stays in it; the bytes past the id's end are
+    masked to zero. np.argsort of one word or np.lexsort of more orders the
+    keys, all distinct. A column with an id over 8 * _KEY_WORDS bytes goes
+    to sorted()."""
+    text = "".join(ids)
+    buf = text.encode()
+    ends = np.cumsum(np.fromiter(map(len, ids), np.intp, len(ids)))
+    if len(buf) != len(text):  # each id ends where its next char's lead byte starts
+        lead = np.flatnonzero(np.frombuffer(buf, np.uint8) & 0xC0 != 0x80)
+        ends = np.append(lead, len(buf))[ends]
+    width = np.diff(ends, prepend=0)
+    if width.max(initial=0) > 8 * _KEY_WORDS:
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
+    words = -(-int(width.max(initial=1)) // 8)
+    a = np.frombuffer(buf + bytes(8 * words), np.uint8) + 1  # 0xFF is no UTF-8 byte
+    view = np.ndarray((a.size - 7,), ">u8", a, 0, (1,))  # the 8 bytes from each offset
+    high = ~_KEY_MASKS[::-1]  # high[n]: the n high bytes
+    keys = [view[ends - width + 8 * j] & high.take(np.clip(width - 8 * j, 0, 8))
+            for j in range(words)]
+    return np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
+
+
 def _cell_states(cell, k):
     """The states of one stripped responses cell by the documented rule, or
     the tail of the message naming its first fault. A state is compared by

@@ -419,9 +419,10 @@ def classify_counts(counts, participant_ids, candidates, reference,
     Each candidate is scored as numerator against the reference. A row
     with every score below the cutoff goes to the reference model, else to
     the candidate with the highest score, first in the given order on an
-    exact tie (tie flag set when the top two scores are within 1e-12); one
-    candidate gives classify_binary's rule. participant_ids names the
-    tensor's rows; each candidate's log-ratio matrix is built once.
+    exact tie (tie flag set when the top two scores are equal, two
+    infinities included, or within 1e-12); one candidate gives
+    classify_binary's rule. participant_ids names the tensor's rows; each
+    candidate's log-ratio matrix is built once.
     """
     _number(cutoff, "cutoff", signed=True)
     candidates = list(candidates)
@@ -451,7 +452,9 @@ def classify_counts(counts, participant_ids, candidates, reference,
     choice = np.where(reject, len(names), scores.argmax(axis=1))
     if len(names) > 1:
         ordered = np.sort(scores, axis=1)
-        tie = (ordered[:, -1] - ordered[:, -2] <= TIE_TOLERANCE) & ~reject
+        top, second = ordered[:, -1], ordered[:, -2]
+        with np.errstate(invalid="ignore"):  # inf - inf: equal, caught by ==
+            tie = ((top == second) | (top - second <= TIE_TOLERANCE)) & ~reject
     else:
         tie = np.zeros(len(choice), dtype=bool)
     return VerdictColumns(list(participant_ids), names, scores, reference_name,

@@ -352,8 +352,8 @@ class TestHardBetas:
     """score_counts and classify_counts against math.fsum of the visited
     terms, on betas from subnormal to near overflow, half-ulp ties, signed
     zeros, infinities and NaN. A product that overflows to inf warns
-    nothing, as Python's does not; classify_counts' tie check may subtract
-    infinite scores, and that warning bears not on the scores compared."""
+    nothing, as Python's does not, and neither does classify_counts' tie
+    check on infinite scores."""
 
     @settings(max_examples=300, deadline=None)
     @given(hard_scoring_cases())
@@ -369,7 +369,7 @@ class TestHardBetas:
              lambda: rc.classify_counts(counts, [f"p{i}" for i in range(len(counts))],
                                         [(name, None) for name in lrs], None).scores.tolist()),
         ]
-        with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scoring, "SCORE_BLOCK_ROWS", 3)
             patch.setattr(scoring, "log_likelihood_matrix",
                           lambda num, den, floor, numerator_name, **_: lrs[numerator_name])
@@ -380,6 +380,17 @@ class TestHardBetas:
                 else:
                     with pytest.raises(raised):
                         scores()
+
+    def test_equal_infinite_top_scores_tie(self, monkeypatch):
+        """Two candidates scoring +inf on every row tie there, and inf - inf
+        in the tie check warns nothing."""
+        lr = SimpleNamespace(values=np.full((2, 2), np.inf))
+        monkeypatch.setattr(scoring, "log_likelihood_matrix", lambda *_, **__: lr)
+        verdicts = rc.classify_counts(np.ones((3, 2, 2), np.int64), ["a", "b", "c"],
+                                      [("m0", None), ("m1", None)], None)
+        assert verdicts.scores.tolist() == [[np.inf, np.inf]] * 3
+        assert verdicts.tie_mask.tolist() == [True] * 3
+        assert verdicts.choice.tolist() == [0] * 3
 
 
 class TestFallbackAndMemory:
@@ -441,7 +452,8 @@ def reference_verdict(seq, candidates, reference, reference_name="MEM"):
         return rc.MultiModelVerdict(seq.participant_id, scores, reference_name, False)
     assigned = list(scores)[values.index(max(values))]
     runners = sorted(values, reverse=True)
-    tie = len(runners) > 1 and (runners[0] - runners[1]) <= rc.scoring.TIE_TOLERANCE
+    tie = len(runners) > 1 and (runners[0] == runners[1]
+                                or runners[0] - runners[1] <= rc.scoring.TIE_TOLERANCE)
     return rc.MultiModelVerdict(seq.participant_id, scores, assigned, tie)
 
 

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import respchain as rc
@@ -940,6 +940,47 @@ class TestGroupLabels:
         assert len(labels) > 200
         assert len({id(group) for group in got.groups if group is not None}) == len(labels)
         assert len(got.skipped) == (3429 if mode == "lenient" else 0)
+
+
+# NUL, \x01, ASCII, DEL and characters of 2, 3 and 4 UTF-8 bytes
+ONE_BYTE_CHARS = ["\0", "\x01", "a", "b", "~", "\x7f"]
+ID_CHARS = ONE_BYTE_CHARS + ["\x80", "é", "\u07ff", "€", "\uffff", "\U0001f600",
+                              "\U0010ffff"]
+
+
+def id_text(data, chars):
+    return "".join(chars[b % len(chars)] for b in data)
+
+
+@st.composite
+def id_columns(draw):
+    """Distinct ids of 1 to 40 UTF-8 bytes each (to a width drawn for the
+    column, so that columns of each number of words are drawn alike), which
+    share prefixes of one stem of the column's, so they differ in any word."""
+    top, stem = draw(st.integers(1, 40)), id_text(draw(st.binary(max_size=40)), ID_CHARS)
+    ids = []
+    for width, cut, tail, pad in draw(st.lists(st.tuples(
+            st.integers(1, top), st.integers(0, 40), st.binary(max_size=40),
+            st.binary(min_size=40, max_size=40)), max_size=16)):
+        text = ""
+        for c in stem[:cut] + id_text(tail, ID_CHARS):  # the most within width
+            if len((text + c).encode()) > width:
+                break
+            text += c
+        ids.append(text + id_text(pad[:width - len(text.encode())], ONE_BYTE_CHARS))
+    return tuple(dict.fromkeys(ids))
+
+
+class TestIdOrder:
+    @settings(max_examples=2000, deadline=None)
+    @given(id_columns())
+    @example(("a\0\0", "a\x01", "a", "a\0"))
+    @example(("x" * 31 + "\0", "x" * 32, "x" * 31, "é" * 16, "x" * 24 + "é" * 4))
+    @example(("x" * 32 + "\0", "x" * 33, "x" * 32, "x" * 31 + "é"))
+    def test_equals_sorted(self, ids):
+        order = dataio._id_order(ids)
+        assert order.dtype == np.intp
+        assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 @pytest.fixture

@@ -207,11 +207,10 @@ _SCORES = "_scores: one block's visited-cell indices, terms and level sums"
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
 # 2.4, x86-64), in B per row: estimate 206.3, compare 204.3, estimate with
 # the wide group labels 222.9, score 224.5, classify 218.3, classify with
-# three models 224.4, diagnose 304.9, and 2,561 and 1,710 for the two
-# per-participant tables; their bounds add 10 %, except diagnose's, which
-# stays at 10 % over its former 303.9. The simulate bounds are their
-# measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's former
-# int64 output).
+# three models 224.4, diagnose 214.3, and 2,561 and 1,710 for the two
+# per-participant tables; their bounds add 10 %. The simulate bounds are
+# their measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's
+# former int64 output).
 PEAK_OPS = {
     "estimate": ("40k", ["estimate"], 40_000, 227, _IDS),
     "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 246,
@@ -224,8 +223,8 @@ PEAK_OPS = {
                                "model:symmetric,model:skewed+,model:skewed-",
                                "--reference", "model:MEM"], 40_000, 247, _SCORES),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
-                         "--svg", "{tmp}/roc.svg"], 40_000, 334,
-                 "the sum score: reduceat's int64 copy of every state, 8 B per response"),
+                         "--svg", "{tmp}/roc.svg"], 40_000, 236,
+                 "_roc: the scores as float64, their negation, sort order and sorted copy"),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,
