@@ -81,12 +81,14 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 _M32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier, as 32-bit limbs, least significant first.
-_PCG_LIMBS = [np.uint64((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * i)) & _M32)
-              for i in range(4)]
+# PCG64's 128-bit LCG multiplier as uint64 halves, and the low half's
+# 32-bit limbs, least significant first
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M_HI, _M_LO = np.uint64(_MULT >> 64), np.uint64(_MULT & 0xFFFFFFFFFFFFFFFF)
+_B0, _B1 = np.uint64(_MULT & _M32), np.uint64(_MULT >> 32 & _M32)
 # uint64 scalars for masks and shifts, so that no operand is promoted
 _LOW = np.uint64(_M32)
-_0, _1, _11, _26, _31, _32, _63, _64 = map(np.uint64, (0, 1, 11, 26, 31, 32, 63, 64))
+_1, _11, _32, _58, _63 = map(np.uint64, (1, 11, 32, 58, 63))
 
 
 def _hashmix(value, const):
@@ -133,65 +135,58 @@ def _stream_states(seed, indices):
     return out[2:4] + out[0:2], out[6:8] + out[4:6]
 
 
-def _pcg_step(state, inc):
-    """state * multiplier + inc mod 2**128, on 32-bit limbs held in uint64.
-
-    Column k sums the low halves of the limb products of weight k, the high
-    halves of those of weight k-1, the increment and the carry: at most
-    nine terms below 2**32, so the sum cannot overflow. The top column is
-    needed only mod 2**32, where the wrapping uint64 products are exact.
-    """
-    out = []
-    carry = high = 0
-    for k in range(3):
-        total = inc[k] + carry
-        total += high
-        high = 0
-        for i in range(k + 1):
-            product = state[i] * _PCG_LIMBS[k - i]
-            total += product & _LOW
-            product >>= _32
-            high += product
-        carry = total >> _32
-        total &= _LOW
-        out.append(total)
-    total = inc[3] + carry
-    total += high
-    for i in range(4):
-        total += state[i] * _PCG_LIMBS[3 - i]
-    total &= _LOW
-    out.append(total)
-    return out
-
-
 def _vectorised_uniforms(seed, indices, length):
-    """Row r holds Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random(length)
-    for i = indices[r] (each below 2**32), computed for all rows at once:
-    PCG64's seeding, its XSL-RR output and the 53-bit float conversion,
-    written out on 32-bit limbs."""
+    """Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random(length)
+    for every i in indices (each below 2**32), computed for all streams at
+    once: PCG64's seeding, its XSL-RR output and the 53-bit float
+    conversion. Returns the (N, length) transpose of a C-contiguous
+    (length, N) array, so that walk reads each step's draws as one row.
+
+    A 128-bit state is held as uint64 halves (hi, lo). A step of state * M
+    + inc is lo * M_lo + inc_lo, with a carry into hi when that wraps below
+    inc_lo, and hi * M_lo + lo * M_hi + inc_hi + mulhi(lo, M_lo), where
+    only mulhi is taken on 32-bit limbs.
+    """
     initstate, initseq = _stream_states(seed, indices)
-    inc = [((word << _1) | (lower >> _31)) & _LOW
-           for word, lower in zip(initseq, [_0] + initseq[:3])]
-    inc[0] |= _1
+    hi, lo, seq_hi, seq_lo = (limbs[i] | (limbs[i + 1] << _32)
+                              for limbs in (initstate, initseq) for i in (2, 0))
+    inc_hi = (seq_hi << _1) | (seq_lo >> _63)
+    inc_lo = (seq_lo << _1) | _1
     # pcg64_srandom: from state 0 one step gives inc; add initstate; step
-    state, carry = [], 0
-    for a, b in zip(inc, initstate):
-        total = a + b + carry
-        state.append(total & _LOW)
-        carry = total >> _32
-    state = _pcg_step(state, inc)
-    u = np.empty((len(indices), length))
-    for t in range(length):
-        state = _pcg_step(state, inc)
-        x = ((state[3] ^ state[1]) << _32) | (state[2] ^ state[0])
-        rot = state[3] >> _26
-        x = (x >> rot) | (x << ((_64 - rot) & _63))
-        u[:, t] = (x >> _11) * (1.0 / 9007199254740992.0)
-    return u
+    lo += inc_lo
+    hi += inc_hi
+    hi += lo < inc_lo
+    a, b, c, d = (np.empty_like(lo) for _ in range(4))
+    u = np.empty((length, len(lo)))
+    for t in range(-1, length):
+        # b = mulhi(lo, M_lo) from the limbs a, b of lo; no sum reaches 2**64
+        np.bitwise_and(lo, _LOW, out=a)
+        np.right_shift(lo, _32, out=b)
+        np.right_shift(np.multiply(a, _B0, out=c), _32, out=c)
+        np.add(np.multiply(b, _B0, out=d), c, out=d)
+        np.add(np.bitwise_and(d, _LOW, out=c), np.multiply(a, _B1, out=a), out=c)
+        np.add(np.multiply(b, _B1, out=b), np.right_shift(d, _32, out=d), out=b)
+        b += np.right_shift(c, _32, out=c)
+        hi *= _M_LO
+        hi += np.multiply(lo, _M_HI, out=a)
+        hi += b
+        hi += inc_hi
+        lo *= _M_LO
+        lo += inc_lo
+        hi += lo < inc_lo
+        if t >= 0:  # past the seeding step: (hi ^ lo) rotated right by hi >> 58
+            np.bitwise_xor(hi, lo, out=a)
+            np.right_shift(hi, _58, out=b)
+            np.right_shift(a, b, out=c)
+            a <<= np.bitwise_and(np.negative(b, out=b), _63, out=b)
+            a |= c
+            np.multiply(np.right_shift(a, _11, out=a), 2.0**-53, out=u[t])
+    return u.T
 
 
 def _generator_uniforms(seed, indices, length):
-    """_vectorised_uniforms, one numpy Generator per row."""
+    """_vectorised_uniforms' draws from one numpy Generator per row, as a
+    C-contiguous (N, length) array: row r holds stream indices[r]."""
     u = np.empty((len(indices), length))
     for row, i in zip(u, indices.tolist()):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
@@ -199,14 +194,16 @@ def _generator_uniforms(seed, indices, length):
     return u
 
 
-# Measured costs on a 2-CPU x86-64 host (Python 3.11, numpy 2.4). The
-# vectorised pass spends about _DRAW_S per draw on limb arithmetic plus
-# _STEP_S per step on the fixed cost of that step's ~45 numpy calls; a
-# Generator costs about _ROW_S per row to build and _GEN_DRAW_S per draw.
-# So many short rows favour the vectorised pass, and few rows or rows of
-# more than about 500 draws favour one Generator per row.
-_DRAW_S, _STEP_S = 45e-9, 50e-6
-_ROW_S, _GEN_DRAW_S = 22e-6, 4e-9
+# Measured costs on a 2-CPU x86-64 host (Python 3.11, numpy 2.4), fitted
+# to best-of-9 timings of both paths at (count, length) = (20,000, 16),
+# (3, 1,700) and (1,000, 1,000). The vectorised pass spends about _DRAW_S
+# per draw on 64-bit arithmetic plus _STEP_S per step on the fixed cost of
+# that step's ~30 numpy calls; a Generator costs about _ROW_S per row to
+# build and _GEN_DRAW_S per draw. So many short rows favour the vectorised
+# pass, and few rows or rows of more than about 1,000 draws favour one
+# Generator per row.
+_DRAW_S, _STEP_S = 14e-9, 16e-6
+_ROW_S, _GEN_DRAW_S = 13e-6, 3e-9
 
 
 def _vectorise(count, length):
@@ -225,7 +222,9 @@ def draw_cohort(spec, initial, group=None, id_prefix="sim"):
 
     The uniforms for every sequence are drawn first, by the vectorised pass
     or one Generator per sequence as _vectorise chooses; both give the same
-    bits. One call to the walk kernel then walks the whole cohort.
+    bits, the first step-major (a transposed view) and the second row-major.
+    One call to the walk kernel then walks the whole cohort. The ids come
+    from one %-format, the prefix's own % signs doubled.
     """
     count, length = spec.count, spec.length
     draw = _vectorised_uniforms if _vectorise(count, length) else _generator_uniforms
@@ -233,8 +232,8 @@ def draw_cohort(spec, initial, group=None, id_prefix="sim"):
     first = np.searchsorted(np.cumsum(initial), u[:, 0], side="right")
     first = np.minimum(first, spec.matrix.size - 1) + 1
     states = _kernels.walk(np.cumsum(spec.matrix.probs, axis=1), first, u[:, 1:])
-    return CohortDataset([f"{id_prefix}{i:04d}" for i in range(count)], (group,) * count,
-                         states.ravel(), np.full(count, length),
+    ids = list(map((id_prefix.replace("%", "%%") + "%04d").__mod__, range(count)))
+    return CohortDataset(ids, (group,) * count, states.ravel(), np.full(count, length),
                          StateSpace(spec.matrix.size), "simulation")
 
 

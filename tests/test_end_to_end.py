@@ -55,15 +55,26 @@ LONG_ROWS = st.tuples(
 )
 
 
+# --id-prefix values: letters, ASCII or not, and the characters that
+# %-formatting and str.format treat specially. No comma, quote or line
+# break, so the rows are unquoted and the oracle's split on "," holds.
+ID_PREFIXES = st.text(st.one_of(st.sampled_from("%{}"), st.characters(categories=["L"])),
+                      max_size=6)
+
+
 class TestSimulateReplay:
     """Every simulated row equals the oracle's replay of its documented
-    stream, SeedSequence(seed, spawn_key=(i,)), through the sampling rule."""
+    stream, SeedSequence(seed, spawn_key=(i,)), through the sampling rule,
+    under the id f"{prefix}{i:04d}"."""
 
     @settings(max_examples=40, deadline=None)
-    @given(rows=positive_rows(), shape=st.one_of(SHORT_ROWS, LONG_ROWS), seed=SEEDS)
-    @example(rows=np.full((11, 11), 1 / 11), shape=(2, 2 * CHUNK + 1, False), seed=2**128)
-    @example(rows=np.full((12, 12), 1 / 12), shape=(200, 16, True), seed=2**96 - 1)
-    def test_simulated_csv_replays(self, rows, shape, seed):
+    @given(rows=positive_rows(), shape=st.one_of(SHORT_ROWS, LONG_ROWS), seed=SEEDS,
+           prefix=ID_PREFIXES)
+    @example(rows=np.full((11, 11), 1 / 11), shape=(2, 2 * CHUNK + 1, False), seed=2**128,
+             prefix="sim")
+    @example(rows=np.full((12, 12), 1 / 12), shape=(200, 16, True), seed=2**96 - 1,
+             prefix="%d%%{0}é")
+    def test_simulated_csv_replays(self, rows, shape, seed, prefix):
         count, length, vectorised = shape
         assert simulate._vectorise(count, length) is vectorised
         k = rows.shape[0]
@@ -74,11 +85,38 @@ class TestSimulateReplay:
                                                             "rows": rows.tolist()}}}, fh)
             code = main(["simulate", "--config", config, "--model", "chain",
                          "--length", str(length), "--count", str(count), "--seed", str(seed),
-                         "--group-label", "sim", "--out", csv, "--output", report])
+                         "--group-label", "sim", "--id-prefix", prefix, "--out", csv,
+                         "--output", report])
             assert code == 0
             spec = {"rows": rows, "k": k, "count": count, "length": length, "seed": seed,
-                    "group": "sim", "id_prefix": "sim"}
+                    "group": "sim", "id_prefix": prefix}
             assert oracle.check_simulate(report, csv, spec) == []
+
+    @pytest.mark.parametrize("group, count, length, vectorised",
+                             [("ocd", 500, 16, True), ("adhd", 3, 1700, False)])
+    def test_group_matrix_replays(self, tmp_path, group, count, length, vectorised):
+        """simulate --group draws from the group's estimated matrix, which
+        the oracle recomputes from the cohort's truth; stationary --group
+        reports that matrix's stationary distribution."""
+        assert simulate._vectorise(count, length) is vectorised
+        cohort = tmp_path / "cohort.csv"
+        rows = oracle.Truth(gen.make_cohort(cohort, 1, 300), 5).group_matrix(group)
+        source = ["--group", group, "--input", str(cohort)]
+        csv, report = tmp_path / "sim.csv", tmp_path / "sim.json"
+        assert main(["simulate", *source, "--length", str(length), "--count", str(count),
+                     "--seed", "3", "--group-label", "sim", "--out", str(csv),
+                     "--output", str(report)]) == 0
+        spec = {"rows": rows, "k": 5, "count": count, "length": length, "seed": 3,
+                "group": "sim", "id_prefix": "sim"}
+        assert oracle.check_simulate(report, csv, spec) == []
+        assert main(["stationary", *source, "--output", str(tmp_path / "st.json")]) == 0
+        problems = oracle.Problems()
+        got = oracle.load_results(tmp_path / "st.json", "stationary", problems)["stationary"]
+        dist, power = oracle.power_stationary(rows)
+        problems.close("distribution", got["distribution"], dist)
+        problems.equal("power", got["power_at_convergence"], power)
+        problems.equal("converged", got["converged"], True)
+        assert problems == []
 
 
 # Marks put inside ids so that csv.writer quotes them: a comma, a quote, a

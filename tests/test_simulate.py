@@ -211,6 +211,19 @@ class TestStreams:
         want = simulate._generator_uniforms(seed, indices, length)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**127 + 1, 2**128 + 3, 2**160 + 3],
+                             ids=["1-word", "4-word", "5-word", "6-word"])
+    @pytest.mark.parametrize("length", [1, 17])
+    def test_many_consecutive_streams_are_generator_bits(self, seed, length):
+        # thousands of streams, so that the carry from the low to the high
+        # half of the state occurs in many rows and steps, and the spawn
+        # keys just below 2**32
+        indices = np.concatenate([np.arange(4096), np.arange(2**32 - 4096, 2**32)])
+        got = simulate._vectorised_uniforms(seed, indices, length)
+        want = simulate._generator_uniforms(seed, indices, length)
+        assert got.tobytes() == want.tobytes()
+        assert got.T.flags.c_contiguous  # walk reads each step's draws as one row
+
     @settings(max_examples=100, deadline=None)
     @given(seed=SEEDS, index=st.integers(0, 2**32 - 1))
     def test_stream_states_are_generate_state(self, seed, index):
