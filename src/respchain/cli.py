@@ -165,8 +165,8 @@ class _Run:
     required read it before any check of their own. counts, groups and every
     score and ROC keep the rows in file order; order and ids serve only the
     per-participant tables, which are written in participant_id order
-    (Python's str order, from dataio._id_order's numpy sort of the ids'
-    packed UTF-8 bytes)."""
+    (Python's str order, from dataio._id_order: a numpy sort of ASCII ids
+    of up to 8 bytes, packed, else sorted())."""
 
     def __init__(self, args, config):
         self.args = args

@@ -249,10 +249,9 @@ def _texts(a, starts, ends):
     return [t.strip() for t in texts] if ((chars <= 32) | (chars >= 127)).any() else texts
 
 
-# A group field of 1 to 8 * _KEY_WORDS bytes, each in 33..126 and none a
-# '"', is keyed by its bytes: no such byte is NUL, a space or a quote, so
-# zero-padded keys stay distinct and the field is its label, unstripped.
-_KEY_WORDS = 4
+# A group field of 1 to 8 bytes, each in 33..126 and none a '"', is keyed
+# by its bytes: no such byte is NUL, a space or a quote, so zero-padded
+# keys stay distinct and the field is its label, unstripped.
 _KEY_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], np.uint64)  # n low bytes
 _BYTES = np.uint64(0x0101010101010101)  # times b: b in every byte
 
@@ -260,40 +259,30 @@ _BYTES = np.uint64(0x0101010101010101)  # times b: b in every byte
 def _groups(a, starts, ends, texts):
     """An object array of each row's group from its field a[starts:ends],
     one shared str per label and None for an empty field. A field of key
-    bytes (above) is packed zero-padded into little-endian uint64 words,
-    read at any offset through one strided view of a; one np.unique per
-    word numbers the keys, each distinct key is decoded once and every row
-    gathers its label from that table. The other rows take the zero key,
-    then texts(rows), their stripped texts, 8192 rows at a time. a holds
-    at least 8 bytes."""
+    bytes (above) is packed zero-padded into one little-endian uint64 word,
+    read at any offset through one strided view of a; np.unique numbers
+    the words, each distinct word is decoded once and every row gathers
+    its label from that table. The other rows take the zero word, then
+    texts(rows), their stripped texts, 8192 rows at a time. a holds at
+    least 8 bytes, and a group field ends before a's last byte."""
     if not starts.size:  # a header alone, or a first record cut by the field limit
         return np.empty(0, object)
     width = ends - starts
-    words = min(-(-int(width.max(initial=1)) // 8), _KEY_WORDS)
     view = np.ndarray((a.size - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
-    keys, good = np.empty((words, starts.size), np.uint64), (width > 0) & (width <= 8 * words)
-    for j, key in enumerate(keys):  # a word read nearer the end than 8 bytes is shifted down
-        pos = np.minimum(starts + 8 * j, a.size - 1)
-        base = np.minimum(pos, a.size - 8)
-        mask = _KEY_MASKS.take(np.clip(width - 8 * j, 0, 8))
-        key[:] = view[base] >> (8 * (pos - base)).astype(np.uint64) & mask
-        # a byte below 33, above 126 or equal to 34 sets its high bit in one of the three
-        # terms, and no other does (hasless, hasmore, haszero of S. E. Anderson's "Bit
-        # Twiddling Hacks"); the bytes past the field read as 33
-        y = key | ~mask & _BYTES * 33
-        q = y ^ _BYTES * 34
-        good &= ((y - _BYTES * 33) & ~y | (y + _BYTES) | y | (q - _BYTES) & ~q) & _BYTES * 128 == 0
-    keys[:, ~good] = 0
-    table, index = np.unique(keys[0], return_inverse=True)
-    for key in keys[1:]:  # (key so far, word) pairs, renumbered
-        values, word = np.unique(key, return_inverse=True)
-        table, index = np.unique(index * values.size + word, return_inverse=True)
-    some = np.empty(table.size, np.intp)
-    some[index] = np.arange(index.size)  # a row of each key
-    labels = {}
-    table = keys[:, some].T.astype("<u8", order="C").view(f"S{8 * words}").ravel().astype(str)
-    groups = np.array([labels.setdefault(label, label or None) for label in table.tolist()],
-                      object)[index]
+    base = np.minimum(starts, a.size - 8)  # a word read nearer the end than 8 bytes is shifted down
+    mask = _KEY_MASKS.take(np.minimum(width, 8))
+    key = view[base] >> (8 * (starts - base)).astype(np.uint64) & mask
+    # a byte below 33, above 126 or equal to 34 sets its high bit in one of the three terms,
+    # and no other does (hasless, hasmore, haszero of S. E. Anderson's "Bit Twiddling
+    # Hacks"); the bytes past the field read as 33
+    y = key | ~mask & _BYTES * 33
+    q = y ^ _BYTES * 34
+    good = (width > 0) & (width <= 8)
+    good &= ((y - _BYTES * 33) & ~y | (y + _BYTES) | y | (q - _BYTES) & ~q) & _BYTES * 128 == 0
+    key[~good] = 0
+    table, index = np.unique(key, return_inverse=True)
+    labels, table = {}, table.astype("<u8").view("S8").astype(str).tolist()
+    groups = np.array([labels.setdefault(label, label or None) for label in table], object)[index]
     rest = np.flatnonzero(~good & (width > 0))
     for block in (rest[i:i + 8192] for i in range(0, rest.size, 8192)):
         groups[block] = np.array([labels.setdefault(label, label or None)
@@ -303,30 +292,20 @@ def _groups(a, starts, ends, texts):
 
 def _id_order(ids):
     """The intp permutation that puts ids, distinct strs, in sorted()'s
-    order. UTF-8 byte order is code-point order, so each id is read from
-    the joined UTF-8 text, every byte raised by one (a NUL then sorts above
-    the zero padding, and a proper prefix first), as ceil(width / 8) <=
-    _KEY_WORDS big-endian uint64 words through one strided view of the text,
-    padded so that every read stays in it; the bytes past the id's end are
-    masked to zero. np.argsort of one word or np.lexsort of more orders the
-    keys, all distinct. A column with an id over 8 * _KEY_WORDS bytes goes
-    to sorted()."""
+    order. When the ids are ASCII and none is over 8 bytes, each is read
+    from the joined text, every byte raised by one (a NUL then sorts above
+    the zero padding, and a proper prefix first), as one big-endian uint64
+    word through one strided view of the text, padded so that every read
+    stays in it; the bytes past the id's end are masked to zero, and
+    np.argsort orders the words, all distinct. Any other column goes to
+    sorted()."""
     text = "".join(ids)
-    buf = text.encode()
-    ends = np.cumsum(np.fromiter(map(len, ids), np.intp, len(ids)))
-    if len(buf) != len(text):  # each id ends where its next char's lead byte starts
-        lead = np.flatnonzero(np.frombuffer(buf, np.uint8) & 0xC0 != 0x80)
-        ends = np.append(lead, len(buf))[ends]
-    width = np.diff(ends, prepend=0)
-    if width.max(initial=0) > 8 * _KEY_WORDS:
+    width = np.fromiter(map(len, ids), np.intp, len(ids))
+    if not text.isascii() or width.max(initial=0) > 8:
         return np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
-    words = -(-int(width.max(initial=1)) // 8)
-    a = np.frombuffer(buf + bytes(8 * words), np.uint8) + 1  # 0xFF is no UTF-8 byte
+    a = np.frombuffer(text.encode() + bytes(8), np.uint8) + 1
     view = np.ndarray((a.size - 7,), ">u8", a, 0, (1,))  # the 8 bytes from each offset
-    high = ~_KEY_MASKS[::-1]  # high[n]: the n high bytes
-    keys = [view[ends - width + 8 * j] & high.take(np.clip(width - 8 * j, 0, 8))
-            for j in range(words)]
-    return np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
+    return np.argsort(view[np.cumsum(width) - width] & ~_KEY_MASKS.take(8 - width))
 
 
 def _cell_states(cell, k):
@@ -409,9 +388,9 @@ def load_cohort(path, config):
 
     The breaks are found by one scan for the bytes below 45, keeping ',',
     CR and LF (every break byte is below 45), with int32 offsets under
-    2 GiB. Groups come first: a field of key bytes is labelled from its
-    packed bytes by np.unique, any other through its text, 8192 rows at a
-    time, one shared str per label either way (_groups). Then the ids, and
+    2 GiB. Groups come first: a field of 1 to 8 key bytes is labelled from
+    its one packed word by np.unique, any other through its text, 8192 rows
+    at a time, one shared str per label either way (_groups). Then the ids, and
     the states from the responses column's offsets alone (_states).
     """
     space, k = config.state_space, config.states

@@ -34,6 +34,9 @@ SCHEMA = "respchain-report/1"
 # Table rows write_report encodes and writes at a time.
 WRITE_BLOCK_ROWS = 256
 
+# The title above roc_svg's plot.
+ROC_TITLE = "ROC comparison"
+
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 _NUMBERS = frozenset((int, float))
 _ATOMS = frozenset((str, bool, type(None)))
@@ -318,7 +321,7 @@ def roc_points_csv(curve):
     return "".join(roc_points_blocks(curve))
 
 
-def roc_svg(curves, title="ROC comparison"):
+def roc_svg(curves):
     """Self-contained SVG figure of one or more ROC curves.
 
     curves is a list of (name, RocCurve). Layout: unit square with tick
@@ -343,7 +346,7 @@ def roc_svg(curves, title="ROC comparison"):
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
         f'<text x="{ml + pw / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>',
+        f'font-family="sans-serif" font-size="15">{ROC_TITLE}</text>',
         # axes box
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="black" stroke-width="1"/>',

@@ -833,7 +833,7 @@ RAW_IDS = ["A1", "B2", " C3 ", "\u2003D4\u2003", "\u00e95", "\u4e2d6", "N\0L", "
            '"' + "W" * RAW_LIMIT + '"', '"' + "V" * (RAW_LIMIT - 2) + '""x"']
 RAW_GROUPS = ["", "a", " b ", "b", "\u2003a", '"a"', '"a,b"', 'g"h', '"x\ry"', "\0",
               '"' + "g\n" * (RAW_LIMIT // 2) + '"', "G" * RAW_LIMIT,
-              "H" * 8, "I" * 9, "J" * 16, "K" * 17,  # one or two key words, two or three
+              "H" * 8, "I" * 9, "J" * 16, "K" * 17,  # one key word, then text
               "a\0", "\0a", "\x7f", "~", "\ta\t", "\t~"]
 
 
@@ -910,8 +910,8 @@ class TestAgainstCsvModule:
 
 def many_labels_csv(bad_rows):
     """24,000 rows over 200 distinct labels: some read as key bytes (1 to
-    32 bytes of '!' to '~' but '"'), the rest as text (padded, quoted,
-    non-ASCII, with a NUL or DEL, 33 bytes or more; over 8192 rows), and
+    8 bytes of '!' to '~' but '"'), the rest as text (padded, quoted,
+    non-ASCII, with a NUL or DEL, 9 bytes or more; over 8192 rows), and
     empty ones. With bad_rows, every seventh row is one lenient mode skips."""
     names = [f"g{i}" for i in range(60)] + [f"{i:02d}" + "~" * (i % 31) for i in range(60)]
     texts = [f"\t{name} " for name in names[::3]] + [f'"{name},x"' for name in names[:20]]
@@ -941,6 +941,16 @@ class TestGroupLabels:
         assert len({id(group) for group in got.groups if group is not None}) == len(labels)
         assert len(got.skipped) == (3429 if mode == "lenient" else 0)
 
+    @pytest.mark.parametrize("mode", ["strict", "lenient"])
+    @pytest.mark.parametrize("end", ["", "\n", "\r\n"])
+    @pytest.mark.parametrize("label", ["a", "~!", "H" * 7, "H" * 8, "I" * 9, "#~" * 4 + "!"])
+    def test_labels_in_the_last_record_read_as_the_csv_module_reads_them(
+            self, tmp_path, mode, end, label):
+        # a key of 8 bytes is one whole word and one of 9 is text; a short one starts
+        # within 8 bytes of the end, so its word is read shifted down
+        data = f"participant_id,group,responses\nP1,g,33\nP2,{label},34{end}".encode()
+        assert_reads_like_csv_module(tmp_path / "last.csv", data, rc.Config(mode=mode))
+
 
 # NUL, \x01, ASCII, DEL and characters of 2, 3 and 4 UTF-8 bytes
 ONE_BYTE_CHARS = ["\0", "\x01", "a", "b", "~", "\x7f"]
@@ -955,8 +965,8 @@ def id_text(data, chars):
 @st.composite
 def id_columns(draw):
     """Distinct ids of 1 to 40 UTF-8 bytes each (to a width drawn for the
-    column, so that columns of each number of words are drawn alike), which
-    share prefixes of one stem of the column's, so they differ in any word."""
+    column, so that narrow and wide columns are drawn alike), which share
+    prefixes of one stem of the column's, so they differ at any byte."""
     top, stem = draw(st.integers(1, 40)), id_text(draw(st.binary(max_size=40)), ID_CHARS)
     ids = []
     for width, cut, tail, pad in draw(st.lists(st.tuples(
@@ -971,6 +981,18 @@ def id_columns(draw):
     return tuple(dict.fromkeys(ids))
 
 
+@st.composite
+def ascii_id_columns(draw):
+    """Distinct ASCII ids of 1 to 8 bytes, the widths the ids are packed
+    at, which share prefixes of one stem of the column's."""
+    stem = id_text(draw(st.binary(max_size=8)), ONE_BYTE_CHARS)
+    ids = [(stem[:cut] + id_text(tail, ONE_BYTE_CHARS))[:width]
+           for width, cut, tail in draw(st.lists(st.tuples(
+               st.integers(1, 8), st.integers(0, 8), st.binary(min_size=8, max_size=8)),
+               max_size=16))]
+    return tuple(dict.fromkeys(ids))
+
+
 class TestIdOrder:
     @settings(max_examples=2000, deadline=None)
     @given(id_columns())
@@ -981,6 +1003,13 @@ class TestIdOrder:
         order = dataio._id_order(ids)
         assert order.dtype == np.intp
         assert order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(ascii_id_columns())
+    @example(("a\0\0", "a\x01", "a", "a\0"))
+    @example(("\x7f" * 8, "\0" * 8, "\x01", "\0", "\x7f"))
+    def test_packed_columns_equal_sorted(self, ids):
+        assert dataio._id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 @pytest.fixture

@@ -244,15 +244,14 @@ _SCORES = "_scores: one block's visited-cell indices, terms and level sums"
 # op: (input, argv, rows or steps, bound in bytes per row or step, the
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
 # 2.4, x86-64), in B per row: estimate 206.3, compare 204.3, estimate with
-# the wide group labels 222.9, score 224.5, classify 218.3, classify with
-# three models 224.4, diagnose 214.3, and 2,561 and 1,710 for the two
-# per-participant tables; their bounds add 10 %. The simulate bounds are
+# the wide group labels (over 8 bytes, so read as text) 219.3, score 224.5,
+# classify 218.3, classify with three models 224.4, diagnose 214.3, and
+# 2,561 and 1,710 for the two per-participant tables; their bounds add 10 %. The simulate bounds are
 # their measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's
 # former int64 output).
 PEAK_OPS = {
     "estimate": ("40k", ["estimate"], 40_000, 227, _IDS),
-    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 246,
-                             "_groups: three key words per row and np.unique's sort"),
+    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 241, _IDS),
     "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 225,
                 _IDS),
     "score": ("40k", ["score", *_PAIR], 40_000, 247, _SCORES),

@@ -1,7 +1,10 @@
-"""Every name a library module imports at top level is read somewhere in it.
+"""Every name a library module imports at top level is read somewhere in
+it, and every private name a module defines at top level is read somewhere
+in the package.
 
 No linter ships with the test dependencies, and code is often deleted
-here, so an import left behind by a deletion is caught by this test.
+here, so an import or a private helper or constant left behind by a
+deletion is caught by these tests.
 The package's __init__.py imports names to re-export them, so it is
 checked the other way: __all__ holds exactly the names it imports from
 its submodules, plus __version__, which must match pyproject.toml.
@@ -30,6 +33,37 @@ def unused_imports(source):
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
             and isinstance(n.ctx, ast.Load)}
     return sorted(imported - read)
+
+
+def defined_private_names(source):
+    """The functions, classes and constants a module defines at top level
+    whose names start with '_' (dunder names aside)."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def read_names(source):
+    """Every name the module reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_finds_an_unread_private_name():
+    source = "_A = 1\n_B, C = 2, 3\ndef _f():\n    return _A\nclass _K: pass\n__all__ = []\n"
+    assert defined_private_names(source) - read_names(source) == {"_B", "_K", "_f"}
+    assert read_names("import m\nm._f()\n") == {"m", "_f"}
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    read = set().union(*map(read_names, sources))
+    assert sorted(set().union(*map(defined_private_names, sources)) - read) == []
 
 
 def test_finds_an_unused_import():
