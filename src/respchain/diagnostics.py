@@ -135,13 +135,21 @@ def roc_curve(scores, labels, positive_label):
     preceded by an infinite cutoff that predicts nothing positive; tied
     scores therefore cross together. AUC is the trapezoidal area, which
     equals the probability that a random positive outscores a random
-    negative (ties counted half). Scores may be infinite but not NaN.
+    negative (ties counted half). Scores may be infinite but not NaN. The
+    zero group's cutoff is the first zero in scores, -0.0 or 0.0.
     """
     return _roc(scores, _matches(list(labels), positive_label))
 
 
 def _roc(scores, truth):
-    """roc_curve of scores against truth, a bool array of the positives."""
+    """roc_curve of scores against truth, a bool array of the positives.
+
+    The scores are sorted by numpy's default (unstable) argsort, read in
+    reverse: a point sums a whole tie group, so the order within a group
+    never shows, and a group's values share their bits, except the zero
+    group, where -0.0 == 0.0. Its cutoff is the first zero in the scores'
+    own order, the one a stable sort would put first.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or truth.shape != scores.shape:
         raise ValidationError("scores and labels must be 1-d and equal length")
@@ -153,7 +161,7 @@ def _roc(scores, truth):
         raise ValidationError(
             "ROC needs at least one positive and one negative case"
         )
-    order = np.argsort(-scores, kind="stable")
+    order = np.argsort(scores)[::-1]
     sorted_scores = scores[order]
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     tp = np.cumsum(np.add.reduceat(truth[order].astype(np.int64), starts))
@@ -161,6 +169,7 @@ def _roc(scores, truth):
     fpr = np.r_[0.0, fp / n_neg]
     tpr = np.r_[0.0, tp / n_pos]
     cutoff = np.r_[np.inf, sorted_scores[starts]]
+    cutoff[cutoff == 0] = scores[np.argmax(scores == 0)]  # -0.0 or 0.0, as first read
     for column in (fpr, tpr, cutoff):
         column.flags.writeable = False
     return RocCurve(fpr, tpr, cutoff, float(np.trapezoid(tpr, fpr)))

@@ -16,13 +16,12 @@ dataclass such as TransitionMatrix) is written as the object of its fields.
 
 ROC points can additionally be exported as plain CSV, and one or more ROC
 curves as a self-contained SVG figure (axes, diagonal reference, one
-polyline per classifier).
+polyline per classifier). Both write ROC_CHUNK_POINTS points at a time.
 """
 
 import json
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
-from html import escape
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -33,6 +32,9 @@ SCHEMA = "respchain-report/1"
 
 # Table rows write_report encodes and writes at a time.
 WRITE_BLOCK_ROWS = 256
+
+# ROC points roc_points_blocks and roc_svg write at a time.
+ROC_CHUNK_POINTS = 4096
 
 # The title above roc_svg's plot.
 ROC_TITLE = "ROC comparison"
@@ -300,25 +302,87 @@ def roc_block(curve):
     return {"auc": curve.auc, "n_points": curve.fpr.size}
 
 
-def _point_blocks(fmt, sep, *columns):
-    """fmt % each point's values, one value per column, joined by sep, as
-    texts of WRITE_BLOCK_ROWS points: only one block's floats exist at once."""
-    points = np.column_stack(columns)
-    for start in range(0, len(points), WRITE_BLOCK_ROWS):
-        block = points[start:start + WRITE_BLOCK_ROWS]
-        yield sep.join([fmt] * len(block)) % tuple(block.ravel().tolist())
+def _run_texts(column):
+    """repr of each value of a float64 column, worked out once per run of
+    values with equal bits, so a rate repeated down the curve is written
+    once."""
+    bits = column.view(np.uint64)
+    new = np.r_[True, bits[1:] != bits[:-1]]
+    texts = np.array(list(map(repr, column[new].tolist())), dtype=object)
+    return texts[np.cumsum(new) - 1].tolist()
 
 
 def roc_points_blocks(curve):
-    """roc_points_csv's text as its header, then WRITE_BLOCK_ROWS points at
-    a time, for writing to a file block by block."""
+    """roc_points_csv's text as its header, then ROC_CHUNK_POINTS points at
+    a time, for writing to a file block by block. The fpr and tpr texts are
+    worked out once per run of equal values (_run_texts), the cutoffs by
+    repr, and each block is one join of them with the commas and newlines
+    between."""
     yield "fpr,tpr,cutoff\n"
-    yield from _point_blocks("%r,%r,%r\n", "", curve.fpr, curve.tpr, curve.cutoff)
+    for start in range(0, curve.fpr.size, ROC_CHUNK_POINTS):
+        chunk = slice(start, start + ROC_CHUNK_POINTS)
+        fpr = _run_texts(curve.fpr[chunk])
+        parts = [","] * (6 * len(fpr))
+        parts[0::6] = fpr
+        parts[2::6] = _run_texts(curve.tpr[chunk])
+        parts[4::6] = list(map(repr, curve.cutoff[chunk].tolist()))
+        parts[5::6] = ["\n"] * len(fpr)
+        yield "".join(parts)
 
 
 def roc_points_csv(curve):
     """ROC points as plain CSV with the fixed fpr,tpr,cutoff header."""
     return "".join(roc_points_blocks(curve))
+
+
+def _fixed2(values, end):
+    """"%.2f" % value + end for each value of a float64 array, as the
+    columns of a uint8 matrix with one row per character, each text
+    right-aligned and padded with NULs in front; None unless every value is
+    below 2**31 with its sign bit clear (so no NaN, infinity or -0.0).
+
+    Each value is m * 2**-s for a 53-bit integer m and s >= 22, so 100 * m
+    fits in a uint64 and its quotient and remainder by 2**s are exact. The
+    quotient rounded half to even on that remainder is the value in
+    hundredths, which is what "%.2f" writes. A shift over 63 is cut to 63:
+    100 * m < 2**60 rounds to 0 either way.
+    """
+    if np.signbit(values).any() or not values.max() < 2**31:
+        return None
+    mantissa, exponent = np.frexp(values)
+    scaled = np.ldexp(mantissa, 53).astype(np.uint64) * np.uint64(100)
+    shift = np.minimum(53 - exponent, 63).astype(np.uint64)
+    whole = scaled >> shift
+    rest = scaled - (whole << shift)
+    half = np.uint64(1) << (shift - np.uint64(1))
+    whole += (rest > half) | ((rest == half) & ((whole & 1) == 1))
+    width = len(str(int(whole.max()) // 100))  # digits before the point
+    out = np.empty((width + 4, len(values)), np.uint8)
+    out[width], out[-1] = ord("."), ord(end)
+    for row in (width + 2, width + 1, *range(width - 1, -1, -1)):
+        tens = whole // 10
+        digit = whole - tens * 10 + ord("0")
+        out[row] = digit if row >= width - 1 else np.where(whole > 0, digit, 0)
+        whole = tens
+    return out
+
+
+def _polyline_points(xs, ys):
+    """The polyline's points: "%.2f,%.2f" of each (x, y), joined by spaces.
+    Each chunk of ROC_CHUNK_POINTS points is written as one byte matrix of
+    _fixed2's texts, read point by point with its NULs dropped; a chunk
+    _fixed2 cannot write goes through "%.2f" itself."""
+    texts = []
+    for start in range(0, len(xs), ROC_CHUNK_POINTS):
+        x, y = xs[start:start + ROC_CHUNK_POINTS], ys[start:start + ROC_CHUNK_POINTS]
+        cx, cy = _fixed2(x, ","), _fixed2(y, " ")
+        if cx is None or cy is None:
+            texts.append(" ".join(["%.2f,%.2f"] * len(x))
+                         % tuple(np.column_stack((x, y)).ravel().tolist()))
+        else:
+            text = np.vstack((cx, cy)).T.tobytes().translate(None, b"\0")
+            texts.append(text[:-1].decode("ascii"))
+    return " ".join(texts)
 
 
 def roc_svg(curves):
@@ -328,8 +392,8 @@ def roc_svg(curves):
     marks every 0.2, a dashed no-discrimination diagonal, one polyline
     per curve, and a legend carrying each curve's AUC. A curve's polyline
     coordinates are computed on its fpr/tpr arrays by sx/sy, the same
-    IEEE arithmetic as for a single tick mark, and written with one "%.2f"
-    format.
+    IEEE arithmetic as for a single tick mark, and written as "%.2f" would
+    write them, from exact integer hundredths (_polyline_points).
     """
     width, height = 560, 440
     ml, mt, mr, mb = 70, 40, 30, 60
@@ -375,7 +439,8 @@ def roc_svg(curves):
     ]
     for idx, (name, curve) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        pts = " ".join(_point_blocks("%.2f,%.2f", " ", sx(curve.fpr), sy(curve.tpr)))
+        pts = _polyline_points(sx(curve.fpr), sy(curve.tpr))
+        label = name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         ly = mt + 20 + idx * 18
         parts += [
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -383,7 +448,7 @@ def roc_svg(curves):
             f'<line x1="{ml + 12}" y1="{ly - 4}" x2="{ml + 40}" y2="{ly - 4}" '
             f'stroke="{color}" stroke-width="2"/>',
             f'<text x="{ml + 46}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{escape(name, quote=False)} (AUC = {curve.auc:.3f})</text>',
+            f'font-size="12">{label} (AUC = {curve.auc:.3f})</text>',
         ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -453,7 +453,8 @@ def classify_counts(counts, participant_ids, candidates, reference,
     if len(names) > 1:
         ordered = np.sort(scores, axis=1)
         top, second = ordered[:, -1], ordered[:, -2]
-        with np.errstate(invalid="ignore"):  # inf - inf: equal, caught by ==
+        # inf - inf: equal, caught by ==; a difference over DBL_MAX: inf, no tie
+        with np.errstate(invalid="ignore", over="ignore"):
             tie = ((top == second) | (top - second <= TIE_TOLERANCE)) & ~reject
     else:
         tie = np.zeros(len(choice), dtype=bool)

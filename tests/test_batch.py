@@ -348,15 +348,22 @@ def _first_raised(outcomes, block):
     return None
 
 
+# One (1,1) transition scored by two candidates whose scores, 1.7e308 and
+# -1e308, are finite but differ by more than DBL_MAX
+OVERFLOWING_GAP = (np.array([[[1, 0], [0, 0]]], dtype=np.int64),
+                   np.array([[1.7e308, 0.0, 0.0, 0.0], [-1e308, 0.0, 0.0, 0.0]]))
+
+
 class TestHardBetas:
     """score_counts and classify_counts against math.fsum of the visited
     terms, on betas from subnormal to near overflow, half-ulp ties, signed
     zeros, infinities and NaN. A product that overflows to inf warns
     nothing, as Python's does not, and neither does classify_counts' tie
-    check on infinite scores."""
+    check, on infinite scores or on finite ones whose difference overflows."""
 
     @settings(max_examples=300, deadline=None)
     @given(hard_scoring_cases())
+    @example(OVERFLOWING_GAP)
     def test_equals_fsum_of_visited_terms(self, case):
         counts, betas = case
         expected = _fsum_outcomes(counts, betas)
@@ -391,6 +398,18 @@ class TestHardBetas:
         assert verdicts.scores.tolist() == [[np.inf, np.inf]] * 3
         assert verdicts.tie_mask.tolist() == [True] * 3
         assert verdicts.choice.tolist() == [0] * 3
+
+    def test_overflowing_gap_is_no_tie(self, monkeypatch):
+        """top - second overflows to inf, which warns nothing and is no tie."""
+        counts, betas = OVERFLOWING_GAP
+        lrs = {f"m{i}": SimpleNamespace(values=beta.reshape(2, 2))
+               for i, beta in enumerate(betas)}
+        monkeypatch.setattr(scoring, "log_likelihood_matrix",
+                            lambda num, den, floor, numerator_name, **_: lrs[numerator_name])
+        verdicts = rc.classify_counts(counts, ["a"], [(name, None) for name in lrs], None)
+        assert verdicts.scores.tolist() == [[1.7e308, -1e308]]
+        assert verdicts.tie_mask.tolist() == [False]
+        assert verdicts.choice.tolist() == [0]
 
 
 class TestFallbackAndMemory:

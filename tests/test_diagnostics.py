@@ -221,6 +221,20 @@ class TestRocCurve:
         assert repr(curve.points) == repr(points)
         assert curve.auc == auc
 
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_zero_group_cutoff_is_first_zero(self, first):
+        """-0.0 == 0.0, so the zero group's members differ in bits and the sort
+        leaves them in any order; its cutoff is the first zero in file order."""
+        rng = np.random.default_rng(3)
+        zeros = rng.choice([-0.0, 0.0], 500).tolist()
+        scores = [1.5, first, *zeros, -2.0, *rng.choice([-1.0, 0.5, -0.0, 0.0], 500).tolist()]
+        labels = ["pos" if v else "neg" for v in rng.random(len(scores)) < 0.5]
+        curve = rc.roc_curve(scores, labels, "pos")
+        points, auc = reference_roc_curve(scores, labels, "pos")
+        assert repr(curve.points) == repr(points)
+        assert curve.auc == auc
+        assert repr(curve.points[3][2]) == repr(first)
+
     def test_point_for_each_distinct_score(self):
         curve = rc.roc_curve(
             [0.3, 0.3, 0.7, 0.9], ["n", "p", "p", "p"], positive_label="p"

@@ -261,7 +261,7 @@ PEAK_OPS = {
                                "--reference", "model:MEM"], 40_000, 247, _SCORES),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
                          "--svg", "{tmp}/roc.svg"], 40_000, 236,
-                 "_roc: the scores as float64, their negation, sort order and sorted copy"),
+                 "_roc at the AUC: sort order, sorted copy, group starts and the columns"),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,

@@ -3,14 +3,15 @@
 The exports are checked byte for byte against the per-point writers they
 replaced, kept below unchanged as oracles, over curves from roc_curve and
 curves whose rates land within a few ulps of a "%.2f" rounding tie once
-scaled onto the figure.
+scaled onto the figure, with chunk edges anywhere. The SVG's integer
+hundredths are checked against "%.2f" itself.
 """
 
 from html import escape
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import respchain as rc
@@ -173,6 +174,88 @@ class TestExportsMatchPerPointWriters:
         ys = {"%.2f" % (40 + (1.0 - near_tie_rate(40, 340, True, cents, u)) * 340)
               for u in range(-3, 4)}
         assert len(xs) == len(ys) == 2
+
+
+def nudged(value, ulps):
+    """value moved by ulps units in the last place, up or down."""
+    value = np.float64(value)
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, np.copysign(np.inf, ulps))
+    return float(value)
+
+
+# Doubles in [0, 2**31), which _fixed2 writes: any, the exact binary ties
+# k / 8, the neighbours of each cent's tie (c + 0.5) / 100, subnormals, 0.0
+# and the largest double below 2**31
+fixed2_value = st.one_of(
+    st.floats(0, 2**31, exclude_max=True),
+    st.integers(0, 2**34 - 1).map(lambda k: k / 8),
+    st.builds(lambda cents, ulps: nudged((cents + 0.5) / 100, ulps),
+              st.integers(0, 2**31 * 100 - 1), st.integers(-3, 3)),
+    st.floats(0, 2.0**-1022, exclude_max=True),
+    st.sampled_from([0.0, 5e-324, nudged(2**31, -1)]),
+)
+# Rates whose coordinates _fixed2 leaves to "%.2f": negative, NaN, infinite
+# or at least 2**31 (sx and sy never give -0.0), and -0.0, a rate equal to
+# 0.0 with another text
+odd_rate = st.sampled_from([-1.0, -0.2, float("nan"), float("inf"), float("-inf"), 1e7, 2e300,
+                            -0.0])
+
+
+@st.composite
+def odd_curves(draw):
+    """A RocCurve whose rates are near ties or odd_rate, and drawn cutoffs."""
+    n = draw(st.integers(1, 40))
+    columns = [draw(st.lists(strategy, min_size=n, max_size=n)) for strategy in
+               (near_tie_fpr | odd_rate, near_tie_tpr | odd_rate, score)]
+    return rc.RocCurve(*map(np.array, columns), draw(st.floats(0.0, 1.0)))
+
+
+def fixed2_texts(values):
+    """_fixed2's texts of values, each read back as a str."""
+    matrix = reporting._fixed2(np.array(values, dtype=np.float64), ",")
+    return matrix.T.tobytes().translate(None, b"\0").decode("ascii").split(",")[:-1]
+
+
+class TestFixedHundredths:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(fixed2_value, min_size=1, max_size=50))
+    @example([0.125, 0.375, 1 / 3, 0.005, 0.015, 69.995, 2**31 - 0.005])
+    def test_equals_percent_format(self, values):
+        assert fixed2_texts(values) == ["%.2f" % value for value in values]
+
+    @pytest.mark.parametrize("odd", [-0.0, -1.0, -5e-324, float("nan"), -float("nan"),
+                                     float("inf"), float("-inf"), 2.0**31, 1e300])
+    def test_values_left_to_percent_format(self, odd):
+        assert reporting._fixed2(np.array([1.0, odd, 2.0]), ",") is None
+
+
+class TestChunkEdges:
+    """Both exports with ROC_CHUNK_POINTS patched small, so chunk edges fall
+    inside runs of equal rates and some chunks take "%.2f" while others
+    take the integer hundredths."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(curve_name, swept_curves() | column_curves() | odd_curves()),
+                    min_size=1, max_size=3),
+           st.integers(1, 7))
+    def test_csv_and_svg_bytes(self, curves, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reporting, "ROC_CHUNK_POINTS", chunk)
+            for _, curve in curves:
+                assert reporting.roc_points_csv(curve) == reference_roc_points_csv(curve)
+            assert reporting.roc_svg(curves) == reference_roc_svg(curves)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+    def test_signed_zeros_and_coordinates_left_to_percent_format(self, chunk, monkeypatch):
+        monkeypatch.setattr(reporting, "ROC_CHUNK_POINTS", chunk)
+        nan, inf = float("nan"), float("inf")
+        curve = rc.RocCurve(
+            np.array([0.0, -0.0, -0.0, 0.5, -1.0, nan, 0.25, inf, -inf, 1e7, 1.0]),
+            np.array([0.0, 0.0, -0.0, 0.5, 0.5, 0.75, nan, 1e7, 1.0, -inf, 1.0]),
+            np.array([inf, 0.0, -0.0, -0.0, 0.0, 1.0, 1.0, -inf, nan, 0.5, 0.5]), 0.5)
+        assert reporting.roc_points_csv(curve) == reference_roc_points_csv(curve)
+        assert reporting.roc_svg([("odd", curve)]) == reference_roc_svg([("odd", curve)])
 
 
 class TestRocColumns:
