@@ -273,31 +273,52 @@ def count_tensor(sequences, space):
     sum already widens. Blocks of whole sequences, about
     COUNT_BLOCK_STATES states each, are counted by one bincount; pairs
     that would join one sequence's last response to the next one's first
-    are left out. Every sequence needs at least two responses, and states
+    are left out. The kernel is the one that pools each group's counts in
+    the CLI, keyed here by row rather than by group code (_pair_tables).
+    Every sequence needs at least two responses, and states
     outside 1..space.size are rejected; the first offending sequence in
     input order is named, with the position of its bad state.
     """
     ids, _, states, lengths = _columns(sequences)
-    n, k = len(lengths), space.size
+    n = len(lengths)
     if n:
-        _check_rows(ids, states, lengths, k)
-    out = np.zeros((n, k * k), dtype=np.min_scalar_type(lengths.max(initial=1) - 1))
+        _check_rows(ids, states, lengths, space.size)
+    return _pair_tables(states, lengths, space.size, None, n,
+                        np.min_scalar_type(lengths.max(initial=1) - 1))
+
+
+def _pair_tables(states, lengths, k, keys, n_tables, dtype):
+    """The (n_tables, K, K) tables of dtype whose table g counts the
+    adjacent (from, to) pairs of every row r with keys[r] == g, or of row g
+    when keys is None: each group's pooled counts with the group codes as
+    keys, count_tensor without keys. The rows, of at least two valid states
+    each, are counted in blocks of whole rows, about COUNT_BLOCK_STATES
+    states each, by one bincount over the keys that the block holds."""
+    n, size = len(lengths), k * k
+    out = np.zeros((n_tables, size), dtype)
     ends = np.cumsum(lengths)
     first = 0
     while first < n:
         start = ends[first] - lengths[first]
         stop = max(first + 1, int(np.searchsorted(ends, start + COUNT_BLOCK_STATES, "right")))
-        # code of each pair = row * K*K + (from-1) * K + (to-1), rows counted
-        # from the block's first; the code at a sequence's last response is
-        # the spare bin past the end, dropped below
-        size = (stop - first) * k * k
-        codes = np.repeat(np.arange(0, size, k * k) - (k + 1), lengths[first:stop])
+        # code of each pair = key * K*K + (from-1) * K + (to-1), keys counted
+        # from the block's least; the code at a row's last response is the
+        # spare bin past the end, dropped below
+        block_keys = np.arange(first, stop) if keys is None else keys[first:stop].astype(np.intp)
+        low = int(block_keys.min())
+        bins = (int(block_keys.max()) + 1 - low) * size
+        codes = np.repeat((block_keys - low) * size - (k + 1), lengths[first:stop])
         block = states[start:ends[stop - 1]].astype(np.intp)
         codes[:-1] += block[:-1] * k + block[1:]
-        codes[ends[first:stop] - start - 1] = size
-        out[first:stop] = np.bincount(codes, minlength=size + 1)[:size].reshape(-1, k * k)
+        codes[ends[first:stop] - start - 1] = bins
+        counts = np.bincount(codes, minlength=bins + 1)[:bins].reshape(-1, size)
+        if keys is None:  # each row is in one block
+            out[first:stop] = counts
+        else:
+            out[low:low + len(counts)] += counts
+        del codes, block, counts  # before the next block's
         first = stop
-    return out.reshape(n, k, k)
+    return out.reshape(-1, k, k)
 
 
 def count_transitions(sequence, space):

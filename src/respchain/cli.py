@@ -19,10 +19,10 @@ theoretical model), or a bare name, which must be unambiguous.
 
 The CLI orchestrates; every number in a report is produced by the library
 modules. Each subcommand gets one run object holding its args, the effective
-config, the model registry, the cohort (loaded and counted once, on first
-use) and the report's notes. Faults are found in a fixed order: the flags,
-the config file, the config's models, the input file, then the command's own
-flag checks and name resolution.
+config, the model registry, the cohort (loaded once, and counted by group
+and by row at most once each, on first use) and the report's notes. Faults
+are found in a fixed order: the flags, the config file, the config's models,
+the input file, then the command's own flag checks and name resolution.
 """
 
 import argparse
@@ -159,14 +159,18 @@ def _effective_config(args):
 
 class _Run:
     """One subcommand's run: its args, effective config and model registry, the
-    --input cohort (loaded and counted into one (N, K, K) tensor on first use,
-    the record of the input the report names) and the warnings, each printed
-    to stderr as are the rows lenient mode skipped. Commands whose --input is
-    required read it before any check of their own. counts, groups and every
-    score and ROC keep the rows in file order; order and ids serve only the
-    per-participant tables, which are written in participant_id order
-    (Python's str order, from dataio._id_order: a numpy sort of ASCII ids
-    of up to 8 bytes, packed, else sorted())."""
+    --input cohort (loaded on first use, the record of the input the report
+    names) and the warnings, each printed to stderr as are the rows lenient
+    mode skipped. Commands whose --input is required read it before any
+    check of their own. Groups are read through the dataset's group codes,
+    numbered at load: each group's pooled counts come from one count keyed
+    by group code (group_tables), so estimate and compare never count the
+    rows one by one. Only the per-participant tables, score, classify and
+    diagnose build the (N, K, K) tensor of each row's counts (counts).
+    counts and every score and ROC keep the rows in file order; order and
+    ids serve only the per-participant tables, which are written in
+    participant_id order (Python's str order, from dataio._id_order: a
+    numpy sort of ASCII ids of up to 8 bytes, packed, else sorted())."""
 
     def __init__(self, args, config):
         self.args = args
@@ -207,23 +211,36 @@ class _Run:
         return self.by_id(np.array(self.dataset.participant_ids, dtype=object))
 
     @functools.cached_property
-    def groups(self):
-        return np.array(self.dataset.groups, dtype=object)
-
-    @functools.cached_property
     def counts(self):
         return chain.count_tensor(self.dataset, self.dataset.state_space)
+
+    @functools.cached_property
+    def group_tables(self):
+        """Each group's pooled (K, K) counts and its number of rows, both
+        indexed by group code."""
+        dataset = self.dataset
+        labels, codes = dataset.group_codes
+        tables = chain._pair_tables(dataset.states, dataset.lengths, dataset.state_space.size,
+                                    codes, len(labels), np.int64)
+        return tables, np.bincount(codes, minlength=len(labels))
 
     def by_id(self, column):
         """A file-order (N, ...) result array as a list in participant_id order."""
         return column[self.order].tolist()
 
+    def group_column(self):
+        """Each row's group, in participant_id order."""
+        labels, codes = self.dataset.group_codes
+        return self.by_id(np.array(labels, dtype=object)[codes])
+
     def pool(self, group):
         """A group's pooled TransitionCounts and its number of sequences."""
-        rows = self.groups == group
-        if not rows.any():
+        labels = self.dataset.group_codes[0]
+        if group not in labels:
             raise self.dataset.missing_group(group)
-        return chain.TransitionCounts(self.counts[rows].sum(axis=0)), int(rows.sum())
+        tables, sizes = self.group_tables
+        code = labels.index(group)
+        return chain.TransitionCounts(tables[code]), int(sizes[code])
 
     def group_matrix(self, group):
         """The transition matrix estimated from a group's pooled counts."""
@@ -301,7 +318,7 @@ def _cmd_estimate(run):
         counts = run.counts[run.order]
         probs, defined = chain._row_probabilities(counts, config.smoothing_alpha)
         results["participants"] = reporting.Table({
-            "group": run.by_id(run.groups),
+            "group": run.group_column(),
             "counts": {"counts": counts.tolist(), "row_totals": counts.sum(axis=2).tolist(),
                        "total": counts.sum(axis=(1, 2)).tolist()},
             "matrix": {"probs": probs.tolist(), "defined_rows": defined.tolist()},
@@ -353,7 +370,7 @@ def _cmd_score(run):
     lr = run.log_ratio()
     rows = {
         "participant_id": ids,
-        "group": run.by_id(run.groups),
+        "group": run.group_column(),
         "score": run.by_id(scoring.score_counts(run.counts, lr.values)),
     }
     if run.args.breakdown:
@@ -417,25 +434,25 @@ def _cmd_classify(run):
 def _cmd_diagnose(run):
     args, config, dataset = run.args, run.config, run.dataset
     (num_name, _), (den_name, _) = run.ratio_terms
-    groups = sorted(dataset.group_labels)
-    if len(groups) != 2 or None in dataset.groups:
+    labels, codes = dataset.group_codes  # two groups are labelled in str order
+    if len(labels) != 2 or None in labels:
         raise ValidationError(
             "diagnose needs every participant in one of exactly two groups"
         )
-    positive = args.positive_group or (num_name if num_name in groups else None)
+    positive = args.positive_group or (num_name if num_name in labels else None)
     if positive is None:
         raise ValidationError(
             "--positive-group is required when the numerator is not a group"
         )
-    if positive not in groups:
+    if positive not in labels:
         raise ValidationError(
-            f"positive group {positive!r} not in data (groups: {', '.join(groups)})"
+            f"positive group {positive!r} not in data (groups: {', '.join(labels)})"
         )
     # In file order: ties cross a cutoff together, so row order could only pick
     # -0.0 or +0.0 as a tied group's cutoff, and no score here is -0.0
     # (score_counts writes a zero sum as +0.0; sum scores are integers).
     scores = scoring.score_counts(run.counts, run.log_ratio().values)
-    truth = run.groups == positive
+    truth = codes == labels.index(positive)
     table = diagnostics._confusion_cells(truth, scores >= config.cutoff, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
     curve = diagnostics._roc(scores, truth)

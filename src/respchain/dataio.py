@@ -18,7 +18,7 @@ import json
 import numbers
 import os
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -119,6 +119,18 @@ def load_config(path=None):
     return Config(models=tuple(models), **raw)
 
 
+def _numbering(labels, codes):
+    """labels, distinct, and codes, an index into labels per row,
+    renumbered as CohortDataset.group_codes numbers groups: only the labels
+    some row holds, None first and then in str order, with each row's code
+    in the smallest unsigned type that holds their number."""
+    held = np.flatnonzero(np.bincount(codes, minlength=len(labels))).tolist()
+    held.sort(key=lambda i: (labels[i] is not None, labels[i] or ""))
+    renumber = np.zeros(len(labels), np.min_scalar_type(len(held)))
+    renumber[held] = range(len(held))
+    return tuple(labels[i] for i in held), _readonly(renumber[codes])
+
+
 def _check_unique(ids):
     """Reject the first participant id that repeats an earlier one."""
     if len(set(ids)) < len(ids):
@@ -141,7 +153,10 @@ class CohortDataset:
     use. skipped holds a (line, message) pair per input row that lenient
     mode skipped, in line order. source is where the rows came from and
     sha256 the hex SHA-256 of the file bytes parsed, a byte order mark
-    included (None for a cohort never read from a file).
+    included (None for a cohort never read from a file). group_codes
+    numbers the groups; load_cohort passes in, as numbering, the one it
+    made while reading the group column, and any other dataset derives it
+    from groups on first use.
     """
 
     participant_ids: tuple
@@ -152,8 +167,9 @@ class CohortDataset:
     source: str
     skipped: tuple = ()
     sha256: str | None = None
+    numbering: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, numbering):
         ids = tuple(self.participant_ids)
         groups = tuple(self.groups)
         lengths = _readonly(np.asarray(self.lengths, dtype=np.int64))
@@ -169,6 +185,8 @@ class CohortDataset:
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "states", states)
+        if numbering is not None:
+            object.__setattr__(self, "group_codes", numbering)
 
     def __len__(self):
         return len(self.participant_ids)
@@ -184,8 +202,19 @@ class CohortDataset:
         return np.cumsum(self.lengths) - self.lengths
 
     @cached_property
+    def group_codes(self):
+        """(labels, codes): the distinct groups, None first and then in str
+        order, and a read-only array of each row's index into labels, in the
+        smallest unsigned type that holds their number. groups[i] is
+        labels[codes[i]]."""
+        code = {}
+        codes = np.fromiter((code.setdefault(group, len(code)) for group in self.groups),
+                            np.intp, len(self.groups))
+        return _numbering(list(code), codes)
+
+    @cached_property
     def group_labels(self):
-        return frozenset(self.groups) - {None}
+        return frozenset(self.group_codes[0]) - {None}
 
     @cached_property
     def sequences(self):
@@ -257,16 +286,18 @@ _BYTES = np.uint64(0x0101010101010101)  # times b: b in every byte
 
 
 def _groups(a, starts, ends, texts):
-    """An object array of each row's group from its field a[starts:ends],
-    one shared str per label and None for an empty field. A field of key
-    bytes (above) is packed zero-padded into one little-endian uint64 word,
-    read at any offset through one strided view of a; np.unique numbers
-    the words, each distinct word is decoded once and every row gathers
-    its label from that table. The other rows take the zero word, then
-    texts(rows), their stripped texts, 8192 rows at a time. a holds at
-    least 8 bytes, and a group field ends before a's last byte."""
+    """The groups of the rows whose group fields are a[starts:ends]: a list
+    of distinct labels (None for an empty field) and each row's index into
+    it, in the smallest unsigned type that holds their number. A field of
+    key bytes (above) is packed zero-padded into one little-endian uint64
+    word, read at any offset through one strided view of a; np.unique
+    numbers the words, and each distinct word is decoded once. The other
+    rows take the zero word, then texts(rows), their stripped texts, 8192
+    rows at a time, each new label numbered after the last. A label may
+    be held by no row. a holds at least 8 bytes, and a group field ends
+    before a's last byte."""
     if not starts.size:  # a header alone, or a first record cut by the field limit
-        return np.empty(0, object)
+        return [], np.zeros(0, np.uint8)
     width = ends - starts
     view = np.ndarray((a.size - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
     base = np.minimum(starts, a.size - 8)  # a word read nearer the end than 8 bytes is shifted down
@@ -281,13 +312,12 @@ def _groups(a, starts, ends, texts):
     good &= ((y - _BYTES * 33) & ~y | (y + _BYTES) | y | (q - _BYTES) & ~q) & _BYTES * 128 == 0
     key[~good] = 0
     table, index = np.unique(key, return_inverse=True)
-    labels, table = {}, table.astype("<u8").view("S8").astype(str).tolist()
-    groups = np.array([labels.setdefault(label, label or None) for label in table], object)[index]
+    code = {label or None: i for i, label in
+            enumerate(table.astype("<u8").view("S8").astype(str).tolist())}
     rest = np.flatnonzero(~good & (width > 0))
     for block in (rest[i:i + 8192] for i in range(0, rest.size, 8192)):
-        groups[block] = np.array([labels.setdefault(label, label or None)
-                                  for label in texts(block)], object)
-    return groups
+        index[block] = [code.setdefault(label or None, len(code)) for label in texts(block)]
+    return list(code), index.astype(np.min_scalar_type(len(code)))
 
 
 def _id_order(ids):
@@ -388,10 +418,12 @@ def load_cohort(path, config):
 
     The breaks are found by one scan for the bytes below 45, keeping ',',
     CR and LF (every break byte is below 45), with int32 offsets under
-    2 GiB. Groups come first: a field of 1 to 8 key bytes is labelled from
-    its one packed word by np.unique, any other through its text, 8192 rows
-    at a time, one shared str per label either way (_groups). Then the ids, and
-    the states from the responses column's offsets alone (_states).
+    2 GiB. Groups come first: a field of 1 to 8 key bytes is numbered by
+    its one packed word through np.unique, any other through its text, 8192
+    rows at a time (_groups). Then the ids, and the states from the
+    responses column's offsets alone (_states). Once the rows are known,
+    the group numbers are put in group_codes' order (_numbering) and kept
+    on the dataset, and groups is read from them, one shared str per label.
     """
     space, k = config.state_space, config.states
     with open(path, "rb") as fh:
@@ -469,15 +501,15 @@ def load_cohort(path, config):
         return values
 
     # the groups before the ids: the ids' strs are not live while the group keys are numbered
-    groups = _groups(a, starts[first + 1], ends[first + 1], lambda rows: column(first[rows] + 1))
+    labels, codes = _groups(a, starts[first + 1], ends[first + 1],
+                            lambda rows: column(first[rows] + 1))
     ids = column(first)
     if "" in ids:
         empty = np.array([not pid for pid in ids])
         rejected += [(line, f"{path}, line {line}: empty participant_id")
                      for line in lines[empty].tolist()]
         ids = [pid for pid in ids if pid]
-        first, lines, groups = first[~empty], lines[~empty], groups[~empty]
-    groups = groups.tolist()
+        first, lines, codes = first[~empty], lines[~empty], codes[~empty]
     cells = starts[first + 2], ends[first + 2]
     del starts, ends, first, quoted  # _states gets the responses column's offsets alone
     states, lengths, bad = _states(a, *cells, k, lambda i: field(cells[0][i], cells[1][i]).strip())
@@ -489,14 +521,18 @@ def load_cohort(path, config):
     if stop:
         raise csv.Error(stop)
     if bad:
-        ids, groups = ([x for i, x in enumerate(c) if i not in bad] for c in (ids, groups))
-    ids, groups = tuple(ids), tuple(groups)  # the dataset keeps these, not copies of lists
+        ids = [x for i, x in enumerate(ids) if i not in bad]
+        codes = np.delete(codes, list(bad))
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
+    labels, codes = _numbering(labels, codes)
+    # the dataset keeps these tuples, not copies of lists; one shared str per label
+    ids, groups = tuple(ids), tuple(np.array(labels, object)[codes].tolist())
     digest = hashlib.sha256(bom)
     digest.update(buf)  # the whole file: a read cut at the field limit has raised
     return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,
-                         space, str(path), skipped=tuple(problems), sha256=digest.hexdigest())
+                         space, str(path), skipped=tuple(problems), sha256=digest.hexdigest(),
+                         numbering=(labels, codes))
 
 
 def _cells(states, lengths, k):

@@ -165,10 +165,10 @@ def _roc(scores, truth):
     sorted_scores = scores[order]
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     tp = np.cumsum(np.add.reduceat(truth[order].astype(np.int64), starts))
-    fp = np.r_[starts[1:], scores.size] - tp
-    fpr = np.r_[0.0, fp / n_neg]
+    fpr = np.r_[0.0, (np.r_[starts[1:], scores.size] - tp) / n_neg]
     tpr = np.r_[0.0, tp / n_pos]
     cutoff = np.r_[np.inf, sorted_scores[starts]]
+    del order, sorted_scores, starts, tp  # not alive at the AUC, which sets the peak
     cutoff[cutoff == 0] = scores[np.argmax(scores == 0)]  # -0.0 or 0.0, as first read
     for column in (fpr, tpr, cutoff):
         column.flags.writeable = False

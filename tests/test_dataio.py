@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import respchain as rc
+import respchain.chain as chain
 import respchain.dataio as dataio
 from conftest import field_limit, traced_peak
 
@@ -1010,6 +1011,68 @@ class TestIdOrder:
     @example(("\x7f" * 8, "\0" * 8, "\x01", "\0", "\x7f"))
     def test_packed_columns_equal_sorted(self, ids):
         assert dataio._id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+
+
+# Group fields of every kind the loader numbers: empty (None), 1 to 8 key
+# bytes (one packed word each), and text: 9 bytes or more, padded, quoted
+# or not ASCII.
+GROUP_FIELDS = st.one_of(
+    st.sampled_from(["", " ", "a", "b", "ocd", "12345678", "123456789", "attention_deficit",
+                     " a ", "a,b", '"q"', "\u00e9", "Y" * 33]),
+    st.text(st.characters(min_codepoint=32, max_codepoint=0x3FF), max_size=12))
+
+
+@st.composite
+def numbered_cohorts(draw):
+    """CSV text of rows over a few drawn group fields, some rows that
+    lenient mode skips for their responses or their empty id, and a good
+    last row."""
+    k = draw(st.sampled_from([5, 11]))
+    fields = draw(st.lists(GROUP_FIELDS, min_size=1, max_size=6))
+    kinds = draw(st.lists(st.sampled_from(["good"] * 6 + [
+        "empty_id", "bad_digit", "one_response", "out_of_range"]), max_size=40)) + ["good"]
+    rows = []
+    for i, kind in enumerate(kinds):
+        pid = draw(st.sampled_from(["", "  "])) if kind == "empty_id" else f"P{i}"
+        cell = _responses_cell(draw, k, "good" if kind == "empty_id" else kind)
+        rows.append([pid, draw(st.sampled_from(fields)), cell])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(rc.CSV_HEADER)
+    writer.writerows(rows)
+    return k, buf.getvalue()
+
+
+class TestGroupCodes:
+    """The loader's group numbering is the one CohortDataset derives from
+    groups, and the tables counted by group code are the rows' count tables
+    summed per group, in blocks of any size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(numbered_cohorts(), st.sampled_from([1, 5, 64, chain.COUNT_BLOCK_STATES]))
+    @example((5, "participant_id,group,responses\r\nP0,123456789,33\r\nP1,,34\r\n"
+                 "P2, b ,3x\r\n ,c,34\r\nP4,b,43\r\n"), 1)
+    def test_codes_and_group_tables(self, tmp_path_factory, case, block):
+        k, text = case
+        path = tmp_path_factory.getbasetemp() / "numbered.csv"
+        path.write_bytes(text.encode())
+        data = rc.load_cohort(path, rc.Config(states=k, mode="lenient"))
+        labels, codes = data.group_codes
+        derived = rc.CohortDataset(data.participant_ids, data.groups, data.states,
+                                   data.lengths, data.state_space, "derived").group_codes
+        assert derived[0] == labels
+        assert derived[1].dtype == codes.dtype == np.min_scalar_type(len(labels))
+        assert np.array_equal(derived[1], codes)
+        assert list(labels) == [None] * (None in data.groups) + sorted(set(data.groups) - {None})
+        assert [labels[c] for c in codes.tolist()] == list(data.groups)
+        tensor = rc.count_tensor(data, data.state_space)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chain, "COUNT_BLOCK_STATES", block)
+            tables = chain._pair_tables(data.states, data.lengths, k, codes, len(labels),
+                                        np.int64)
+        assert tables.shape == (len(labels), k, k) and tables.dtype == np.int64
+        for code in range(len(labels)):
+            assert np.array_equal(tables[code], tensor[codes == code].sum(axis=0))
 
 
 @pytest.fixture

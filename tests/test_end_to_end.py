@@ -243,10 +243,11 @@ _IDS = "CohortDataset: _check_unique's set of the id strings"
 _SCORES = "_scores: one block's visited-cell indices, terms and level sums"
 # op: (input, argv, rows or steps, bound in bytes per row or step, the
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
-# 2.4, x86-64), in B per row: estimate 206.3, compare 204.3, estimate with
-# the wide group labels (over 8 bytes, so read as text) 219.3, score 224.5,
-# classify 218.3, classify with three models 224.4, diagnose 214.3, and
-# 2,561 and 1,710 for the two per-participant tables; their bounds add 10 %. The simulate bounds are
+# 2.4, x86-64), in B per row: estimate 205.3, compare 205.3, estimate with
+# the wide group labels (over 8 bytes, so read as text) 220.3, score 217.4,
+# classify 211.2, classify with three models 225.4, diagnose 205.3, and
+# 2,562 and 1,667 for the two per-participant tables. Each bound adds 10 %
+# to the peak measured when it was last lowered. The simulate bounds are
 # their measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's
 # former int64 output).
 PEAK_OPS = {
@@ -254,14 +255,13 @@ PEAK_OPS = {
     "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 241, _IDS),
     "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 225,
                 _IDS),
-    "score": ("40k", ["score", *_PAIR], 40_000, 247, _SCORES),
-    "classify": ("40k", ["classify", *_PAIR], 40_000, 241, _SCORES),
+    "score": ("40k", ["score", *_PAIR], 40_000, 240, _SCORES),
+    "classify": ("40k", ["classify", *_PAIR], 40_000, 233, _SCORES),
     "classify_multi": ("40k", ["classify", "--models",
                                "model:symmetric,model:skewed+,model:skewed-",
                                "--reference", "model:MEM"], 40_000, 247, _SCORES),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
-                         "--svg", "{tmp}/roc.svg"], 40_000, 236,
-                 "_roc at the AUC: sort order, sorted copy, group starts and the columns"),
+                         "--svg", "{tmp}/roc.svg"], 40_000, 226, _IDS),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,
