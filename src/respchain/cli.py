@@ -169,8 +169,8 @@ class _Run:
     diagnose build the (N, K, K) tensor of each row's counts (counts).
     counts and every score and ROC keep the rows in file order; order and
     ids serve only the per-participant tables, which are written in
-    participant_id order (Python's str order, from dataio._id_order: a
-    numpy sort of ASCII ids of up to 8 bytes, packed, else sorted())."""
+    participant_id order (Python's str order: the dataset's id_order, an
+    argsort of the id keys packed at load when every id packs)."""
 
     def __init__(self, args, config):
         self.args = args
@@ -201,10 +201,10 @@ class _Run:
             print(warning, file=sys.stderr)
         return dataset
 
-    @functools.cached_property
+    @property
     def order(self):
         """The row indices in participant_id order, as an intp array."""
-        return dataio._id_order(self.dataset.participant_ids)
+        return self.dataset.id_order
 
     @functools.cached_property
     def ids(self):
@@ -381,6 +381,13 @@ def _cmd_score(run):
     }
 
 
+def _with_floors(results, policies):
+    """results, with a floored_cells block {candidate name: the floor
+    records of its ratio} when any ratio floored a cell."""
+    floored = {name: records for name, records in policies.items() if records}
+    return {**results, "floored_cells": floored} if floored else results
+
+
 def _cmd_classify(run):
     args, config, ids = run.args, run.config, run.ids
     binary = args.numerator is not None or args.denominator is not None
@@ -417,18 +424,20 @@ def _cmd_classify(run):
             "assigned": np.array(labels, dtype=object)[verdicts.choice[run.order]].tolist()}
     if binary:
         rows["score"] = run.by_id(verdicts.scores[:, 0])
-        return {"mode": "binary", "cutoff": config.cutoff,
-                "assignments": reporting.Table(rows), "class_counts": class_counts}
-    rows["scores"] = dict(zip(verdicts.names, verdicts.scores[run.order].T))
-    rows["tie"] = verdicts.tie_mask[run.order]
-    return {
-        "mode": "multimodel",
-        "reference": ref_name,
-        "candidates": verdicts.names,
-        "assignments": reporting.Table(rows),
-        "class_counts": class_counts,
-        "equiprobability": stats.equiprobability_test(list(class_counts.values())),
-    }
+        results = {"mode": "binary", "cutoff": config.cutoff,
+                   "assignments": reporting.Table(rows), "class_counts": class_counts}
+    else:
+        rows["scores"] = dict(zip(verdicts.names, verdicts.scores[run.order].T))
+        rows["tie"] = verdicts.tie_mask[run.order]
+        results = {
+            "mode": "multimodel",
+            "reference": ref_name,
+            "candidates": verdicts.names,
+            "assignments": reporting.Table(rows),
+            "class_counts": class_counts,
+            "equiprobability": stats.equiprobability_test(list(class_counts.values())),
+        }
+    return _with_floors(results, verdicts.epsilon_policy)
 
 
 def _cmd_diagnose(run):
@@ -451,7 +460,8 @@ def _cmd_diagnose(run):
     # In file order: ties cross a cutoff together, so row order could only pick
     # -0.0 or +0.0 as a tied group's cutoff, and no score here is -0.0
     # (score_counts writes a zero sum as +0.0; sum scores are integers).
-    scores = scoring.score_counts(run.counts, run.log_ratio().values)
+    lr = run.log_ratio()
+    scores = scoring.score_counts(run.counts, lr.values)
     truth = codes == labels.index(positive)
     table = diagnostics._confusion_cells(truth, scores >= config.cutoff, positive)
     mets = diagnostics.metrics(table, cutoff=config.cutoff)
@@ -482,7 +492,7 @@ def _cmd_diagnose(run):
         files["svg"] = args.svg
     if files:
         results["files"] = files
-    return results
+    return _with_floors(results, {num_name: lr.epsilon_policy})
 
 
 def _cmd_simulate(run):

@@ -168,19 +168,27 @@ class CohortDataset:
     skipped: tuple = ()
     sha256: str | None = None
     numbering: InitVar[tuple | None] = None
+    id_keys: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, numbering):
+    def __post_init__(self, numbering, id_keys):
         ids = tuple(self.participant_ids)
         groups = tuple(self.groups)
         lengths = _readonly(np.asarray(self.lengths, dtype=np.int64))
         states = _readonly(np.asarray(self.states))
         if len(groups) != len(ids) or lengths.shape != (len(ids),) \
-                or states.ndim != 1 or lengths.sum() != states.size:
+                or states.ndim != 1 or lengths.sum() != states.size \
+                or id_keys is not None and np.shape(id_keys) != (len(ids),):
             raise ValidationError(
                 "cohort columns disagree: one id, group and length per row, "
                 "and the lengths must add up to the number of states"
             )
-        _check_unique(ids)
+        if id_keys is None:
+            _check_unique(ids)
+        else:  # equal neighbours in key order are a repeated id; the set names the first
+            keys = np.sort(id_keys)
+            if (keys[1:] == keys[:-1]).any():
+                _check_unique(ids)
+        object.__setattr__(self, "_id_keys", id_keys)
         object.__setattr__(self, "participant_ids", ids)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "lengths", lengths)
@@ -211,6 +219,17 @@ class CohortDataset:
         codes = np.fromiter((code.setdefault(group, len(code)) for group in self.groups),
                             np.intp, len(self.groups))
         return _numbering(list(code), codes)
+
+    @cached_property
+    def id_order(self):
+        """The row indices in participant_id order (sorted()'s), as an intp
+        array: np.argsort of the id keys load_cohort passed in, which are
+        then dropped, else _id_order of the ids."""
+        keys = self._id_keys
+        if keys is None:
+            return _id_order(self.participant_ids)
+        object.__setattr__(self, "_id_keys", None)  # the order is all they were kept for
+        return np.argsort(keys)
 
     @cached_property
     def group_labels(self):
@@ -283,6 +302,7 @@ def _texts(a, starts, ends):
 # keys stay distinct and the field is its label, unstripped.
 _KEY_MASKS = np.array([2 ** (8 * n) - 1 for n in range(9)], np.uint64)  # n low bytes
 _BYTES = np.uint64(0x0101010101010101)  # times b: b in every byte
+_TOP_BYTES = ~_KEY_MASKS[::-1]  # n high bytes
 
 
 def _groups(a, starts, ends, texts):
@@ -320,22 +340,51 @@ def _groups(a, starts, ends, texts):
     return list(code), index.astype(np.min_scalar_type(len(code)))
 
 
+def _id_keys(a, starts, widths):
+    """The key of each ASCII id of 0 to 8 bytes a[starts:starts + widths],
+    starts ascending: its bytes, every one raised by one (a NUL then sorts
+    above the zero padding, and a proper prefix first), in one big-endian
+    uint64 word with the bytes past the id's end zero. So distinct ids
+    have distinct keys, in sorted()'s order, and only the empty id keys
+    to 0. Each word is read through one strided view of a, which holds at
+    least 8 bytes and no byte over 127 (so no byte's +1 carries); a word
+    read nearer a's end than 8 bytes is shifted up."""
+    view = np.ndarray((a.size - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
+    keys = view[np.minimum(starts, a.size - 8)]
+    keys.byteswap(inplace=True)  # the first byte most significant
+    tail = np.searchsorted(starts, a.size - 8, side="right")  # the words read shifted down
+    keys[tail:] <<= (8 * (starts[tail:] - (a.size - 8))).astype(np.uint64)
+    keys += _BYTES
+    keys &= _TOP_BYTES.take(widths)
+    return keys
+
+
+# The ASCII bytes str.strip() removes
+_STRIPPED = np.array([chr(b).isspace() for b in range(128)])
+
+
+def _field_keys(a, starts, ends, quoted):
+    """_id_keys of the fields a[starts:ends] of an ASCII file when each is
+    its own text, else None: no field quoted, none over 8 bytes, and none
+    with a byte str.strip() removes at either end."""
+    if quoted.any() or (ends - starts).max(initial=0) > 8:
+        return None
+    if _STRIPPED.take(a[starts]).any() or _STRIPPED.take(a[np.maximum(ends - 1, starts)]).any():
+        return None
+    return _id_keys(a, starts, ends - starts)
+
+
 def _id_order(ids):
     """The intp permutation that puts ids, distinct strs, in sorted()'s
-    order. When the ids are ASCII and none is over 8 bytes, each is read
-    from the joined text, every byte raised by one (a NUL then sorts above
-    the zero padding, and a proper prefix first), as one big-endian uint64
-    word through one strided view of the text, padded so that every read
-    stays in it; the bytes past the id's end are masked to zero, and
-    np.argsort orders the words, all distinct. Any other column goes to
-    sorted()."""
+    order. When the ids are ASCII and none is over 8 bytes, np.argsort
+    orders their keys (_id_keys), read from the joined text padded with 8
+    zero bytes. Any other column goes to sorted()."""
     text = "".join(ids)
     width = np.fromiter(map(len, ids), np.intp, len(ids))
     if not text.isascii() or width.max(initial=0) > 8:
         return np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
-    a = np.frombuffer(text.encode() + bytes(8), np.uint8) + 1
-    view = np.ndarray((a.size - 7,), ">u8", a, 0, (1,))  # the 8 bytes from each offset
-    return np.argsort(view[np.cumsum(width) - width] & ~_KEY_MASKS.take(8 - width))
+    a = np.frombuffer(text.encode() + bytes(8), np.uint8)
+    return np.argsort(_id_keys(a, np.cumsum(width) - width, width))
 
 
 def _cell_states(cell, k):
@@ -420,10 +469,15 @@ def load_cohort(path, config):
     CR and LF (every break byte is below 45), with int32 offsets under
     2 GiB. Groups come first: a field of 1 to 8 key bytes is numbered by
     its one packed word through np.unique, any other through its text, 8192
-    rows at a time (_groups). Then the ids, and the states from the
-    responses column's offsets alone (_states). Once the rows are known,
-    the group numbers are put in group_codes' order (_numbering) and kept
-    on the dataset, and groups is read from them, one shared str per label.
+    rows at a time (_groups). Then the ids: in an ASCII file whose id
+    fields are each their own text of at most 8 bytes, each is also keyed
+    by its bytes from the field offsets (_field_keys), an empty id is a
+    zero key, and the dataset checks the kept keys for repeats and orders
+    the ids by them; any other id column is checked with a set. Then the
+    states, from the responses column's offsets alone (_states). Once the
+    rows are known, the group numbers are put in group_codes' order
+    (_numbering) and kept on the dataset, and groups is read from them,
+    one shared str per label.
     """
     space, k = config.state_space, config.states
     with open(path, "rb") as fh:
@@ -504,12 +558,14 @@ def load_cohort(path, config):
     labels, codes = _groups(a, starts[first + 1], ends[first + 1],
                             lambda rows: column(first[rows] + 1))
     ids = column(first)
-    if "" in ids:
-        empty = np.array([not pid for pid in ids])
+    keys = _field_keys(a, starts[first], ends[first], quoted[first]) if ascii_only else None
+    empty = np.array([not pid for pid in ids], bool) if keys is None else keys == 0
+    if empty.any():
         rejected += [(line, f"{path}, line {line}: empty participant_id")
                      for line in lines[empty].tolist()]
         ids = [pid for pid in ids if pid]
         first, lines, codes = first[~empty], lines[~empty], codes[~empty]
+        keys = None if keys is None else keys[~empty]
     cells = starts[first + 2], ends[first + 2]
     del starts, ends, first, quoted  # _states gets the responses column's offsets alone
     states, lengths, bad = _states(a, *cells, k, lambda i: field(cells[0][i], cells[1][i]).strip())
@@ -523,6 +579,7 @@ def load_cohort(path, config):
     if bad:
         ids = [x for i, x in enumerate(ids) if i not in bad]
         codes = np.delete(codes, list(bad))
+        keys = None if keys is None else np.delete(keys, list(bad))
     if not ids:
         raise ValidationError(f"{path}: no usable data rows")
     labels, codes = _numbering(labels, codes)
@@ -532,7 +589,7 @@ def load_cohort(path, config):
     digest.update(buf)  # the whole file: a read cut at the field limit has raised
     return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,
                          space, str(path), skipped=tuple(problems), sha256=digest.hexdigest(),
-                         numbering=(labels, codes))
+                         numbering=(labels, codes), id_keys=keys)
 
 
 def _cells(states, lengths, k):

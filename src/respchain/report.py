@@ -138,23 +138,39 @@ def _texts(values, level):
     return [_json(_sanitize(value), level) for value in values]
 
 
+# The characters _quote writes as themselves: ' ' to '~' but '"' and the
+# backslash (it escapes controls, DEL and all outside ASCII)
+_PLAIN = bytes(b for b in range(32, 127) if b not in b'"\\')
+
+
 def _cells(column, level):
-    """A table column as (cells, level) for _texts, or as (texts, None).
+    """A table column as (cells, level, quote): with a level, the cells for
+    _texts to write at it; with None, each row's text, to be written
+    between two copies of quote.
 
     A 1-d int, float or bool array gets its texts here: _texts writes each
     distinct value once, non-finite rule included, and every row reads its
     text by index. Floats are keyed on their bits, so -0.0 keeps its sign
     and every NaN is written "nan". Any other array becomes its tolist().
+    A column of strs that hold only _PLAIN characters, found by one pass
+    over the joined column, is its own texts, quote '"'.
     """
-    if not isinstance(column, np.ndarray):
-        return column, level
-    if column.ndim != 1 or column.dtype.kind not in "biuf":
-        return column.tolist(), level
-    floats = column.dtype.kind == "f"
-    keys = np.asarray(column, dtype=np.float64).view(np.uint64) if floats else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    values = distinct.view(np.float64) if floats else distinct
-    return np.array(_texts(values.tolist(), level), dtype=object)[inverse].tolist(), None
+    if isinstance(column, np.ndarray):
+        if column.ndim == 1 and column.dtype.kind in "biuf":
+            floats = column.dtype.kind == "f"
+            keys = np.asarray(column, dtype=np.float64).view(np.uint64) if floats else column
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            values = distinct.view(np.float64) if floats else distinct
+            texts = np.array(_texts(values.tolist(), level), dtype=object)[inverse]
+            return texts.tolist(), None, ""
+        column = column.tolist()
+    try:
+        text = "".join(column)
+    except TypeError:  # a cell that is not a str
+        return column, level, ""
+    if text.isascii() and not text.encode().translate(None, _PLAIN):
+        return column, None, '"'
+    return column, level, ""
 
 
 def _chunks(value, level):
@@ -196,7 +212,9 @@ def _row_format(columns, level):
 
 def _table_chunks(table, level):
     """A Table's JSON text: its brackets, then WRITE_BLOCK_ROWS rows at a time,
-    each block one join of the row constants and the cell texts between them."""
+    each block one join of the row constants and the cell texts between them.
+    A column of strs written as they are (_cells) has its two quotes in the
+    constants on either side of its cell, so each block of it is a slice."""
     constants, fields = _row_format(table.columns, level + 1)
     brackets = "[]"
     if table.keys is not None:
@@ -209,17 +227,22 @@ def _table_chunks(table, level):
     if not n:
         yield brackets
         return
+    cells = []
+    for i, (column, cell_level) in enumerate(fields):
+        column, cell_level, quote = _cells(column, cell_level)
+        constants[i] += quote
+        constants[i + 1] = quote + constants[i + 1]
+        cells.append((column, cell_level))
     constants[0] = _newline(level + 1) + constants[0]
     between = constants[-1] + "," + constants[0]  # one row's end and the next's start
     step = 2 * len(fields)
-    fields = [_cells(column, cell_level) for column, cell_level in fields]
     yield brackets[0]
     for start in range(0, n, WRITE_BLOCK_ROWS):
         block = slice(start, start + WRITE_BLOCK_ROWS)
         rows = min(n - start, WRITE_BLOCK_ROWS)
         parts = [between] * (step * rows + 1)
         parts[0], parts[-1] = constants[0], constants[-1]
-        for i, (column, cell_level) in enumerate(fields):
+        for i, (column, cell_level) in enumerate(cells):
             if i:
                 parts[2 * i::step] = [constants[i]] * rows
             parts[2 * i + 1::step] = (column[block] if cell_level is None

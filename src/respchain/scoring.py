@@ -108,8 +108,9 @@ class VerdictColumns(Sequence):
     scores is the (N, M) score matrix, one column per name in `names`.
     choice is the intp index of each row's model in labels (the names,
     then the reference's) and tie_mask its bool tie flag; assigned and tie
-    read them as lists. Indexing and iteration give MultiModelVerdicts, and
-    it equals any sequence of the same verdicts.
+    read them as lists. epsilon_policy maps each name to its log-ratio
+    matrix's floor records. Indexing and iteration give
+    MultiModelVerdicts, and it equals any sequence of the same verdicts.
     """
 
     participant_ids: list
@@ -118,6 +119,7 @@ class VerdictColumns(Sequence):
     reference_name: str
     choice: np.ndarray
     tie_mask: np.ndarray
+    epsilon_policy: dict
 
     @property
     def labels(self):
@@ -288,8 +290,12 @@ def _scores(counts, betas):
     for a power of two sigma >= (K*K + 2) * max |r|, q = (sigma + r) - sigma
     and r - q are exact, and so is any sum of up to K*K of the q, so one
     bincount gives a level's row sums. Each level takes 52 - ceil(log2(K*K +
-    2)) bits or more off every r. _column_fsums rounds each row's few level
-    sums as fsum rounds their exact total.
+    2)) bits or more off every r. The levels run until r is all zero, so a
+    row's level sums, each exact, add up to its exact sum. A block of at
+    most two levels gets 0 + levels[0] + levels[1]: IEEE rounds that exact
+    sum once, to nearest with ties to even, as fsum does, and a zero comes
+    out +0.0. _column_fsums rounds the level sums of a block of three or
+    more as fsum rounds their exact total.
     """
     n, (m, cells) = counts.shape[0], betas.shape
     flat = counts.reshape(n, cells)
@@ -318,7 +324,10 @@ def _scores(counts, betas):
                 r -= q
                 levels.append(np.bincount(rows, weights=q, minlength=b))
                 top = np.abs(r).max()
-            sums = _column_fsums(np.array(levels)) if levels else np.zeros(b)
+            if len(levels) > 2:
+                sums = _column_fsums(np.array(levels))
+            else:  # 0 + levels[0] is exact, so the one rounding is that of the exact sum
+                sums = sum(levels, np.zeros(b))
             for row in wild:
                 sums[row] = fsum(terms[rows == row].tolist())
             out[start:start + b, model] = sums
@@ -422,7 +431,8 @@ def classify_counts(counts, participant_ids, candidates, reference,
     exact tie (tie flag set when the top two scores are equal, two
     infinities included, or within 1e-12); one candidate gives
     classify_binary's rule. participant_ids names the tensor's rows; each
-    candidate's log-ratio matrix is built once.
+    candidate's log-ratio matrix is built once, and its floor records are
+    kept by name.
     """
     _number(cutoff, "cutoff", signed=True)
     candidates = list(candidates)
@@ -439,11 +449,10 @@ def classify_counts(counts, participant_ids, candidates, reference,
         raise ValidationError(
             f"{len(participant_ids)} participant ids for {len(counts)} count tables"
         )
-    betas = np.stack([
-        log_likelihood_matrix(matrix, reference, epsilon_floor, numerator_name=name,
-                              denominator_name=reference_name).values
-        for name, matrix in candidates
-    ])
+    ratios = [log_likelihood_matrix(matrix, reference, epsilon_floor, numerator_name=name,
+                                    denominator_name=reference_name)
+              for name, matrix in candidates]
+    betas = np.stack([lr.values for lr in ratios])
     counts, _ = _fitted(counts, betas[0])
     scores = _scores(counts, betas.reshape(len(names), -1))
     reject = (scores < cutoff).all(axis=1)
@@ -458,5 +467,5 @@ def classify_counts(counts, participant_ids, candidates, reference,
             tie = ((top == second) | (top - second <= TIE_TOLERANCE)) & ~reject
     else:
         tie = np.zeros(len(choice), dtype=bool)
-    return VerdictColumns(list(participant_ids), names, scores, reference_name,
-                          choice, tie)
+    return VerdictColumns(list(participant_ids), names, scores, reference_name, choice, tie,
+                          {name: lr.epsilon_policy for name, lr in zip(names, ratios)})

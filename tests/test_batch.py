@@ -348,6 +348,13 @@ def _first_raised(outcomes, block):
     return None
 
 
+# One row whose terms _scores sums in exactly one, two and three extraction
+# levels: 1 and 0.5; 1 and 2**-53, a tie that fsum rounds to even (1.0);
+# and 1, 2**-53 and 2**-106, which breaks that tie upwards (1 + 2**-52)
+ONE_LEVEL, TWO_LEVELS, THREE_LEVELS = (
+    (np.array([[[1, 1], [1, 0]]], dtype=np.uint8), np.array([terms + [0.0] * (4 - len(terms))]))
+    for terms in ([1.0, 0.5, 0.0], [1.0, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106]))
+
 # One (1,1) transition scored by two candidates whose scores, 1.7e308 and
 # -1e308, are finite but differ by more than DBL_MAX
 OVERFLOWING_GAP = (np.array([[[1, 0], [0, 0]]], dtype=np.int64),
@@ -364,10 +371,13 @@ class TestHardBetas:
     @settings(max_examples=300, deadline=None)
     @given(hard_scoring_cases())
     @example(OVERFLOWING_GAP)
+    @example(ONE_LEVEL)
+    @example(TWO_LEVELS)
+    @example(THREE_LEVELS)
     def test_equals_fsum_of_visited_terms(self, case):
         counts, betas = case
         expected = _fsum_outcomes(counts, betas)
-        lrs = {f"m{i}": SimpleNamespace(values=beta.reshape(counts.shape[1:]))
+        lrs = {f"m{i}": SimpleNamespace(values=beta.reshape(counts.shape[1:]), epsilon_policy=())
                for i, beta in enumerate(betas)}
         runs = [  # (expected outcomes, scores as an (N, M) list)
             ([row[:1] for row in expected],
@@ -391,7 +401,7 @@ class TestHardBetas:
     def test_equal_infinite_top_scores_tie(self, monkeypatch):
         """Two candidates scoring +inf on every row tie there, and inf - inf
         in the tie check warns nothing."""
-        lr = SimpleNamespace(values=np.full((2, 2), np.inf))
+        lr = SimpleNamespace(values=np.full((2, 2), np.inf), epsilon_policy=())
         monkeypatch.setattr(scoring, "log_likelihood_matrix", lambda *_, **__: lr)
         verdicts = rc.classify_counts(np.ones((3, 2, 2), np.int64), ["a", "b", "c"],
                                       [("m0", None), ("m1", None)], None)
@@ -402,7 +412,7 @@ class TestHardBetas:
     def test_overflowing_gap_is_no_tie(self, monkeypatch):
         """top - second overflows to inf, which warns nothing and is no tie."""
         counts, betas = OVERFLOWING_GAP
-        lrs = {f"m{i}": SimpleNamespace(values=beta.reshape(2, 2))
+        lrs = {f"m{i}": SimpleNamespace(values=beta.reshape(2, 2), epsilon_policy=())
                for i, beta in enumerate(betas)}
         monkeypatch.setattr(scoring, "log_likelihood_matrix",
                             lambda num, den, floor, numerator_name, **_: lrs[numerator_name])

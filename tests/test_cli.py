@@ -1019,6 +1019,45 @@ class TestReportNotes:
         assert "skipped_rows" not in doc["payload"]["provenance"]
         assert "warnings" not in doc["payload"]
 
+    @pytest.fixture
+    def floored_csv(self, tmp_path):
+        """4 rows whose two group matrices have 20 zero cells each."""
+        path = tmp_path / "floors.csv"
+        path.write_text("participant_id,group,responses\n"
+                        "A,g1,123451\nB,g1,345123\nC,g2,154321\nD,g2,432154\n")
+        return str(path)
+
+    def floors(self, capsys, csv, numerator, denominator):
+        """score's floor records of one ratio."""
+        doc = run_report(capsys, "score", "--input", csv, "--numerator", numerator,
+                         "--denominator", denominator)
+        return doc["payload"]["results"]["log_ratio"]["epsilon_policy"]
+
+    @pytest.mark.parametrize("command", ["classify", "diagnose"])
+    def test_floored_cells_of_the_ratio_are_named(self, capsys, floored_csv, command):
+        policy = self.floors(capsys, floored_csv, "group:g1", "group:g2")
+        assert len(policy) == 40
+        results = run_report(capsys, command, "--input", floored_csv, "--numerator", "group:g1",
+                             "--denominator", "group:g2")["payload"]["results"]
+        assert results["floored_cells"] == {"g1": policy}
+
+    def test_floored_cells_of_each_candidate_are_named(self, capsys, floored_csv):
+        results = run_report(capsys, "classify", "--input", floored_csv, "--models",
+                             "g1,model:DWM,model:MEM", "--reference", "group:g2")["payload"]["results"]
+        assert results["floored_cells"] == {
+            name: self.floors(capsys, floored_csv, spec, "group:g2")
+            for name, spec in (("g1", "group:g1"), ("DWM", "model:DWM"), ("MEM", "model:MEM"))}
+        assert len(results["floored_cells"]["DWM"]) == 20
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--numerator", "model:DWM", "--denominator", "model:MEM"],
+        ["classify", "--models", "model:DWM,model:symmetric", "--reference", "model:MEM"],
+        ["diagnose", "--numerator", "model:DWM", "--denominator", "model:MEM",
+         "--positive-group", "g1"]])
+    def test_no_floored_cells_key_without_floors(self, capsys, floored_csv, argv):
+        results = run_report(capsys, *argv, "--input", floored_csv)["payload"]["results"]
+        assert "floored_cells" not in results
+
     def test_unconverged_stationary_search_warns(self, capsys):
         code, out, err = run(capsys, "stationary", "--model", "DWM", "--max-power", "1")
         assert code == 0

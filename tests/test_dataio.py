@@ -237,6 +237,16 @@ class TestColumns:
             rc.CohortDataset(("a", "b"), ("g", "g"), np.array([1, 2, 3], np.uint8),
                              np.array([2, 2]), space, "x.csv")
 
+    def test_one_id_key_per_row(self, space):
+        states, lengths = np.array([1, 2, 3, 4], np.uint8), np.array([2, 2])
+        with pytest.raises(rc.ValidationError, match="columns disagree"):
+            rc.CohortDataset(("a", "b"), ("g", "g"), states, lengths, space, "x.csv",
+                             id_keys=np.array([1], np.uint64))
+        keys = np.array([2, 1], np.uint64)  # any distinct keys that sort as the ids do
+        data = rc.CohortDataset(("b", "a"), ("g", "g"), states, lengths, space, "x.csv",
+                                id_keys=keys)
+        assert data.id_order.tolist() == [1, 0]
+
     @pytest.mark.parametrize("row, message", [
         ("A02,g,3x3", "responses must be"), ("A02,g", "expected 3 columns"),
         (" ,g,333", "empty participant_id"),
@@ -1011,6 +1021,82 @@ class TestIdOrder:
     @example(("\x7f" * 8, "\0" * 8, "\x01", "\0", "\x7f"))
     def test_packed_columns_equal_sorted(self, ids):
         assert dataio._id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+
+
+# Id fields the loader keys by their bytes (ASCII, unquoted, 1 to 8 bytes,
+# no space at either end; a NUL, DEL or space inside), and fields that send
+# the whole column to the set and sorted(): 9 bytes or more, not ASCII,
+# quoted, quoted with "" inside, padded, empty or all spaces
+KEYED_IDS = st.text(st.sampled_from("ab~!\0\x7f "), min_size=1, max_size=8).filter(
+    lambda pid: pid.strip() == pid)
+OTHER_IDS = st.sampled_from(["abcdefghi", "a" * 8 + "\0", "\u00e91", "\u4e2d", '"q1"', '"a"',
+                             '"q""2"', '"~"', " a", "a\t", " p1 ", "", "  "])
+
+
+@st.composite
+def id_cohorts(draw):
+    """Cohort CSV bytes whose ids are mostly keyed fields, sometimes with
+    one other field, some rows with a bad responses cell, and sometimes an
+    id repeated (as the same field or another that reads as that id) at the
+    start, in the middle or at the end, and no line end after the last."""
+    fields = draw(st.lists(KEYED_IDS, min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(OTHER_IDS)
+    if draw(st.booleans()):
+        copy = draw(st.sampled_from(fields))
+        if copy.strip() and '"' not in copy:  # the same id, maybe padded or quoted
+            copy = draw(st.sampled_from([copy, f" {copy}", f'"{copy}"']))
+        fields.insert(draw(st.sampled_from([0, len(fields) // 2, len(fields)])), copy)
+    rows = [f"{pid},{draw(st.sampled_from(['g', '']))},"
+            f"{draw(st.sampled_from(['3243', '3243', '33', '3x3']))}\n" for pid in fields]
+    if draw(st.booleans()):  # the last id then starts within 8 bytes of the end
+        rows[-1] = rows[-1][:-1]
+    return ("participant_id,group,responses\n" + "".join(rows)).encode()
+
+
+def loaded_ids(data):
+    """The csv module's reading of an id_cohorts file: each record's stripped
+    id, with None for a record that does not load (an empty id or a bad
+    responses cell), in line order from line 2."""
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))[1:]
+    return [pid.strip() if pid.strip() and cell != "3x3" else None for pid, _, cell in rows]
+
+
+class TestIdKeys:
+    """A cohort's ids load, are checked for repeats and are put in
+    participant_id order as the csv module's ids are: the first fault by
+    line in strict mode, then no usable rows, then the first repeated id as
+    _check_unique names it, then sorted()'s order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(id_cohorts(), st.sampled_from(["strict", "lenient"]))
+    @example(b"participant_id,group,responses\na\0,g,3243\na,g,3243\n", "strict")
+    @example(b"participant_id,group,responses\nz,g,3243\n\"a\",g,3243\na,g,3243\n", "lenient")
+    def test_order_and_repeats_are_those_of_the_parsed_ids(self, tmp_path_factory, data, mode):
+        path = tmp_path_factory.getbasetemp() / "ids.csv"
+        path.write_bytes(data)
+        ids = loaded_ids(data)
+        config = rc.Config(mode=mode)
+        if mode == "strict" and None in ids:
+            with pytest.raises(rc.ValidationError, match=f"line {ids.index(None) + 2}:"):
+                rc.load_cohort(path, config)
+            return
+        ids = [pid for pid in ids if pid is not None]
+        try:
+            dataio._check_unique(ids)
+        except rc.ValidationError as exc:
+            with pytest.raises(rc.ValidationError) as got:
+                rc.load_cohort(path, config)
+            assert str(got.value) == str(exc)
+            return
+        if not ids:
+            with pytest.raises(rc.ValidationError, match="no usable data rows"):
+                rc.load_cohort(path, config)
+            return
+        got = rc.load_cohort(path, config)
+        assert got.participant_ids == tuple(ids)
+        assert got.id_order.dtype == np.intp
+        assert got.id_order.tolist() == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 # Group fields of every kind the loader numbers: empty (None), 1 to 8 key

@@ -239,21 +239,23 @@ def cohorts(tmp_path_factory):
 
 
 _PAIR = ["--numerator", "group:ocd", "--denominator", "group:adhd"]
-_IDS = "CohortDataset: _check_unique's set of the id strings"
+_IDS = "load_cohort: the id keys read from the bytes, beside the id strings"
 _SCORES = "_scores: one block's visited-cell indices, terms and level sums"
 # op: (input, argv, rows or steps, bound in bytes per row or step, the
 # stage that sets the traced peak). Measured on these seed-1 inputs (numpy
-# 2.4, x86-64), in B per row: estimate 205.3, compare 205.3, estimate with
-# the wide group labels (over 8 bytes, so read as text) 220.3, score 217.4,
-# classify 211.2, classify with three models 225.4, diagnose 205.3, and
+# 2.4, x86-64), in B per row: estimate 177.9, compare 175.8, estimate with
+# the wide group labels (over 8 bytes, so read as text) 203.3, score 217.4,
+# classify 211.2, classify with three models 225.5, diagnose 204.0, and
 # 2,562 and 1,667 for the two per-participant tables. Each bound adds 10 %
 # to the peak measured when it was last lowered. The simulate bounds are
 # their measured 23.3 and 17.6 B per step (31.3 and 24.1 B with the walk's
 # former int64 output).
 PEAK_OPS = {
-    "estimate": ("40k", ["estimate"], 40_000, 227, _IDS),
-    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 241, _IDS),
-    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 225,
+    "estimate": ("40k", ["estimate"], 40_000, 196, _IDS),
+    "estimate_wide_groups": ("40k_wide", ["estimate"], 40_000, 224,
+                             "_states: the responses parse, beside the ids, their keys and "
+                             "the group codes"),
+    "compare": ("40k", ["compare", "--focal", "ocd", "--reference", "adhd"], 40_000, 194,
                 _IDS),
     "score": ("40k", ["score", *_PAIR], 40_000, 240, _SCORES),
     "classify": ("40k", ["classify", *_PAIR], 40_000, 233, _SCORES),
@@ -261,7 +263,8 @@ PEAK_OPS = {
                                "model:symmetric,model:skewed+,model:skewed-",
                                "--reference", "model:MEM"], 40_000, 247, _SCORES),
     "diagnose": ("40k", ["diagnose", *_PAIR, "--with-sum-score", "--roc-csv", "{tmp}/roc.csv",
-                         "--svg", "{tmp}/roc.svg"], 40_000, 226, _IDS),
+                         "--svg", "{tmp}/roc.svg"], 40_000, 225,
+                 "roc_svg: the polyline texts, beside the scores and both ROC curves"),
     "estimate_per_participant": ("4k", ["estimate", "--per-participant"], 4_000, 2_820,
                                  "write_report: the per-participant table's nested lists"),
     "score_breakdown": ("4k", ["score", *_PAIR, "--breakdown"], 4_000, 1_880,

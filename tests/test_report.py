@@ -380,11 +380,31 @@ ARRAYS = {
 }
 
 
+# Texts a table writes as they are, and what makes one be escaped: '"', a
+# backslash, a control, DEL or a character outside ASCII
+PLAIN_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                                   exclude_characters='"\\'), max_size=6)
+ESCAPED_TEXT = st.tuples(
+    PLAIN_TEXT, st.sampled_from(['"', "\\", "\x7f", "é", "中"]) | st.characters(max_codepoint=31),
+    PLAIN_TEXT).map("".join)
+
+
 @st.composite
 def tables(draw):
     n = draw(st.integers(0, 9))
 
+    def texts(unique=False):
+        """n plain texts, or with one escaped text (or, in a column, None)
+        among them."""
+        cells = draw(st.lists(PLAIN_TEXT, min_size=n, max_size=n, unique=unique))
+        if cells and draw(st.booleans()):
+            other = ESCAPED_TEXT if unique else ESCAPED_TEXT | st.none()
+            cells[draw(st.integers(0, n - 1))] = draw(other)
+        return cells
+
     def column():
+        if draw(st.integers(0, 3)) == 0:  # strs, often all written as they are
+            return texts()
         if draw(st.integers(0, 2)) == 0:  # a 1-d array, often of a few values
             dtype = draw(st.sampled_from(list(ARRAYS)))
             cells = ARRAYS[dtype]
@@ -403,7 +423,8 @@ def tables(draw):
             columns[name] = column()
     keys = None
     if draw(st.booleans()) or not columns:
-        keys = sorted(draw(st.lists(TEXT, unique=True, min_size=n, max_size=n)))
+        keys = sorted(draw(st.lists(TEXT, unique=True, min_size=n, max_size=n))
+                      if draw(st.booleans()) else texts(unique=True))
     return reporting.Table(columns, keys)
 
 
