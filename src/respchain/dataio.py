@@ -156,7 +156,11 @@ class CohortDataset:
     included (None for a cohort never read from a file). group_codes
     numbers the groups; load_cohort passes in, as numbering, the one it
     made while reading the group column, and any other dataset derives it
-    from groups on first use.
+    from groups on first use. id_order puts the rows in participant_id
+    order; load_cohort passes in, as id_keys, the ids' packed keys when
+    every id field packs (_field_keys), and one sort of them checks the ids
+    for repeats and their argsort is the order. Any other dataset checks
+    its ids with a set and orders them with _id_order.
     """
 
     participant_ids: tuple
@@ -367,11 +371,12 @@ def _field_keys(a, starts, ends, quoted):
     """_id_keys of the fields a[starts:ends] of an ASCII file when each is
     its own text, else None: no field quoted, none over 8 bytes, and none
     with a byte str.strip() removes at either end."""
-    if quoted.any() or (ends - starts).max(initial=0) > 8:
+    widths = ends - starts
+    if quoted.any() or widths.max(initial=0) > 8:
         return None
     if _STRIPPED.take(a[starts]).any() or _STRIPPED.take(a[np.maximum(ends - 1, starts)]).any():
         return None
-    return _id_keys(a, starts, ends - starts)
+    return _id_keys(a, starts, widths)
 
 
 def _id_order(ids):
