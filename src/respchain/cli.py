@@ -167,10 +167,9 @@ class _Run:
     by group code (group_tables), so estimate and compare never count the
     rows one by one. Only the per-participant tables, score, classify and
     diagnose build the (N, K, K) tensor of each row's counts (counts).
-    counts and every score and ROC keep the rows in file order; order and
-    ids serve only the per-participant tables, which are written in
-    participant_id order (Python's str order: the dataset's id_order, an
-    argsort of the id keys packed at load when every id packs)."""
+    counts and every score and ROC keep the rows in file order; ids and
+    the dataset's id_order serve only the per-participant tables, which
+    are written in participant_id order (Python's str order)."""
 
     def __init__(self, args, config):
         self.args = args
@@ -201,11 +200,6 @@ class _Run:
             print(warning, file=sys.stderr)
         return dataset
 
-    @property
-    def order(self):
-        """The row indices in participant_id order, as an intp array."""
-        return self.dataset.id_order
-
     @functools.cached_property
     def ids(self):
         return self.by_id(np.array(self.dataset.participant_ids, dtype=object))
@@ -226,7 +220,7 @@ class _Run:
 
     def by_id(self, column):
         """A file-order (N, ...) result array as a list in participant_id order."""
-        return column[self.order].tolist()
+        return column[self.dataset.id_order].tolist()
 
     def group_column(self):
         """Each row's group, in participant_id order."""
@@ -315,7 +309,7 @@ def _cmd_estimate(run):
         blocks["all"] = _estimate_block(*run.pool(None), config)
     results = {"groups": blocks, "n_sequences": len(dataset)}
     if args.per_participant:
-        counts = run.counts[run.order]
+        counts = run.counts[run.dataset.id_order]
         probs, defined = chain._row_probabilities(counts, config.smoothing_alpha)
         results["participants"] = reporting.Table({
             "group": run.group_column(),
@@ -374,7 +368,7 @@ def _cmd_score(run):
         "score": run.by_id(scoring.score_counts(run.counts, lr.values)),
     }
     if run.args.breakdown:
-        rows["terms"] = scoring.score_terms(run.counts[run.order], lr.values)
+        rows["terms"] = scoring.score_terms(run.counts[run.dataset.id_order], lr.values)
     return {
         "log_ratio": reporting.log_ratio_block(lr),
         "scores": reporting.Table(rows),
@@ -417,18 +411,18 @@ def _cmd_classify(run):
         run.counts, run.dataset.participant_ids, candidates, ref,
         reference_name=ref_name, epsilon_floor=config.epsilon_floor, cutoff=cutoff,
     )
-    labels = verdicts.labels
+    labels, order = verdicts.labels, run.dataset.id_order
     class_counts = dict(zip(labels, np.bincount(verdicts.choice,
                                                 minlength=len(labels)).tolist()))
     rows = {"participant_id": ids,
-            "assigned": np.array(labels, dtype=object)[verdicts.choice[run.order]].tolist()}
+            "assigned": np.array(labels, dtype=object)[verdicts.choice[order]].tolist()}
     if binary:
         rows["score"] = run.by_id(verdicts.scores[:, 0])
         results = {"mode": "binary", "cutoff": config.cutoff,
                    "assignments": reporting.Table(rows), "class_counts": class_counts}
     else:
-        rows["scores"] = dict(zip(verdicts.names, verdicts.scores[run.order].T))
-        rows["tie"] = verdicts.tie_mask[run.order]
+        rows["scores"] = dict(zip(verdicts.names, verdicts.scores[order].T))
+        rows["tie"] = verdicts.tie_mask[order]
         results = {
             "mode": "multimodel",
             "reference": ref_name,

@@ -157,10 +157,10 @@ class CohortDataset:
     numbers the groups; load_cohort passes in, as numbering, the one it
     made while reading the group column, and any other dataset derives it
     from groups on first use. id_order puts the rows in participant_id
-    order; load_cohort passes in, as id_keys, the ids' packed keys when
-    every id field packs (_field_keys), and one sort of them checks the ids
-    for repeats and their argsort is the order. Any other dataset checks
-    its ids with a set and orders them with _id_order.
+    order. When every id field packs, load_cohort passes in, as _id_keys,
+    their _field_keys, one per id, and only those may be passed: one sort
+    of them checks the ids for repeats and their argsort is the order. Any
+    other dataset checks its ids with a set and orders them with sorted().
     """
 
     participant_ids: tuple
@@ -172,27 +172,27 @@ class CohortDataset:
     skipped: tuple = ()
     sha256: str | None = None
     numbering: InitVar[tuple | None] = None
-    id_keys: InitVar[np.ndarray | None] = None
+    _id_keys: InitVar[np.ndarray | None] = None  # dropped once id_order is made
 
-    def __post_init__(self, numbering, id_keys):
+    def __post_init__(self, numbering, _id_keys):
         ids = tuple(self.participant_ids)
         groups = tuple(self.groups)
         lengths = _readonly(np.asarray(self.lengths, dtype=np.int64))
         states = _readonly(np.asarray(self.states))
         if len(groups) != len(ids) or lengths.shape != (len(ids),) \
                 or states.ndim != 1 or lengths.sum() != states.size \
-                or id_keys is not None and np.shape(id_keys) != (len(ids),):
+                or _id_keys is not None and np.shape(_id_keys) != (len(ids),):
             raise ValidationError(
                 "cohort columns disagree: one id, group and length per row, "
                 "and the lengths must add up to the number of states"
             )
-        if id_keys is None:
+        if _id_keys is None:
             _check_unique(ids)
         else:  # equal neighbours in key order are a repeated id; the set names the first
-            keys = np.sort(id_keys)
+            keys = np.sort(_id_keys)
             if (keys[1:] == keys[:-1]).any():
                 _check_unique(ids)
-        object.__setattr__(self, "_id_keys", id_keys)
+        object.__setattr__(self, "_id_keys", _id_keys)
         object.__setattr__(self, "participant_ids", ids)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "lengths", lengths)
@@ -228,7 +228,7 @@ class CohortDataset:
     def id_order(self):
         """The row indices in participant_id order (sorted()'s), as an intp
         array: np.argsort of the id keys load_cohort passed in, which are
-        then dropped, else _id_order of the ids."""
+        then dropped, else sorted()'s (_id_order)."""
         keys = self._id_keys
         if keys is None:
             return _id_order(self.participant_ids)
@@ -344,15 +344,26 @@ def _groups(a, starts, ends, texts):
     return list(code), index.astype(np.min_scalar_type(len(code)))
 
 
-def _id_keys(a, starts, widths):
-    """The key of each ASCII id of 0 to 8 bytes a[starts:starts + widths],
-    starts ascending: its bytes, every one raised by one (a NUL then sorts
-    above the zero padding, and a proper prefix first), in one big-endian
-    uint64 word with the bytes past the id's end zero. So distinct ids
-    have distinct keys, in sorted()'s order, and only the empty id keys
-    to 0. Each word is read through one strided view of a, which holds at
-    least 8 bytes and no byte over 127 (so no byte's +1 carries); a word
-    read nearer a's end than 8 bytes is shifted up."""
+# The ASCII bytes str.strip() removes
+_STRIPPED = np.array([chr(b).isspace() for b in range(128)])
+
+
+def _field_keys(a, starts, ends, quoted):
+    """The key of each field a[starts:ends] of an ASCII file, starts
+    ascending, when each is its own text of 0 to 8 bytes (none quoted and
+    none with a byte str.strip() removes at either end), else None. A key
+    is the field's bytes, every one raised by one (a NUL then sorts above
+    the zero padding, and a proper prefix first), in one big-endian uint64
+    word with the bytes past the field's end zero. So distinct texts have
+    distinct keys, in sorted()'s order, and only the empty text keys to 0.
+    Each word is read through one strided view of a, which holds at least
+    8 bytes and no byte over 127 (so no byte's +1 carries); a word read
+    nearer a's end than 8 bytes is shifted up."""
+    widths = ends - starts
+    if quoted.any() or widths.max(initial=0) > 8:
+        return None
+    if _STRIPPED.take(a[starts]).any() or _STRIPPED.take(a[np.maximum(ends - 1, starts)]).any():
+        return None
     view = np.ndarray((a.size - 7,), "<u8", a, 0, (1,))  # the 8 bytes from each offset
     keys = view[np.minimum(starts, a.size - 8)]
     keys.byteswap(inplace=True)  # the first byte most significant
@@ -363,33 +374,10 @@ def _id_keys(a, starts, widths):
     return keys
 
 
-# The ASCII bytes str.strip() removes
-_STRIPPED = np.array([chr(b).isspace() for b in range(128)])
-
-
-def _field_keys(a, starts, ends, quoted):
-    """_id_keys of the fields a[starts:ends] of an ASCII file when each is
-    its own text, else None: no field quoted, none over 8 bytes, and none
-    with a byte str.strip() removes at either end."""
-    widths = ends - starts
-    if quoted.any() or widths.max(initial=0) > 8:
-        return None
-    if _STRIPPED.take(a[starts]).any() or _STRIPPED.take(a[np.maximum(ends - 1, starts)]).any():
-        return None
-    return _id_keys(a, starts, widths)
-
-
 def _id_order(ids):
     """The intp permutation that puts ids, distinct strs, in sorted()'s
-    order. When the ids are ASCII and none is over 8 bytes, np.argsort
-    orders their keys (_id_keys), read from the joined text padded with 8
-    zero bytes. Any other column goes to sorted()."""
-    text = "".join(ids)
-    width = np.fromiter(map(len, ids), np.intp, len(ids))
-    if not text.isascii() or width.max(initial=0) > 8:
-        return np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
-    a = np.frombuffer(text.encode() + bytes(8), np.uint8)
-    return np.argsort(_id_keys(a, np.cumsum(width) - width, width))
+    order."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), np.intp)
 
 
 def _cell_states(cell, k):
@@ -564,8 +552,8 @@ def load_cohort(path, config):
                             lambda rows: column(first[rows] + 1))
     ids = column(first)
     keys = _field_keys(a, starts[first], ends[first], quoted[first]) if ascii_only else None
-    empty = np.array([not pid for pid in ids], bool) if keys is None else keys == 0
-    if empty.any():
+    if ("" in ids) if keys is None else not keys.all():
+        empty = np.array([not pid for pid in ids]) if keys is None else keys == 0
         rejected += [(line, f"{path}, line {line}: empty participant_id")
                      for line in lines[empty].tolist()]
         ids = [pid for pid in ids if pid]
@@ -594,7 +582,7 @@ def load_cohort(path, config):
     digest.update(buf)  # the whole file: a read cut at the field limit has raised
     return CohortDataset(ids, groups, states.astype(np.min_scalar_type(k), copy=False), lengths,
                          space, str(path), skipped=tuple(problems), sha256=digest.hexdigest(),
-                         numbering=(labels, codes), id_keys=keys)
+                         numbering=(labels, codes), _id_keys=keys)
 
 
 def _cells(states, lengths, k):

@@ -13,7 +13,7 @@ resulting LogRatioMatrix so no floored cell passes silently.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import frexp, fsum, ldexp
 
 import numpy as np
@@ -119,7 +119,7 @@ class VerdictColumns(Sequence):
     reference_name: str
     choice: np.ndarray
     tie_mask: np.ndarray
-    epsilon_policy: dict
+    epsilon_policy: dict = field(default_factory=dict)
 
     @property
     def labels(self):

@@ -239,12 +239,13 @@ class TestColumns:
 
     def test_one_id_key_per_row(self, space):
         states, lengths = np.array([1, 2, 3, 4], np.uint8), np.array([2, 2])
+        a = np.frombuffer(b"b,a,pad.", np.uint8)
+        keys = dataio._field_keys(a, np.array([0, 2]), np.array([1, 3]), np.zeros(2, bool))
         with pytest.raises(rc.ValidationError, match="columns disagree"):
-            rc.CohortDataset(("a", "b"), ("g", "g"), states, lengths, space, "x.csv",
-                             id_keys=np.array([1], np.uint64))
-        keys = np.array([2, 1], np.uint64)  # any distinct keys that sort as the ids do
+            rc.CohortDataset(("b", "a"), ("g", "g"), states, lengths, space, "x.csv",
+                             _id_keys=keys[:1])
         data = rc.CohortDataset(("b", "a"), ("g", "g"), states, lengths, space, "x.csv",
-                                id_keys=keys)
+                                _id_keys=keys)
         assert data.id_order.tolist() == [1, 0]
 
     @pytest.mark.parametrize("row, message", [
@@ -1020,7 +1021,12 @@ class TestIdOrder:
     @example(("a\0\0", "a\x01", "a", "a\0"))
     @example(("\x7f" * 8, "\0" * 8, "\x01", "\0", "\x7f"))
     def test_packed_columns_equal_sorted(self, ids):
-        assert dataio._id_order(ids).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
+        """The loader's id keys (_field_keys) sort as sorted() sorts the ids."""
+        width = np.fromiter(map(len, ids), np.intp, len(ids))
+        a = np.frombuffer("".join(ids).encode() + bytes(8), np.uint8)
+        starts = np.cumsum(width) - width
+        keys = dataio._field_keys(a, starts, starts + width, np.zeros(len(ids), bool))
+        assert np.argsort(keys).tolist() == sorted(range(len(ids)), key=ids.__getitem__)
 
 
 # Id fields the loader keys by their bytes (ASCII, unquoted, 1 to 8 bytes,
