@@ -229,55 +229,6 @@ def _fitted(counts, values):
     return counts, values
 
 
-def _two_sum(a, b):
-    """fl(a + b) and its error: a + b == s + e exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _column_fsums(terms):
-    """math.fsum of each column of a (J, R) float64 array, bit for bit.
-
-    The columns are summed in lockstep, row by row, with two levels of
-    error-free transforms (Ogita, Rump and Oishi, "Accurate sum and dot
-    product", 2005): s, e = TwoSum(s, t), then tau, e2 = TwoSum(tau, e),
-    adding |e2| into mag, and at the end r, rho = TwoSum(s, tau). So a
-    column's exact sum is r + rho + E with |E| <= sum |e2|, and the
-    recursive sum mag times 1 + 2*J*2**-53 bounds sum |e2| from above.
-
-    fsum returns the exact sum rounded to nearest, ties to even. When
-    mag == 0 the exact sum is s + tau and r = fl(s + tau) is that rounding.
-    Otherwise r is it when |rho| + |E| is under half the gap from r to
-    either neighbour, gap = spacing(|r|), halved below a power of two. That
-    test is made in floating point, but its right side is a power of two,
-    so a rounded left side below it means the exact one is too. A certified
-    zero is written +0.0, as fsum writes it. Columns with a non-finite or
-    huge term, and columns that fail the test, go to fsum itself in their
-    given order, so overflow and inf - inf raise as fsum raises.
-    """
-    j, n = terms.shape
-    bad = ~((terms.max(axis=0) <= _HUGE) & (terms.min(axis=0) >= -_HUGE))
-    safe = np.where(bad, 0.0, terms) if bad.any() else terms
-    s, tau, mag = safe[0], np.zeros(n), np.zeros(n)
-    for t in safe[1:]:
-        s, e = _two_sum(s, t)
-        tau, e2 = _two_sum(tau, e)
-        mag += np.abs(e2)
-    r, rho = _two_sum(s, tau)
-    # underflow is harmless: a half gap under the least subnormal rounds to
-    # 0 and fails the test, and a subnormal mag is an exact sum
-    with np.errstate(under="ignore"):
-        a = np.abs(r)
-        half_gap = np.spacing(a) * np.where(np.frexp(a)[0] == 0.5, 0.25, 0.5)
-        ok = ~bad & ((mag == 0) | (np.abs(rho) + mag * (1 + 2 * j * 2.0 ** -53)
-                                   < half_gap))
-    out = r + 0.0
-    for i in np.flatnonzero(~ok).tolist():
-        out[i] = fsum(terms[:, i].tolist())
-    return out
-
-
 def _scores(counts, betas):
     """(N, M) scores of an (N, K, K) count tensor against (M, K*K) beta rows.
 
@@ -291,11 +242,11 @@ def _scores(counts, betas):
     and r - q are exact, and so is any sum of up to K*K of the q, so one
     bincount gives a level's row sums. Each level takes 52 - ceil(log2(K*K +
     2)) bits or more off every r. The levels run until r is all zero, so a
-    row's level sums, each exact, add up to its exact sum. A block of at
-    most two levels gets 0 + levels[0] + levels[1]: IEEE rounds that exact
-    sum once, to nearest with ties to even, as fsum does, and a zero comes
-    out +0.0. _column_fsums rounds the level sums of a block of three or
-    more as fsum rounds their exact total.
+    row's level sums, each exact, add up to its exact sum. A row with no
+    level past the second gets 0 + levels[0] + levels[1]: IEEE rounds that
+    exact sum once, to nearest with ties to even, as fsum does, and a zero
+    comes out +0.0. A row with a nonzero third or later level gets fsum of
+    its level sums, which is fsum of its terms.
     """
     n, (m, cells) = counts.shape[0], betas.shape
     flat = counts.reshape(n, cells)
@@ -324,12 +275,15 @@ def _scores(counts, betas):
                 r -= q
                 levels.append(np.bincount(rows, weights=q, minlength=b))
                 top = np.abs(r).max()
+            # 0 + levels[0] is exact, so the one rounding is that of the exact sum
+            sums = sum(levels[:2], np.zeros(b))
             if len(levels) > 2:
-                sums = _column_fsums(np.array(levels))
-            else:  # 0 + levels[0] is exact, so the one rounding is that of the exact sum
-                sums = sum(levels, np.zeros(b))
-            for row in wild:
-                sums[row] = fsum(terms[rows == row].tolist())
+                deep = np.flatnonzero(np.any(levels[2:], axis=0))
+                sums[deep] = list(map(fsum, np.array(levels)[:, deep].T.tolist()))
+            # rows ascend, so each wild row's terms are one slice, in cell order
+            ends = np.searchsorted(rows, wild), np.searchsorted(rows, wild, "right")
+            for row, a, z in zip(wild, *ends):
+                sums[row] = fsum(terms[a:z].tolist())
             out[start:start + b, model] = sums
     return out
 
@@ -340,9 +294,10 @@ def score_counts(counts, values):
     values is the K x K beta matrix, e.g. LogRatioMatrix.values. Row n's
     score is exactly math.fsum of count * beta over the cells that row
     visits, the number score_sequence gives for that sequence: the visited
-    cells' terms summed exactly by extraction levels, then rounded as fsum
-    rounds (see _scores). Cells never visited add nothing, however extreme
-    (even infinite) their beta.
+    cells' terms summed exactly by extraction levels, and the level sums
+    rounded by one add, or by fsum for a row with a third level (see
+    _scores). Cells never visited add nothing, however extreme (even
+    infinite) their beta.
     """
     counts, values = _fitted(counts, values)
     return _scores(counts, values.reshape(1, -1))[:, 0]

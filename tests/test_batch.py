@@ -2,9 +2,10 @@
 
 count_tensor must equal the per-row pair counts stacked, and score_counts
 must equal, bit for bit, the per-row loop it replaced (kept below as
-``reference_score``). The certified column sum under it is checked
-against math.fsum directly. The digest guard pins whole report payloads
-of the subcommands that read the tensor.
+``reference_score``) and math.fsum of each row's terms, hard ones too.
+Counted fsum calls show which rows leave the extraction-level sum for
+fsum itself. The digest guard pins whole report payloads of the
+subcommands that read the tensor.
 """
 
 import hashlib
@@ -229,9 +230,9 @@ class TestScoreCounts:
 # An exact half-ulp tie: the plain float sum gives 1.6438561897747246, fsum
 # (the exact sum rounded half-even) 1.6438561897747248.
 TIE_ROW = [math.log2(1.25), 2.0, 1.0, -2.0, math.log2(1.25)]
-# s + tau is the tie 1 - 2**-54, which rounds up to the power of two 1.0,
-# but the second-level errors put the exact sum just below it, so fsum
-# gives 1 - 2**-53 and no certificate may accept 1.0.
+# Its extraction levels sum to 1, -2**-54 and -2**-120: 1 + -2**-54 is a tie
+# that rounds up to 1.0, but the third level puts the exact sum just below
+# it, so fsum gives 1 - 2**-53.
 BELOW_POWER_ROW = [1.0, -2.0 ** -54, 2.0 ** -120, -2.0 ** -119]
 OVERFLOW_ROW = [sys.float_info.max, sys.float_info.max, -sys.float_info.max]
 
@@ -272,37 +273,6 @@ def _outcome(total, row):
         return repr(total(row))
     except (OverflowError, ValueError) as exc:
         return type(exc)
-
-
-def _column_fsum(row):
-    return float(scoring._column_fsums(np.array([row]).T)[0])
-
-
-class TestCertifiedSum:
-    """scoring._column_fsums against math.fsum, bit for bit."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(hard_rows(), min_size=1, max_size=6))
-    @example([TIE_ROW, BELOW_POWER_ROW])
-    @example([OVERFLOW_ROW, [math.inf, -math.inf]])
-    def test_equals_fsum(self, rows):
-        width = max(map(len, rows))
-        rows = [row + [0.0] * (width - len(row)) for row in rows]
-        expected = [_outcome(fsum, row) for row in rows]
-        summed = [i for i, want in enumerate(expected) if isinstance(want, str)]
-        with np.errstate(all="raise"):
-            assert [_outcome(_column_fsum, row) for row in rows] == expected
-            if summed:  # all columns at once, as the scorer calls it
-                together = scoring._column_fsums(np.array([rows[i] for i in summed]).T)
-                assert [repr(x) for x in together.tolist()] == [expected[i] for i in summed]
-
-    def test_known_rows(self):
-        assert repr(_column_fsum(TIE_ROW)) == repr(fsum(TIE_ROW)) != repr(sum(TIE_ROW))
-        assert _column_fsum(BELOW_POWER_ROW) == 1 - 2.0 ** -53
-        with pytest.raises(OverflowError):
-            _column_fsum(OVERFLOW_ROW)
-        with pytest.raises(ValueError):
-            _column_fsum([math.inf, 1.0, -math.inf])
 
 
 @st.composite
@@ -428,15 +398,16 @@ class TestFallbackAndMemory:
         calls = []
 
         def counted(terms):
-            calls.append(len(terms))
+            calls.append(list(terms))
             return fsum(terms)
 
         monkeypatch.setattr(scoring, "fsum", counted)
         return calls
 
     def test_certified_rows_never_call_fsum(self, fsum_calls, ocd_matrix):
-        """A broken certificate would still give fsum's bits, through fsum;
-        only this count shows the fast path is taken."""
+        """Rows of at most two extraction levels are rounded by one add.
+        Sending them to fsum would still give fsum's bits, so only this
+        count shows the one add is taken."""
         registry = rc.builtin_models(rc.StateSpace(5))
         candidates = [(n, registry[n]) for n in ("symmetric", "skewed+", "skewed-")]
         cohort = rc.generate_cohort(
@@ -448,14 +419,46 @@ class TestFallbackAndMemory:
         assert fsum_calls == []
 
     def test_an_uncertified_row_calls_fsum_once(self, fsum_calls):
+        """A row with a third extraction level goes to fsum once, with its
+        level sums; a row with a huge or infinite term, once, with its terms,
+        so fsum raises what it raises."""
         ones = np.ones((1, 2, 2), dtype=np.int64)
         below = np.reshape(BELOW_POWER_ROW, (2, 2))
         assert rc.score_counts(ones, below).tolist() == [1 - 2.0 ** -53]
-        assert fsum_calls == [3]  # its three extraction-level sums
+        assert fsum_calls == [[1.0, -2.0 ** -54, -2.0 ** -120]]
         fsum_calls.clear()
         with pytest.raises(OverflowError):
             rc.score_counts(ones, np.reshape(OVERFLOW_ROW + [0.0], (2, 2)))
-        assert fsum_calls == [4]
+        assert fsum_calls == [OVERFLOW_ROW + [0.0]]
+        fsum_calls.clear()
+        with pytest.raises(ValueError):
+            rc.score_counts(ones, np.reshape([math.inf, 1.0, -math.inf, 0.0], (2, 2)))
+        assert fsum_calls == [[math.inf, 1.0, -math.inf, 0.0]]
+
+    def test_fsum_row_by_row(self, fsum_calls, monkeypatch):
+        """Over blocks that mix rows of one, two and three extraction
+        levels, wild rows and an empty row, each score has fsum's bits, and
+        fsum is called once per three-level row, with its level sums, and
+        once per wild row, with its terms in cell order: never for the rest."""
+        monkeypatch.setattr(scoring, "SCORE_BLOCK_ROWS", 3)
+        # unvisited, the -inf beta adds nothing
+        betas = [1.0, 2.0 ** -53, 2.0 ** -106, math.log2(1.25), 2.0, -2.0, math.inf,
+                 0.5, -math.inf]
+        one, two = {0: 1}, {0: 1, 1: 1}
+        # level sums 1.5, 2**-53, 2**-106: the third breaks a tie upwards
+        three = {0: 1, 1: 1, 2: 1, 7: 1}
+        tie = {0: 1, 3: 2, 4: 1, 5: 1}  # TIE_ROW's terms, in two levels
+        wild, wild_too = {0: 1, 6: 1}, {1: 1, 4: 1, 6: 1}
+        rows = [one, two, three, wild, tie, {}, three, {0: 1, 7: 1}, wild_too, two, tie]
+        counts = np.zeros((len(rows), 9), dtype=np.uint8)
+        for n, row in enumerate(rows):
+            counts[n, list(row)] = list(row.values())
+        scores = rc.score_counts(counts.reshape(-1, 3, 3), np.reshape(betas, (3, 3)))
+        visited = [[c * betas[i] for i, c in sorted(row.items())] for row in rows]
+        assert list(map(repr, scores.tolist())) == [repr(fsum(terms)) for terms in visited]
+        assert scores[4] == fsum(TIE_ROW) != sum(TIE_ROW)
+        assert sorted(fsum_calls, key=repr) == sorted(
+            [[1.5, 2.0 ** -53, 2.0 ** -106]] * 2 + [visited[3], visited[8]], key=repr)
 
     def test_classify_counts_works_in_blocks(self):
         """All candidates of a block are summed at once, never the whole

@@ -8,6 +8,7 @@ all exercised together.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -373,6 +374,35 @@ class TestClassify:
         assert doc["payload"]["results"]["candidates"] == ["ocd_pub"]
         config_models = doc["payload"]["provenance"]["config"]["models"]
         assert sorted(config_models) == ["adhd_pub", "ocd_pub"]
+
+    def test_third_level_scores_are_fsums(self, capsys, monkeypatch, tmp_path, cohort_csv):
+        """An explicit model whose log ratios against MEM mix magnitudes so
+        that some rows need a third extraction level: those rows go to
+        fsum, and every score is fsum of the row's count * beta terms."""
+        row = [0.4, 0.2000000000000001, 0.2, 0.1, 0.0999999999999999]
+        cfg = tmp_path / "third_level.json"
+        cfg.write_text(json.dumps({"models": {"x": {"kind": "explicit", "rows": [row] * 5}}}))
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return math.fsum(parts)
+
+        monkeypatch.setattr(rc.scoring, "fsum", counted)
+        results = run_report(capsys, "classify", "--input", cohort_csv, "--config",
+                             str(cfg), "--models", "model:x", "--reference",
+                             "model:MEM")["payload"]["results"]
+        mem = rc.builtin_models(rc.StateSpace(5))["MEM"]
+        beta = rc.log_likelihood_matrix(rc.TransitionMatrix.from_rows(np.array([row] * 5)),
+                                        mem).values
+        expected = {}
+        for seq in rc.load_cohort(cohort_csv, rc.Config()).sequences:
+            counts = rc.count_tensor([seq], rc.StateSpace(5))[0]
+            expected[seq.participant_id] = math.fsum(
+                (counts[counts > 0] * beta[counts > 0]).tolist())
+        assert {r["participant_id"]: r["scores"]["x"]
+                for r in results["assignments"]} == expected
+        assert 0 < len(calls) < len(expected)
 
     def test_mixed_flags_rejected(self, capsys, cohort_csv):
         code, _, err = run(

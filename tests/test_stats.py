@@ -1,8 +1,12 @@
 """Chi-square engine and the tests built on it. scipy serves as oracle."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import respchain as rc
 from conftest import ADHD_STATIONARY, OCD_STATIONARY
@@ -15,6 +19,22 @@ class TestChiSquareP:
                 ours = rc.chi_square_p(x, df)
                 ref = scipy.stats.chi2.sf(x, df)
                 assert ours == pytest.approx(ref, rel=1e-8, abs=1e-300)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_against_scipy_drawn(self, data):
+        """Drawn (statistic, df): near the switch from the series to the
+        continued fraction at statistic / 2 == df / 2 + 1, on both sides of
+        it, and out in both tails."""
+        df = data.draw(st.integers(1, 10**6), "df")
+        switch = df + 2.0
+        statistic = data.draw(
+            st.sampled_from([switch, math.nextafter(switch, 0), math.nextafter(switch, math.inf)])
+            | (st.floats(-4, 4) | st.floats(-30, 30)).map(
+                lambda z: max(0.0, switch + z * math.sqrt(2 * df)))
+            | st.floats(1e-3, 20).map(lambda f: f * df), "statistic")
+        assert rc.chi_square_p(statistic, df) == pytest.approx(
+            scipy.stats.chi2.sf(statistic, df), rel=1e-8, abs=1e-300)
 
     def test_textbook_critical_value(self):
         # 3.841 is the 5% critical value at df = 1
