@@ -477,11 +477,11 @@ def _cmd_diagnose(run):
         results["sum_score_roc"] = reporting.roc_block(sum_curve)
     files = {}
     if args.roc_csv:
-        with open(args.roc_csv, "w", encoding="utf-8") as fh:
+        with dataio.open_output(args.roc_csv) as fh:
             fh.writelines(reporting.roc_points_blocks(curve))
         files["roc_csv"] = args.roc_csv
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with dataio.open_output(args.svg) as fh:
             fh.write(reporting.roc_svg(curves))
         files["svg"] = args.svg
     if files:
@@ -535,13 +535,18 @@ def run_subcommand(command, args, config):
 
 
 def main(argv=None):
+    """Run the command line argv (sys.argv[1:] if None) and return the exit code.
+
+    The report goes to stdout, or to --output through dataio.open_output,
+    which rewrites an existing file in place, as every output file is.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         config = _effective_config(args)
         doc = run_subcommand(args.command, args, config)
         if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with dataio.open_output(args.output) as fh:
                 reporting.write_report(doc, fh)
         else:
             reporting.write_report(doc, sys.stdout)

@@ -11,6 +11,7 @@ RESPCHAIN_CONFIG names a default config file for when --config is not
 given.
 """
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ import json
 import numbers
 import os
 import re
+import stat
 from dataclasses import InitVar, dataclass, fields, replace
 from functools import cached_property
 
@@ -622,6 +624,31 @@ def _fields(column):
             for text in texts]
 
 
+@contextlib.contextmanager
+def open_output(path, newline=None):
+    """open(path, "w") for UTF-8 text, but rewriting the file in place.
+
+    There is no O_TRUNC: the text is written from the file's start, and a
+    regular file is cut at its end when the block ends, also when it
+    raises, so the file holds exactly what was written. Truncating to zero
+    frees every block of the old file, and ext4 (auto_da_alloc) allocates
+    the new ones at close, so each rerun into the same path frees what the
+    last one allocated; freeing allocated blocks can take tenths of a
+    second. In place, a rerun of the same size frees nothing. A process
+    killed mid-write leaves the new prefix followed by the old file's tail.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline, closefd=False) as fh:
+            yield fh
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
+
+
 def write_cohort(cohort, space, path):
     """Write a cohort in the CSV format load_cohort reads.
 
@@ -630,7 +657,8 @@ def write_cohort(cohort, space, path):
     the file is opened: a state outside 1..space.size (naming its
     participant and position), a row of fewer than two responses, or a
     participant id used twice. Fields are quoted as csv.writer quotes
-    them and every record ends with CRLF.
+    them and every record ends with CRLF. The file is written through
+    open_output, which rewrites an existing file in place.
     """
     ids, groups, states, lengths = _columns(cohort)
     _check_rows(ids, states, lengths, space.size)
@@ -639,6 +667,6 @@ def write_cohort(cohort, space, path):
     cells = _cells(states, lengths, space.size)
     rows = zip(_fields(ids), _fields(groups), cells)
     text = "%s,%s,%s\r\n" * len(cells) % tuple(itertools.chain.from_iterable(rows))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\r\n")
         fh.write(text)

@@ -5,6 +5,7 @@ so argument wiring, config layering, exit codes and report structure are
 all exercised together.
 """
 
+import builtins
 import dataclasses
 import hashlib
 import json
@@ -606,6 +607,59 @@ class TestSimulate:
         assert doc["payload"]["results"]["initial_source"] == "uniform"
 
 
+def test_outputs_are_rewritten_in_place(capsys, monkeypatch, tmp_path, cohort_csv):
+    """Rerunning into existing files opens none of them with O_TRUNC or in a
+    "w" mode (truncating to zero frees the file's blocks, which on ext4
+    can take tenths of a second), and leaves exactly what a run into fresh
+    paths writes. The first run writes longer files, so a kept old tail shows."""
+    lines = Path(cohort_csv).read_text(encoding="utf-8").splitlines(keepends=True)
+    small = tmp_path / "small.csv"
+    small.write_text("".join(lines[:31] + lines[-15:]), encoding="utf-8")  # 30 adhd, 15 ocd
+    outputs = ["score.json", "diagnose.json", "roc.csv", "roc.svg", "simulate.json", "sim.csv"]
+
+    def commands(cohort, count, longer=False):
+        ratio = ["--numerator", "group:ocd", "--denominator", "group:adhd"]
+        return [
+            ["score", "--input", cohort, *ratio, "--output", "score.json",
+             *["--breakdown"] * longer],
+            ["diagnose", "--input", cohort, *ratio, "--roc-csv", "roc.csv",
+             "--svg", "roc.svg", "--output", "diagnose.json", *["--with-sum-score"] * longer],
+            ["simulate", "--model", "DWM", "--length", "16", "--count", count,
+             "--seed", "5", "--out", "sim.csv", "--output", "simulate.json"],
+        ]
+
+    def run_in(directory, argvs):
+        directory.mkdir(exist_ok=True)
+        monkeypatch.chdir(directory)
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+        return {name: re.sub(rb'"generated_at": "[^"]*"', b"", (directory / name).read_bytes())
+                for name in outputs}
+
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    first = run_in(rerun, commands(cohort_csv, "400", longer=True))
+    opened, modes, os_open, builtin_open = [], [], os.open, builtins.open
+
+    def spy_os_open(path, flags, *rest):
+        opened.append((os.fspath(path), flags & os.O_TRUNC))
+        return os_open(path, flags, *rest)
+
+    def spy_open(file, mode="r", *rest, **kw):
+        modes.append((file, mode))
+        return builtin_open(file, mode, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    again = run_in(rerun, commands(str(small), "10"))
+    monkeypatch.undo()
+    assert sorted(path for path, _ in opened if path in outputs) == sorted(outputs)
+    assert [(path, trunc) for path, trunc in opened if trunc] == []
+    assert [(file, mode) for file, mode in modes  # the helper wraps its fd in "w" mode
+            if not isinstance(file, int) and (file in outputs or "w" in mode)] == []
+    assert [name for name in outputs if len(first[name]) <= len(again[name])] == []
+    assert again == run_in(fresh, commands(str(small), "10"))
+
+
 class TestBatchPath:
     """Each command counts the cohort once and builds each model once."""
 
@@ -706,6 +760,16 @@ class TestErrorHandling:
         )
         assert code == 3
         assert error_of(err)["type"] == "io"
+
+    @pytest.mark.parametrize("name, message", [
+        ("", "[Errno 21] Is a directory: '{}'"),
+        ("absent/out.json", "[Errno 2] No such file or directory: '{}'"),
+    ])
+    def test_unwritable_output_is_io_error(self, capsys, tmp_path, cohort_csv, name, message):
+        path = str(tmp_path / name)
+        code, _, err = run(capsys, "estimate", "--input", cohort_csv, "--output", path)
+        assert code == 3
+        assert error_of(err) == {"type": "io", "message": message.format(path), "exit_code": 3}
 
     def test_bad_flag_value_is_validation(self, capsys, cohort_csv):
         code, _, err = run(

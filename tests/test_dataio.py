@@ -1,10 +1,14 @@
 """Cohort CSV round-trips and config file handling."""
 
 import csv
+import errno
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -485,6 +489,107 @@ class TestWriteCohort:
         peak = traced_peak(lambda: rc.write_cohort(cohort, cohort.state_space,
                                                    tmp_path / "long.csv"))
         assert peak <= 12 * 2**20
+
+
+def write_with_open(path, newline=None):
+    return open(path, "w", encoding="utf-8", newline=newline)
+
+
+# open_output must leave what open(path, "w") leaves.
+OPENERS = pytest.mark.parametrize("opener", [write_with_open, dataio.open_output],
+                                  ids=["open", "open_output"])
+
+
+class TestOpenOutput:
+    """open_output rewrites a file in place, without O_TRUNC, and leaves
+    the bytes and the file as open(path, "w") does."""
+
+    @OPENERS
+    def test_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path, opener):
+        path = write(tmp_path, "out.txt", "old text\n" * 1000)
+        with opener(path) as fh:
+            fh.write("new\n")
+        assert path.read_bytes() == b"new\n"
+        with opener(path, newline="") as fh:
+            fh.write("a,b\r\n")
+        assert path.read_bytes() == b"a,b\r\n"
+
+    @OPENERS
+    def test_keeps_inode_mode_and_links(self, tmp_path, opener):
+        path = write(tmp_path, "out.txt", "old text " * 100)
+        path.chmod(0o640)
+        before = path.stat()
+        link = tmp_path / "hard.txt"
+        os.link(path, link)
+        symlink = tmp_path / "sym.txt"
+        symlink.symlink_to(path.name)
+        with opener(path) as fh:
+            fh.write("new")
+        with opener(symlink) as fh:
+            fh.write("via symlink")
+        after = path.stat()
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+        assert symlink.is_symlink() and os.readlink(symlink) == path.name
+        assert path.read_text() == link.read_text() == "via symlink"
+
+    @OPENERS
+    def test_a_raising_block_leaves_what_was_written_and_no_old_tail(self, tmp_path, opener):
+        path = write(tmp_path, "out.txt", "o" * 100_000)
+        with pytest.raises(RuntimeError, match="midway"):
+            with opener(path) as fh:
+                fh.write("x" * 10_000)
+                fh.flush()
+                fh.write("y" * 10)
+                raise RuntimeError("midway")
+        assert path.read_text() == "x" * 10_000 + "y" * 10
+
+    @OPENERS
+    def test_a_failed_flush_at_close_leaves_no_old_tail(self, tmp_path, opener):
+        # Writes past RLIMIT_FSIZE fail with EFBIG, so the flush at close
+        # writes 3,000 of the 5,000 bytes and raises.
+        path = write(tmp_path, "out.txt", "o" * 100_000)
+        imports = {"open_output": "from respchain.dataio import open_output as opener\n",
+                   "write_with_open": "opener = lambda path: open(path, 'w', encoding='utf-8')\n"}
+        code = imports[opener.__name__] + (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (3000, resource.RLIM_INFINITY))\n"
+            "try:\n"
+            "    with opener(sys.argv[1]) as fh:\n"
+            "        fh.write('x' * 5000)\n"
+            "except OSError as exc:\n"
+            "    print(exc.errno)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dataio.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code, str(path)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout, out.stderr) == (0, f"{errno.EFBIG}\n", "")
+        assert path.read_text() == "x" * 3000
+
+    def test_devices_and_fifos_are_written_as_they_are(self, tmp_path):
+        with dataio.open_output(os.devnull) as fh:
+            fh.write("discarded")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with dataio.open_output(fifo) as fh:
+                fh.write("through the pipe")
+            assert os.read(reader, 100) == b"through the pipe"
+        finally:
+            os.close(reader)
+
+    @pytest.mark.parametrize("name", [".", "absent/out.txt"])
+    def test_open_errors_are_those_of_open(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(OSError) as want:
+            write_with_open(path)
+        with pytest.raises(type(want.value)) as got:
+            dataio.open_output(path).__enter__()
+        assert str(got.value) == str(want.value)
+        assert got.value.errno == want.value.errno
 
 
 class TestConfig:
